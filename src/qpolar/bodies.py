@@ -9,6 +9,10 @@ All bodies are origin-centered (body = -body by construction):
 Operations are pure functions over these immutable values. Support and gauge
 are exact for every representation; V-polytope gauges and H-polytope supports
 are solved as small linear programs (HiGHS).
+
+Containment, the quantum-pair verdict and the product capacity all reduce to
+one inclusion scale, max{lambda : lambda * inner subset of outer}, computed by
+``_fit_scale`` and accepted by the single rule ``_accepts``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy.linalg import eigh as gen_eigh
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection
 from scipy.stats import norm, qmc
@@ -31,7 +36,7 @@ from .errors import (
 from .symplectic import require_symmetric
 
 # H-polytope vertex enumeration is attempted up to this dimension; beyond it
-# containment falls back to sampled support ratios (flagged approximate).
+# the inclusion scale falls back to sampled support ratios (flagged approximate).
 ENUMERATION_MAX_DIM = 8
 DEFAULT_DIRECTIONS = 4096
 
@@ -252,59 +257,52 @@ def sphere_directions(n: int, count: int = DEFAULT_DIRECTIONS, seed: int = 0) ->
     return z / norms
 
 
-def _extreme_points(body: ConvexBody) -> np.ndarray | None:
-    """A finite set of points whose symmetric hull is the body, or None for ellipsoids."""
-    if isinstance(body, VPolytope):
-        return body.vertices
-    if isinstance(body, HPolytope):
-        return hpolytope_vertices(body)
-    return None
+def _fit_scale(inner: ConvexBody, outer: ConvexBody) -> tuple[float, bool]:
+    """max{lambda > 0 : lambda * inner subset of outer}, with exactness flag."""
+    if isinstance(inner, Ellipsoid):
+        if isinstance(outer, Ellipsoid):
+            mu_max = gen_eigh(outer.matrix, inner.matrix, eigvals_only=True)[-1]
+            return float(1.0 / np.sqrt(mu_max)), True
+        if isinstance(outer, HPolytope):
+            worst = max(support(inner, row) for row in outer.rows)
+            return float(1.0 / worst), True
+        # inner E, outer V: by unit polarity lambda*E in V iff lambda*V° in E°.
+        return _fit_scale(HPolytope(outer.vertices), Ellipsoid(np.linalg.inv(inner.matrix)))
+
+    if isinstance(inner, VPolytope):
+        pts = inner.vertices
+    else:
+        try:
+            pts = hpolytope_vertices(inner)
+        except DegenerateBodyError:
+            # Sampled support ratios: an over-estimate restricted to the
+            # direction set, reported as approximate.
+            dirs = sphere_directions(inner.dim)
+            ratio = min(support(outer, u) / support(inner, u) for u in dirs)
+            return float(ratio), False
+    worst = max(gauge(outer, p) for p in pts)
+    return float(1.0 / worst), True
 
 
-def contains(outer: ConvexBody, inner: ConvexBody, tol: float = 1e-9,
-             directions: int = DEFAULT_DIRECTIONS) -> ContainmentResult:
+def _accepts(lam: float, tol: float) -> bool:
+    """The one acceptance rule for an inclusion scale: lambda >= 1/(1 + tol)."""
+    return bool(lam >= 1.0 / (1.0 + tol))
+
+
+def contains(outer: ConvexBody, inner: ConvexBody, tol: float = 1e-9) -> ContainmentResult:
     """Test inner subset-of (1 + tol) * outer.
 
-    Exact paths cover every pairing of the three representations (vertex
-    checks, generalized eigenvalues, support rows, LP gauges, polar flips);
-    the sampled support-ratio fallback only triggers when vertex enumeration
-    of an H-polytope source is infeasible (dim > 8) and is flagged
-    ``exact=False``. `directions` sizes that fallback's direction set.
+    Decided by the inclusion scale max{lambda : lambda * inner in outer},
+    accepted when it is at least 1/(1 + tol), the same rule as the
+    quantum-pair verdict and the 4*hbar capacity bound. Exact for every
+    pairing of the three representations except an H-polytope source (or an
+    ellipsoid in a V-polytope, which flips to one) beyond the vertex
+    enumeration cap, where sampled support ratios answer with ``exact=False``.
     """
     if outer.dim != inner.dim:
         raise DimensionError(f"dimension mismatch: outer {outer.dim}, inner {inner.dim}")
-    one = 1.0 + tol
-
-    if isinstance(inner, Ellipsoid):
-        if isinstance(outer, Ellipsoid):
-            from scipy.linalg import eigh as gen_eigh
-
-            mu_max = gen_eigh(outer.matrix, inner.matrix, eigvals_only=True)[-1]
-            return ContainmentResult(bool(mu_max <= one**2), True)
-        if isinstance(outer, HPolytope):
-            worst = max(support(inner, row) for row in outer.rows)
-            return ContainmentResult(bool(worst <= one), True)
-        # inner E in outer V: flip through unit polarity, E(Q) in V(W) iff H(W) in E(Q^-1).
-        return contains(
-            Ellipsoid(np.linalg.inv(inner.matrix)),
-            HPolytope(outer.vertices),
-            tol,
-            directions,
-        )
-
-    try:
-        pts = _extreme_points(inner)
-    except DegenerateBodyError:
-        pts = None
-    if pts is not None:
-        worst = max(gauge(outer, p) for p in pts)
-        return ContainmentResult(bool(worst <= one), True)
-
-    # Sampled fallback: necessary condition h_inner(u) <= (1+tol) h_outer(u)
-    # on a fixed low-discrepancy direction set.
-    dirs = sphere_directions(inner.dim, directions)
-    ok = all(support(inner, u) <= one * support(outer, u) for u in dirs)
-    return ContainmentResult(ok, False)
+    lam, exact = _fit_scale(inner, outer)
+    return ContainmentResult(_accepts(lam, tol), exact)
 
 
 def enclosing_ellipsoid(points, mode: str = "ball", vol_tol: float = 0.01,

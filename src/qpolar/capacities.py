@@ -5,8 +5,9 @@ On a phase-space ellipsoid {z : z^T Q z <= 1} every symplectic capacity equals
 pi / mu_max with mu_max the largest Williamson eigenvalue of Q (normalized so a
 ball of radius R has capacity pi R^2). On a Lagrangian product X x P of a
 position body and a momentum body the capacity is 4 * hbar * lambda_max with
-lambda_max the polar inclusion scale; for intervals this reduces to the
-rectangle area 4ab, which area_oracle_1d computes independently.
+lambda_max the polar inclusion scale (Artstein-Avidan, Karasev & Ostrover
+2014, Duke Math. J.); for intervals this reduces to the rectangle area 4ab,
+which area_oracle_1d computes independently.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, Ellipsoid, HPolytope, support
+from .bodies import ConvexBody, Ellipsoid, HPolytope, _accepts, support
 from .errors import DimensionError
 from .polarity import _inclusion_scale_detail
 from .symplectic import symplectic_eigenvalues
@@ -38,15 +39,13 @@ class CapacityReport:
     exact: bool = True
 
 
-def ellipsoid_capacity(ell: Ellipsoid, hbar: float = 1.0) -> float:
+def ellipsoid_capacity(ell: Ellipsoid) -> float:
     """Symplectic capacity of a phase-space ellipsoid {z : z^T Q z <= 1}.
 
     Returns pi / mu_max, mu_max the largest Williamson eigenvalue of Q.
     Monotone, conformal of degree 2, and invariant under linear symplectic
-    images. The value does not depend on hbar; the parameter only fixes the
-    unit convention shared with the other capacity functions.
+    images. The value does not depend on hbar.
     """
-    del hbar
     if ell.dim % 2:
         raise DimensionError(f"phase-space ellipsoids have even dimension, got {ell.dim}")
     mu = symplectic_eigenvalues(ell.matrix)
@@ -59,7 +58,8 @@ def product_capacity(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,
 
     lambda_max is the polar inclusion scale max{lambda : lambda P^hbar in X},
     so the report is consistent with the quantum-pair verdict on (X, P) by
-    construction: the 4*hbar lower bound holds iff the pair does.
+    construction: the 4*hbar lower bound holds iff the pair does, both
+    accepting lambda_max >= 1/(1 + tol).
     """
     if hbar <= 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
@@ -68,14 +68,14 @@ def product_capacity(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,
     return CapacityReport(
         value=value,
         kind="product",
-        lower_bound_4hbar_met=bool(lam >= 1.0 - tol),
+        lower_bound_4hbar_met=_accepts(lam, tol),
         equality_case=bool(abs(lam - 1.0) <= tol),
         lambda_max=lam,
         exact=exact,
     )
 
 
-def section_area(sigma, j: int, hbar: float = 1.0) -> float:
+def section_area(sigma, j: int) -> float:
     """Area of the covariance ellipsoid's section by the j-th conjugate plane.
 
     sigma is a 2n x 2n covariance matrix (or a CovarianceMatrix); the region
@@ -84,7 +84,6 @@ def section_area(sigma, j: int, hbar: float = 1.0) -> float:
     matrix the area is at least pi * hbar; hbar itself does not enter the
     value.
     """
-    del hbar
     mat = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
         raise DimensionError(f"expected a 2n x 2n matrix, got shape {mat.shape}")

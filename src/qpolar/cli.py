@@ -160,19 +160,19 @@ def capacity(x_path, p_path, body_path, sigma_path, mode_index, hbar, tol, fmt):
         ell = qio.load_body(body_path)
         if not isinstance(ell, Ellipsoid):
             raise click.UsageError("--body expects an ellipsoid document")
-        _emit({"capacity": ellipsoid_capacity(ell, hbar), "kind": "ellipsoid", "hbar": hbar}, fmt)
+        _emit({"capacity": ellipsoid_capacity(ell), "kind": "ellipsoid", "hbar": hbar}, fmt)
         sys.exit(PASS)
     if sigma_path:
         sigma = qio.load_covariance(sigma_path)
         if mode_index is not None:
             _emit(
-                {"section_area": section_area(sigma, mode_index, hbar),
+                {"section_area": section_area(sigma, mode_index),
                  "kind": "section", "mode": mode_index,
                  "half_h": float(np.pi * hbar), "hbar": hbar},
                 fmt,
             )
         else:
-            value = ellipsoid_capacity(covariance_ellipsoid(sigma), hbar)
+            value = ellipsoid_capacity(covariance_ellipsoid(sigma))
             _emit({"capacity": value, "kind": "ellipsoid", "half_h": float(np.pi * hbar),
                    "hbar": hbar}, fmt)
         sys.exit(PASS)

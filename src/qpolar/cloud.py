@@ -9,7 +9,7 @@ import numpy as np
 
 from .bodies import ConvexBody, Ellipsoid, HPolytope, enclosing_ellipsoid, gauge
 from .capacities import CapacityReport, product_capacity
-from .errors import DegenerateBodyError, DimensionError
+from .errors import DegenerateBodyError, DimensionError, QPolarError
 from .polarity import PairVerdict, is_quantum_pair
 from .quantum import (
     CovarianceMatrix,
@@ -225,7 +225,7 @@ def cloud_analyze(cloud: MeasurementCloud, hbar: float = 1.0, fit: str = "ball",
         sigpos = is_quantum_covariance(cov, hbar, tol)
         spectrum = symplectic_eigenvalues(cov.sigma)
         crit = capacity_criterion(cov, hbar, tol)
-    except Exception as exc:  # degenerate sample covariance
+    except (QPolarError, np.linalg.LinAlgError) as exc:  # degenerate sample covariance
         notes.append(f"covariance verdicts unavailable: {exc}")
         cov = rs = sigpos = crit = spectrum = None
 

@@ -20,20 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh as gen_eigh
 
-from .bodies import (
-    ConvexBody,
-    Ellipsoid,
-    HPolytope,
-    VPolytope,
-    contains,
-    gauge,
-    hpolytope_vertices,
-    sphere_directions,
-    support,
-)
-from .errors import DegenerateBodyError, DimensionError
+from .bodies import ConvexBody, Ellipsoid, HPolytope, VPolytope, _accepts, _fit_scale
+from .errors import DimensionError
 
 
 @dataclass(frozen=True)
@@ -68,37 +57,10 @@ def polar_dual(body: ConvexBody, hbar: float = 1.0) -> ConvexBody:
     return HPolytope(body.vertices / hbar)
 
 
-def _scale_to_fit(inner: ConvexBody, outer: ConvexBody) -> tuple[float, bool]:
-    """max{lambda > 0 : lambda * inner subset of outer}, with exactness flag."""
-    if isinstance(inner, Ellipsoid):
-        if isinstance(outer, Ellipsoid):
-            mu_max = gen_eigh(outer.matrix, inner.matrix, eigvals_only=True)[-1]
-            return float(1.0 / np.sqrt(mu_max)), True
-        if isinstance(outer, HPolytope):
-            worst = max(support(inner, row) for row in outer.rows)
-            return float(1.0 / worst), True
-        # inner E, outer V: by unit polarity lambda*E in V iff lambda*V° in E°.
-        return _scale_to_fit(HPolytope(outer.vertices), Ellipsoid(np.linalg.inv(inner.matrix)))
-
-    if isinstance(inner, VPolytope):
-        pts = inner.vertices
-    else:
-        try:
-            pts = hpolytope_vertices(inner)
-        except DegenerateBodyError:
-            # Sampled support ratios: an over-estimate restricted to the
-            # direction set, reported as approximate.
-            dirs = sphere_directions(inner.dim)
-            ratio = min(support(outer, u) / support(inner, u) for u in dirs)
-            return float(ratio), False
-    worst = max(gauge(outer, p) for p in pts)
-    return float(1.0 / worst), True
-
-
 def _inclusion_scale_detail(x: ConvexBody, p: ConvexBody, hbar: float) -> tuple[float, bool]:
     if x.dim != p.dim:
         raise DimensionError(f"dimension mismatch: X is {x.dim}-dim, P is {p.dim}-dim")
-    return _scale_to_fit(polar_dual(p, hbar), x)
+    return _fit_scale(polar_dual(p, hbar), x)
 
 
 def inclusion_scale(x: ConvexBody, p: ConvexBody, hbar: float = 1.0) -> float:
@@ -122,14 +84,9 @@ def is_quantum_pair(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,
     """
     lam, exact = _inclusion_scale_detail(x, p, hbar)
     return PairVerdict(
-        is_pair=bool(lam >= 1.0 / (1.0 + tol)),
+        is_pair=_accepts(lam, tol),
         lambda_max=lam,
         margin=lam - 1.0,
         exact=exact,
     )
 
-
-def pair_via_containment(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,
-                         tol: float = 1e-9) -> bool:
-    """Direct containment route: contains(P, X^hbar). Cross-check for is_quantum_pair."""
-    return bool(contains(p, polar_dual(x, hbar), tol))

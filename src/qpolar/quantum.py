@@ -105,19 +105,23 @@ def rs_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> list[bool]:
     return out
 
 
+def _half_inverse_ellipsoid(m: np.ndarray, what: str) -> Ellipsoid:
+    """The ellipsoid {z : z^T M^{-1} z / 2 <= 1}, symmetrizing the computed inverse."""
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(f"{what} is singular") from None
+    return Ellipsoid(0.25 * (inv + inv.T))
+
+
 def covariance_ellipsoid(s) -> Ellipsoid:
     """The phase-space region {z : z^T Sigma^{-1} z / 2 <= 1} as an Ellipsoid."""
-    cov = _as_cov(s)
-    try:
-        inv = np.linalg.inv(cov.sigma)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError("covariance matrix is singular") from None
-    return Ellipsoid(0.5 * (inv + inv.T) / 2.0)
+    return _half_inverse_ellipsoid(_as_cov(s).sigma, "covariance matrix")
 
 
 def capacity_criterion(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> bool:
     """True iff the covariance ellipsoid has capacity >= pi * hbar (= h/2)."""
-    value = ellipsoid_capacity(covariance_ellipsoid(s), hbar)
+    value = ellipsoid_capacity(covariance_ellipsoid(s))
     return bool(value >= np.pi * hbar * (1.0 - tol))
 
 
@@ -129,15 +133,8 @@ def project_xp(s) -> tuple[Ellipsoid, Ellipsoid]:
     off-diagonal block does not enter.
     """
     cov = _as_cov(s)
-    try:
-        a_inv = np.linalg.inv(cov.dxx)
-        b_inv = np.linalg.inv(cov.dpp)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError("a diagonal block of the covariance matrix is singular") from None
-    return (
-        Ellipsoid(0.25 * (a_inv + a_inv.T)),
-        Ellipsoid(0.25 * (b_inv + b_inv.T)),
-    )
+    what = "a diagonal block of the covariance matrix"
+    return _half_inverse_ellipsoid(cov.dxx, what), _half_inverse_ellipsoid(cov.dpp, what)
 
 
 def theorem2_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> PairVerdict:
@@ -228,9 +225,7 @@ def hardy_check(inp: HardyInput, hbar: float = 1.0, tol: float = DEFAULT_TOL) ->
         kind = "gaussian_boundary"
     else:
         kind = "hermite_subcritical"
-    a_inv = np.linalg.inv(inp.a)
-    b_inv = np.linalg.inv(inp.b)
-    pair = (Ellipsoid(0.25 * (a_inv + a_inv.T)), Ellipsoid(0.25 * (b_inv + b_inv.T)))
+    pair = (_half_inverse_ellipsoid(inp.a, "A"), _half_inverse_ellipsoid(inp.b, "B"))
     return HardyVerdict(eigenvalues=eigs, classification=kind, pair=pair)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qpolar import bodies
 from qpolar.bodies import (
     ContainmentResult,
     Ellipsoid,
@@ -215,16 +216,19 @@ class TestContains:
         with pytest.raises(DimensionError):
             contains(Ellipsoid.ball(2), Ellipsoid.ball(3))
 
-    def test_sampled_fallback_above_enumeration_cap(self):
+    def test_sampled_fallback_above_enumeration_cap(self, monkeypatch):
         # 9-dimensional box source: vertex enumeration is declined, the
-        # support-ratio sampler answers and flags itself approximate.
+        # support-ratio sampler answers and flags itself approximate. A
+        # 128-direction set keeps the sampler fast.
+        orig = bodies.sphere_directions
+        monkeypatch.setattr(bodies, "sphere_directions", lambda n: orig(n, 128))
         n = 9
         box = HPolytope.box(np.full(n, 1.0))
         big_ball = Ellipsoid.ball(n, 2 * np.sqrt(n))
-        res = contains(big_ball, box, directions=128)
+        res = contains(big_ball, box)
         assert res.contained and not res.exact
         small_ball = Ellipsoid.ball(n, 1.05)  # corners stick out at |x| = 3
-        res = contains(small_ball, box, directions=128)
+        res = contains(small_ball, box)
         assert not res.contained and not res.exact
 
 

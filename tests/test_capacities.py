@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qpolar.bodies import Ellipsoid, HPolytope, VPolytope, linear_image, scale
+from qpolar.bodies import Ellipsoid, HPolytope, VPolytope, contains, linear_image, scale
 from qpolar.capacities import (
     area_oracle_1d,
     ellipsoid_capacity,
@@ -99,17 +99,30 @@ class TestProductCapacity:
             assert scaled == pytest.approx(lam**2 * base, rel=1e-9)
 
     def test_lower_bound_equivalence_with_pair(self, rng):
-        # Lower bound 4*hbar holds iff (X, P) is a quantum pair; both reduce
-        # to lambda_max >= 1 and must agree on every random pair.
+        # Lower bound 4*hbar holds iff (X, P) is a quantum pair iff X^hbar
+        # fits in (1 + tol) P; all three reduce to lambda_max >= 1/(1 + tol)
+        # and must agree on every random pair and inside the tolerance band.
+        tol = 1e-9
+
+        def routes(x, p, hbar):
+            report = product_capacity(x, p, hbar, tol)
+            verdict = is_quantum_pair(x, p, hbar, tol)
+            inside = contains(p, polar_dual(x, hbar), tol)
+            assert report.lower_bound_4hbar_met == verdict.is_pair == inside.contained
+            assert report.value == pytest.approx(4 * hbar * verdict.lambda_max, rel=1e-12)
+            return verdict.is_pair
+
         for _ in range(200):
             n = int(rng.integers(1, 4))
-            x = random_body(n, rng)
-            p = random_body(n, rng)
-            hbar = rng.uniform(0.3, 3.0)
-            report = product_capacity(x, p, hbar)
-            verdict = is_quantum_pair(x, p, hbar)
-            assert report.lower_bound_4hbar_met == verdict.is_pair
-            assert report.value == pytest.approx(4 * hbar * verdict.lambda_max, rel=1e-12)
+            routes(random_body(n, rng), random_body(n, rng), rng.uniform(0.3, 3.0))
+
+        routes(Ellipsoid.ball(2), Ellipsoid.ball(2, 1 - 1.0000001e-9), 1.0)
+        # Balls B(1), B(hbar * lam) have lambda_max = lam.
+        for hbar in (1e-3, 1.0, 1e3):
+            for lam in (1 / (1 + tol), 1 - tol):
+                routes(Ellipsoid.ball(2), Ellipsoid.ball(2, hbar * lam), hbar)
+            assert routes(Ellipsoid.ball(2), Ellipsoid.ball(2, hbar * (1 + 2 * tol)), hbar)
+            assert not routes(Ellipsoid.ball(2), Ellipsoid.ball(2, hbar * (1 - 2 * tol)), hbar)
 
     def test_capacity_equals_area_1d(self, rng):
         for _ in range(1000):

@@ -97,6 +97,23 @@ class TestCloudAnalyze:
         assert any("unpaired" in note for note in report.notes)
         assert np.allclose(report.sample_covariance.dxp, 0.0)
 
+    def test_degenerate_covariance_noted(self):
+        # p = x makes the joint sample covariance singular: the covariance
+        # verdicts are unavailable and say so, the pair verdict still stands.
+        x = np.random.default_rng(43).normal(size=(500, 2))
+        report = cloud_analyze(MeasurementCloud(x, x))
+        assert any("covariance verdicts unavailable" in note for note in report.notes)
+        assert report.sample_covariance is None and report.sigpos_ok is None
+        assert report.pair.lambda_max > 0
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug in a covariance verdict")
+
+        monkeypatch.setattr("qpolar.cloud.rs_check", broken)
+        with pytest.raises(RuntimeError, match="bug in a covariance verdict"):
+            cloud_analyze(cloud_generate_disk(1.0, 1.0, 500, seed=22))
+
     def test_round_trip_identical_report(self, tmp_path):
         from qpolar.io import dump_cloud, load_cloud
 

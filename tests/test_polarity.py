@@ -3,7 +3,7 @@ import pytest
 
 from qpolar.bodies import Ellipsoid, HPolytope, VPolytope, contains, gauge, linear_image, scale, support
 from qpolar.errors import DimensionError
-from qpolar.polarity import inclusion_scale, is_quantum_pair, pair_via_containment, polar_dual
+from qpolar.polarity import inclusion_scale, is_quantum_pair, polar_dual
 
 from conftest import random_body
 
@@ -31,6 +31,46 @@ def bodies_close(a, b, tol=1e-10):
             return False
         used.add(hit)
     return True
+
+
+def _row_vertices(rows):
+    """Vertices of the planar polytope {x : |rows x| <= 1}, from every pair of rows."""
+    pts = []
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            pair = rows[[i, j]]
+            if abs(np.linalg.det(pair)) < 1e-12:
+                continue
+            pts.extend(np.linalg.solve(pair, [si, sj]) for si in (1, -1) for sj in (1, -1))
+    pts = np.array(pts)
+    return pts[np.max(np.abs(pts @ rows.T), axis=1) <= 1 + 1e-9]
+
+
+def _support_2d(body, u):
+    """h_body on the rows of u, in plain numpy."""
+    if isinstance(body, Ellipsoid):
+        return np.sqrt(np.einsum("ki,ij,kj->k", u, np.linalg.inv(body.matrix), u))
+    pts = _row_vertices(body.rows) if isinstance(body, HPolytope) else body.vertices
+    return np.max(np.abs(u @ pts.T), axis=1)
+
+
+def _gauge_2d(body, u):
+    """||u||_body on the rows of u, in plain numpy; a V-polytope's facet normals
+    are the vertices of the H-polytope with its vertices as rows."""
+    if isinstance(body, Ellipsoid):
+        return np.sqrt(np.einsum("ki,ij,kj->k", u, body.matrix, u))
+    normals = body.rows if isinstance(body, HPolytope) else _row_vertices(body.vertices)
+    return np.max(np.abs(u @ normals.T), axis=1)
+
+
+def support_ratio_scale(x, p, hbar, count=100_000):
+    """min over dense planar directions u of h_X(u) / h_{P^hbar}(u), h_{P^hbar} = hbar ||.||_P.
+
+    An upper bound on lambda_max that tightens as the directions get denser.
+    """
+    t = np.linspace(0.0, np.pi, count, endpoint=False)
+    u = np.column_stack([np.cos(t), np.sin(t)])
+    return float(np.min(_support_2d(x, u) / (hbar * _gauge_2d(p, u))))
 
 
 class TestPolarDual:
@@ -136,13 +176,17 @@ class TestQuantumPair:
             agree += 1
         assert agree == 200
 
-    def test_agrees_with_containment_route(self, rng):
-        for _ in range(200):
-            n = int(rng.integers(1, 4))
-            x = random_body(n, rng)
-            p = random_body(n, rng)
+    def test_agrees_with_support_ratio_oracle(self, rng):
+        for _ in range(50):
+            x = random_body(2, rng)
+            p = random_body(2, rng)
             hbar = rng.uniform(0.3, 3.0)
-            assert is_quantum_pair(x, p, hbar).is_pair == pair_via_containment(x, p, hbar)
+            verdict = is_quantum_pair(x, p, hbar)
+            oracle = support_ratio_scale(x, p, hbar)
+            assert verdict.lambda_max <= oracle * (1 + 1e-12)
+            assert oracle <= verdict.lambda_max * (1 + 1e-3)
+            if abs(oracle - 1.0) > 1e-3:
+                assert verdict.is_pair == (oracle > 1.0)
 
     def test_verdict_margin_consistency(self, rng):
         for _ in range(50):
