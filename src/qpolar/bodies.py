@@ -12,7 +12,7 @@ are solved as small linear programs (HiGHS).
 
 Containment, the quantum-pair verdict and the product capacity all reduce to
 one inclusion scale, max{lambda : lambda * inner subset of outer}, computed by
-``_fit_scale`` and accepted by the single rule ``_accepts``.
+``_fit_scale`` and accepted by ``_accepts``, the one rule of every verdict.
 """
 
 from __future__ import annotations
@@ -284,12 +284,15 @@ def _fit_scale(inner: ConvexBody, outer: ConvexBody) -> tuple[float, bool]:
     return float(1.0 / worst), True
 
 
-def _accepts(lam: float, tol: float) -> bool:
-    """The one acceptance rule for an inclusion scale: lambda >= 1/(1 + tol)."""
-    return bool(lam >= 1.0 / (1.0 + tol))
+DEFAULT_TOL = 1e-9
 
 
-def contains(outer: ConvexBody, inner: ConvexBody, tol: float = 1e-9) -> ContainmentResult:
+def _accepts(r: float, tol: float) -> bool:
+    """The one acceptance rule: a ratio r (>= 1 iff the bound holds) passes when r >= 1/(1 + tol)."""
+    return bool(r >= 1.0 / (1.0 + tol))
+
+
+def contains(outer: ConvexBody, inner: ConvexBody, tol: float = DEFAULT_TOL) -> ContainmentResult:
     """Test inner subset-of (1 + tol) * outer.
 
     Decided by the inclusion scale max{lambda : lambda * inner in outer},

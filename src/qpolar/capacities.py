@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, Ellipsoid, HPolytope, _accepts, support
+from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, HPolytope, _accepts, support
 from .errors import DimensionError
 from .polarity import _inclusion_scale_detail
 from .symplectic import symplectic_eigenvalues
@@ -53,13 +53,13 @@ def ellipsoid_capacity(ell: Ellipsoid) -> float:
 
 
 def product_capacity(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,
-                     tol: float = 1e-9) -> CapacityReport:
+                     tol: float = DEFAULT_TOL) -> CapacityReport:
     """Capacity of the Lagrangian product X x P: 4 * hbar * lambda_max.
 
     lambda_max is the polar inclusion scale max{lambda : lambda P^hbar in X},
     so the report is consistent with the quantum-pair verdict on (X, P) by
     construction: the 4*hbar lower bound holds iff the pair does, both
-    accepting lambda_max >= 1/(1 + tol).
+    accepting lambda_max >= 1/(1 + tol); the equality case also accepts 1/lambda_max.
     """
     if hbar <= 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
@@ -69,7 +69,7 @@ def product_capacity(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,
         value=value,
         kind="product",
         lower_bound_4hbar_met=_accepts(lam, tol),
-        equality_case=bool(abs(lam - 1.0) <= tol),
+        equality_case=_accepts(lam, tol) and _accepts(1.0 / lam, tol),
         lambda_max=lam,
         exact=exact,
     )

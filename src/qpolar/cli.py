@@ -14,16 +14,15 @@ import click
 import numpy as np
 
 from . import io as qio
-from .bodies import Ellipsoid
+from .bodies import DEFAULT_TOL, Ellipsoid
 from .capacities import ellipsoid_capacity, product_capacity, section_area
 from .cloud import cloud_analyze, cloud_generate_disk, disk_demo
 from .errors import QPolarError
+from .hardy import HardyInput, hardy_check
 from .polarity import is_quantum_pair, polar_dual
 from .quantum import (
-    HardyInput,
     capacity_criterion,
     covariance_ellipsoid,
-    hardy_check,
     is_quantum_covariance,
     rs_check,
     theorem2_check,
@@ -35,7 +34,7 @@ PASS, FAIL, ERROR = 0, 2, 1
 
 hbar_option = click.option("--hbar", type=float, default=1.0, show_default=True,
                            help="Reduced action scale; h = 2*pi*hbar.")
-tol_option = click.option("--tol", type=float, default=1e-9, show_default=True,
+tol_option = click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True,
                           help="Relative tolerance for verdicts.")
 format_option = click.option("--format", "fmt", type=click.Choice(["text", "structured"]),
                              default="text", show_default=True,

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import ConvexBody, Ellipsoid, HPolytope, enclosing_ellipsoid, gauge
+from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, HPolytope, VPolytope, enclosing_ellipsoid, gauge
 from .capacities import CapacityReport, product_capacity
 from .errors import DegenerateBodyError, DimensionError, QPolarError
 from .polarity import PairVerdict, is_quantum_pair
@@ -120,8 +120,6 @@ class AnalysisReport:
 
 
 def body_to_dict(body: ConvexBody) -> dict:
-    from .bodies import VPolytope
-
     if isinstance(body, Ellipsoid):
         return {"type": "ellipsoid", "matrix": body.matrix.tolist()}
     if isinstance(body, HPolytope):
@@ -176,7 +174,7 @@ def _trim_points(points: np.ndarray, fit: str, trim: float) -> np.ndarray:
 
 
 def cloud_analyze(cloud: MeasurementCloud, hbar: float = 1.0, fit: str = "ball",
-                  trim: float = 0.0, tol: float = 1e-9) -> AnalysisReport:
+                  trim: float = 0.0, tol: float = DEFAULT_TOL) -> AnalysisReport:
     """Center, optionally trim, fit bodies, and run every verdict on a cloud.
 
     Samples are centered at their means (polarity is defined for centered

@@ -9,6 +9,8 @@ exp(-p^2 / 4 sigma_P^2) with sigma_X sigma_P = hbar / 2. The discrete version
 is exactly unitary on the grid (Parseval), and applying it twice with the
 kernel sign flipped recovers the input on symmetric grids.
 
+Gaussian envelope pairs are classified by the eigenvalues of A B (hardy_check).
+
 Envelope checks compare |f| against C * exp(-E(x)) pointwise in log space,
 restricted to grid points with |f| >= 1e-12 * max|f|: below that relative
 floor (the same level the transform's edge-decay precondition uses) FFT
@@ -18,13 +20,16 @@ round-off noise would dominate the ratio and poison boundary cases.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
-from .bodies import ConvexBody, gauge
+from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, _accepts, gauge
 from .errors import BoundaryDecayWarning, GridError, HardyInconsistencyWarning
 from .polarity import PairVerdict, is_quantum_pair
+from .quantum import _half_inverse_ellipsoid, _mode_scales
+from .symplectic import require_symmetric
 
 RELATIVE_FLOOR = 1e-12
 ENVELOPE_C_FACTOR = 10.0
@@ -133,7 +138,7 @@ def hardy_envelope_verify(samples, grid, sigma_x: float, sigma_p: float,
     if peak == 0:
         return True
     ok = log_c <= np.log(c_factor * peak)
-    if ok and sigma_x * sigma_p < 0.5 * hbar * (1.0 - 1e-9):
+    if ok and not _accepts(2.0 * sigma_x * sigma_p / hbar, DEFAULT_TOL):
         warnings.warn(
             f"envelopes verified at sigma_x*sigma_p = {sigma_x * sigma_p:.6g} "
             f"< hbar/2 = {0.5 * hbar:.6g}; forbidden by the uncertainty bound, "
@@ -142,6 +147,54 @@ def hardy_envelope_verify(samples, grid, sigma_x: float, sigma_p: float,
             stacklevel=2,
         )
     return bool(ok)
+
+
+@dataclass(frozen=True)
+class HardyInput:
+    """Gaussian envelope data |psi| <= C exp(-x A^{-1} x / 4), |psi^| <= C exp(-p B^{-1} p / 4)."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", require_symmetric(self.a))
+        object.__setattr__(self, "b", require_symmetric(self.b))
+        if self.c <= 0:
+            raise ValueError(f"envelope prefactor must be positive, got {self.c}")
+
+
+HardyClass = Literal["violates", "gaussian_boundary", "hermite_subcritical"]
+
+
+@dataclass(frozen=True)
+class HardyVerdict:
+    """Eigenvalue classification of a Hardy envelope pair.
+
+    classification is "violates" when some eigenvalue of A B is below
+    hbar^2/4 (r_1 rejected; no such psi exists), "gaussian_boundary" when all
+    sit at hbar^2/4 (r_1 and 1/r_n accepted; psi is the matching Gaussian), and
+    "hermite_subcritical" otherwise (psi is a finite Hermite combination).
+    pair is the induced ellipsoid pair (X, P), a polar quantum pair iff the
+    classification is not "violates".
+    """
+
+    eigenvalues: np.ndarray
+    classification: HardyClass
+    pair: tuple[Ellipsoid, Ellipsoid] = field(repr=False)
+
+
+def hardy_check(inp: HardyInput, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> HardyVerdict:
+    """Classify a Hardy envelope pair on the ratios r_j = 2 sqrt(eig_j(A B)) / hbar, ascending."""
+    eigs, scales = _mode_scales(inp.a, inp.b, hbar)
+    if not _accepts(scales[0], tol):
+        kind: HardyClass = "violates"
+    elif _accepts(1.0 / scales[-1], tol):
+        kind = "gaussian_boundary"
+    else:
+        kind = "hermite_subcritical"
+    pair = (_half_inverse_ellipsoid(inp.a, "A"), _half_inverse_ellipsoid(inp.b, "B"))
+    return HardyVerdict(eigenvalues=eigs, classification=kind, pair=pair)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, Ellipsoid, HPolytope, VPolytope, _accepts, _fit_scale
+from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, HPolytope, VPolytope, _accepts, _fit_scale
 from .errors import DimensionError
 
 
@@ -75,7 +75,7 @@ def inclusion_scale(x: ConvexBody, p: ConvexBody, hbar: float = 1.0) -> float:
 
 
 def is_quantum_pair(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,
-                    tol: float = 1e-9) -> PairVerdict:
+                    tol: float = DEFAULT_TOL) -> PairVerdict:
     """Decide whether (X, P) is an hbar-polar quantum pair (X^hbar inside P).
 
     Decided through the inclusion scale, so the verdict, the scale, and the

@@ -11,24 +11,27 @@ must agree; the test suite enforces the triangle.
 The position/momentum projections of the covariance ellipsoid form an
 hbar-polar quantum pair whenever Sigma is valid (theorem2_check), which reduces
 to the eigenvalues of Delta(x,x) Delta(p,p) being >= hbar^2/4
-(heisenberg_eigen_check); the same eigenvalue criterion classifies Gaussian
-envelope pairs in Hardy's uncertainty principle (hardy_check).
+(heisenberg_eigen_check); hardy.hardy_check classifies Gaussian envelope pairs
+by the same eigenvalues.
+
+Each verdict is the threshold hbar/2 on one dimensionless ratio r (>= 1 iff the
+bound holds), accepted by bodies._accepts: 2 nu_min / hbar for validity,
+c / (pi hbar) for the capacity criterion, 2 sqrt(det_j) / hbar per
+Robertson-Schrodinger mode and 2 sqrt(eig_j(A B)) / hbar per eigenvalue.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 
-from .bodies import Ellipsoid
+from .bodies import DEFAULT_TOL, Ellipsoid, _accepts
 from .capacities import ellipsoid_capacity
 from .errors import DimensionError, InvalidCovarianceError, NotPositiveDefiniteError
 from .polarity import PairVerdict, is_quantum_pair
 from .symplectic import random_symplectic, require_symmetric, standard_symplectic_matrix
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,37 +75,32 @@ def _as_cov(s) -> CovarianceMatrix:
     return s if isinstance(s, CovarianceMatrix) else CovarianceMatrix(np.asarray(s, dtype=float))
 
 
-def _scaled_tol(sigma: np.ndarray, tol: float) -> float:
-    return tol * max(np.max(np.abs(sigma)), 1.0)
-
-
 def is_quantum_covariance(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> bool:
     """True iff Sigma + (i hbar / 2) J is positive semidefinite (within tol).
 
-    Boundary states (smallest Hermitian eigenvalue exactly zero) count as
-    valid. Agrees with min Williamson eigenvalue >= hbar/2 and with the
-    capacity criterion on every symmetric input.
+    Relative to Sigma, (i hbar / 2) J has eigenvalues +-hbar / (2 nu_j), so the
+    ratio is 2 nu_min / hbar = -1 / (smallest of them). Boundary states count
+    as valid, a Sigma that is not positive definite as invalid. Agrees with
+    the Williamson threshold and the capacity criterion on every SPD input.
     """
     cov = _as_cov(s)
-    j = standard_symplectic_matrix(cov.n)
-    herm = cov.sigma + 0.5j * hbar * j
-    smallest = np.linalg.eigvalsh(herm)[0]
-    return bool(smallest >= -_scaled_tol(cov.sigma, tol))
+    try:
+        smallest = eigh(0.5j * hbar * standard_symplectic_matrix(cov.n), cov.sigma,
+                        eigvals_only=True)[0]
+    except np.linalg.LinAlgError:
+        return False
+    return _accepts(-1.0 / smallest, tol)
 
 
 def rs_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> list[bool]:
     """Per-mode Robertson-Schrodinger test.
 
     Entry j is (Dx_j)^2 (Dp_j)^2 >= Delta(x_j,p_j)^2 + hbar^2/4, boundary
-    included.
+    included, accepted on the ratio 2 sqrt(det_j) / hbar.
     """
     cov = _as_cov(s)
-    out = []
-    for j in range(cov.n):
-        lhs = cov.dxx[j, j] * cov.dpp[j, j]
-        rhs = cov.dxp[j, j] ** 2 + 0.25 * hbar**2
-        out.append(bool(lhs >= rhs - _scaled_tol(cov.sigma, tol)))
-    return out
+    det = np.diag(cov.dxx) * np.diag(cov.dpp) - np.diag(cov.dxp) ** 2
+    return [_accepts(r, tol) for r in 2.0 * np.sqrt(np.maximum(det, 0.0)) / hbar]
 
 
 def _half_inverse_ellipsoid(m: np.ndarray, what: str) -> Ellipsoid:
@@ -121,8 +119,7 @@ def covariance_ellipsoid(s) -> Ellipsoid:
 
 def capacity_criterion(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> bool:
     """True iff the covariance ellipsoid has capacity >= pi * hbar (= h/2)."""
-    value = ellipsoid_capacity(covariance_ellipsoid(s))
-    return bool(value >= np.pi * hbar * (1.0 - tol))
+    return _accepts(ellipsoid_capacity(covariance_ellipsoid(s)) / (np.pi * hbar), tol)
 
 
 def project_xp(s) -> tuple[Ellipsoid, Ellipsoid]:
@@ -151,8 +148,8 @@ def theorem2_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> PairVerdic
     return is_quantum_pair(x, p, hbar, tol)
 
 
-def _product_eigenvalues(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Eigenvalues of A B for SPD A, B (all positive), ascending."""
+def _mode_scales(a, b, hbar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues eig_j of A B for SPD A, B, ascending, and their ratios 2 sqrt(eig_j) / hbar."""
     a = require_symmetric(a)
     b = require_symmetric(b)
     if a.shape != b.shape:
@@ -164,69 +161,17 @@ def _product_eigenvalues(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     w = np.linalg.eigvalsh(b_sqrt @ a @ b_sqrt)
     if w[0] <= 0:
         raise NotPositiveDefiniteError("A is not positive definite")
-    return w
+    return w, 2.0 * np.sqrt(w) / hbar
 
 
 def heisenberg_eigen_check(a, b, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> list[bool]:
     """Per-eigenvalue test eig_j(A B) >= hbar^2 / 4, ascending order.
 
     All-true coincides with the quantum-pair property of the induced
-    ellipsoid pair {x A^{-1} x / 2 <= 1}, {p B^{-1} p / 2 <= 1}.
+    ellipsoid pair {x A^{-1} x / 2 <= 1}, {p B^{-1} p / 2 <= 1}: the first
+    ratio 2 sqrt(eig_1) / hbar is that pair's inclusion scale.
     """
-    eigs = _product_eigenvalues(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    crit = 0.25 * hbar**2
-    cut = crit - tol * max(crit, float(eigs[-1]))
-    return [bool(e >= cut) for e in eigs]
-
-
-@dataclass(frozen=True)
-class HardyInput:
-    """Gaussian envelope data |psi| <= C exp(-x A^{-1} x / 4), |psi^| <= C exp(-p B^{-1} p / 4)."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", require_symmetric(self.a))
-        object.__setattr__(self, "b", require_symmetric(self.b))
-        if self.c <= 0:
-            raise ValueError(f"envelope prefactor must be positive, got {self.c}")
-
-
-HardyClass = Literal["violates", "gaussian_boundary", "hermite_subcritical"]
-
-
-@dataclass(frozen=True)
-class HardyVerdict:
-    """Eigenvalue classification of a Hardy envelope pair.
-
-    classification is "violates" when some eigenvalue of A B is below
-    hbar^2/4 (no such psi exists), "gaussian_boundary" when all eigenvalues
-    sit at hbar^2/4 (psi must be the matching Gaussian), and
-    "hermite_subcritical" otherwise (psi is a finite Hermite combination).
-    pair is the induced ellipsoid pair (X, P), a polar quantum pair iff the
-    classification is not "violates".
-    """
-
-    eigenvalues: np.ndarray
-    classification: HardyClass
-    pair: tuple[Ellipsoid, Ellipsoid] = field(repr=False)
-
-
-def hardy_check(inp: HardyInput, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> HardyVerdict:
-    """Classify a Hardy envelope pair by the eigenvalues of A B."""
-    eigs = _product_eigenvalues(inp.a, inp.b)
-    crit = 0.25 * hbar**2
-    eps = tol * max(crit, float(eigs[-1]))
-    if eigs[0] < crit - eps:
-        kind: HardyClass = "violates"
-    elif np.all(np.abs(eigs - crit) <= eps):
-        kind = "gaussian_boundary"
-    else:
-        kind = "hermite_subcritical"
-    pair = (_half_inverse_ellipsoid(inp.a, "A"), _half_inverse_ellipsoid(inp.b, "B"))
-    return HardyVerdict(eigenvalues=eigs, classification=kind, pair=pair)
+    return [_accepts(r, tol) for r in _mode_scales(a, b, hbar)[1]]
 
 
 def random_quantum_covariance(n: int, seed: int, hbar: float = 1.0,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qpolar.bodies import Ellipsoid, HPolytope, VPolytope
+from qpolar.symplectic import random_symplectic
 
 
 def random_spd(n, rng, cond=50.0):
@@ -39,6 +40,13 @@ def random_body(n, rng):
     if kind == 1:
         return random_hpolytope(n, rng)
     return random_vpolytope(n, rng)
+
+
+def covariance_with_spectrum(nu, rng):
+    """Sigma = M diag(nu, nu) M^T with M random symplectic: its Williamson spectrum is nu."""
+    m = random_symplectic(len(nu), rng)
+    sigma = m @ np.diag(np.concatenate([nu, nu])) @ m.T
+    return 0.5 * (sigma + sigma.T)
 
 
 @pytest.fixture

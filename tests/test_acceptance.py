@@ -12,12 +12,10 @@ import pytest
 from qpolar.bodies import Ellipsoid, HPolytope, VPolytope, contains, linear_image, scale
 from qpolar.capacities import area_oracle_1d, ellipsoid_capacity, product_capacity
 from qpolar.cloud import disk_demo
-from qpolar.hardy import hardy_envelope_verify
+from qpolar.hardy import HardyInput, hardy_check, hardy_envelope_verify
 from qpolar.polarity import is_quantum_pair, polar_dual
 from qpolar.quantum import (
-    HardyInput,
     capacity_criterion,
-    hardy_check,
     heisenberg_eigen_check,
     is_quantum_covariance,
     random_quantum_covariance,

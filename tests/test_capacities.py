@@ -104,11 +104,12 @@ class TestProductCapacity:
         # and must agree on every random pair and inside the tolerance band.
         tol = 1e-9
 
-        def routes(x, p, hbar):
+        def routes(x, p, hbar, tol=tol):
             report = product_capacity(x, p, hbar, tol)
             verdict = is_quantum_pair(x, p, hbar, tol)
             inside = contains(p, polar_dual(x, hbar), tol)
             assert report.lower_bound_4hbar_met == verdict.is_pair == inside.contained
+            assert report.lower_bound_4hbar_met or not report.equality_case
             assert report.value == pytest.approx(4 * hbar * verdict.lambda_max, rel=1e-12)
             return verdict.is_pair
 
@@ -123,6 +124,8 @@ class TestProductCapacity:
                 routes(Ellipsoid.ball(2), Ellipsoid.ball(2, hbar * lam), hbar)
             assert routes(Ellipsoid.ball(2), Ellipsoid.ball(2, hbar * (1 + 2 * tol)), hbar)
             assert not routes(Ellipsoid.ball(2), Ellipsoid.ball(2, hbar * (1 - 2 * tol)), hbar)
+        # lambda_max = 0.905 lies inside |lambda - 1| <= 0.1 but below 1/(1 + 0.1).
+        assert not routes(Ellipsoid.ball(2), Ellipsoid.ball(2, 0.905), 1.0, tol=0.1)
 
     def test_capacity_equals_area_1d(self, rng):
         for _ in range(1000):

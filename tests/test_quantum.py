@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qpolar.bodies import Ellipsoid
+from qpolar.bodies import DEFAULT_TOL, Ellipsoid, _accepts
 from qpolar.capacities import ellipsoid_capacity, product_capacity
 from qpolar.errors import (
     DimensionError,
@@ -9,13 +9,12 @@ from qpolar.errors import (
     NotPositiveDefiniteError,
     NotSymmetricError,
 )
+from qpolar.hardy import HardyInput, hardy_check
 from qpolar.polarity import inclusion_scale, is_quantum_pair
 from qpolar.quantum import (
     CovarianceMatrix,
-    HardyInput,
     capacity_criterion,
     covariance_ellipsoid,
-    hardy_check,
     heisenberg_eigen_check,
     is_quantum_covariance,
     project_xp,
@@ -25,7 +24,7 @@ from qpolar.quantum import (
 )
 from qpolar.symplectic import symplectic_eigenvalues
 
-from conftest import random_spd
+from conftest import covariance_with_spectrum, random_spd
 
 
 def mixed_covariance_samples(count, rng, max_n=3):
@@ -92,6 +91,35 @@ class TestIsQuantumCovariance:
         s = np.diag([0.4, 0.4])
         assert is_quantum_covariance(s, hbar=0.5)
         assert not is_quantum_covariance(s, hbar=1.0)
+
+
+class TestToleranceBand:
+    """States within a few tol of nu_min = hbar/2, where every route must still agree."""
+
+    @pytest.mark.parametrize("hbar", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_routes_agree_on_band(self, n, hbar, rng):
+        for k in (2, 10):
+            for sign in (1, -1):
+                for _ in range(5):
+                    nu_min = 0.5 * hbar * (1 + sign * k * DEFAULT_TOL)
+                    upper = 0.5 * hbar * (1 + rng.uniform(0.05, 3.0, n - 1))
+                    sigma = covariance_with_spectrum(np.concatenate([[nu_min], upper]), rng)
+                    valid = is_quantum_covariance(sigma, hbar)
+                    williamson = _accepts(2 * symplectic_eigenvalues(sigma)[0] / hbar, DEFAULT_TOL)
+                    assert valid == capacity_criterion(sigma, hbar) == williamson == (sign > 0)
+                    if n == 1:
+                        assert rs_check(sigma, hbar) == [valid]
+
+    def test_rs_relative_violation_at_small_hbar(self):
+        # One mode at hbar = 1e-3 with det = (hbar^2 / 4)(1 - 1e-4), correlated.
+        hbar = 1e-3
+        dx2, dp2 = 1e-3, 5e-4
+        cv = np.sqrt(dx2 * dp2 - 0.25 * hbar**2 * (1 - 1e-4))
+        sigma = np.array([[dx2, cv], [cv, dp2]])
+        assert rs_check(sigma, hbar) == [False]
+        assert not is_quantum_covariance(sigma, hbar)
+        assert not capacity_criterion(sigma, hbar)
 
 
 class TestRSCheck:
@@ -239,15 +267,19 @@ class TestHeisenbergEigenCheck:
             heisenberg_eigen_check(np.diag([1.0, -1.0]), np.eye(2))
 
     def test_matches_pair_verdict(self, rng):
-        for _ in range(200):
-            n = int(rng.integers(1, 4))
-            a = random_spd(n, rng, cond=10.0) * float(rng.uniform(0.3, 1.5))
-            b = random_spd(n, rng, cond=10.0) * float(rng.uniform(0.3, 1.5))
-            hbar = float(rng.uniform(0.5, 2.0))
+        def check(a, b, hbar):
             flags = heisenberg_eigen_check(a, b, hbar)
             x = Ellipsoid(np.linalg.inv(a) / 2)
             p = Ellipsoid(np.linalg.inv(b) / 2)
             assert all(flags) == is_quantum_pair(x, p, hbar).is_pair
+
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            a = random_spd(n, rng, cond=10.0) * float(rng.uniform(0.3, 1.5))
+            b = random_spd(n, rng, cond=10.0) * float(rng.uniform(0.3, 1.5))
+            check(a, b, float(rng.uniform(0.5, 2.0)))
+        # Spread spectrum: the smallest eigenvalue misses hbar^2/4 by 1e-5 relative.
+        check(np.diag([0.25 * (1 - 1e-5), 1e4]), np.eye(2), 1.0)
 
 
 class TestHardyCheck:
@@ -266,13 +298,17 @@ class TestHardyCheck:
         assert hardy_check(inp, hbar=1.0).classification == "violates"
 
     def test_pair_matches_classification(self, rng):
+        def check(a, b):
+            verdict = hardy_check(HardyInput(a, b), hbar=1.0)
+            pair_ok = is_quantum_pair(*verdict.pair, 1.0).is_pair
+            assert (verdict.classification != "violates") == pair_ok
+
         for _ in range(100):
             n = int(rng.integers(1, 4))
             a = random_spd(n, rng, cond=10.0) * float(rng.uniform(0.3, 1.2))
             b = random_spd(n, rng, cond=10.0) * float(rng.uniform(0.3, 1.2))
-            verdict = hardy_check(HardyInput(a, b), hbar=1.0)
-            pair_ok = is_quantum_pair(*verdict.pair, 1.0).is_pair
-            assert (verdict.classification != "violates") == pair_ok
+            check(a, b)
+        check(np.diag([0.25 * (1 - 1e-5), 1e4]), np.eye(2))
 
     def test_boundary_classification_iff_unit_scale_n1(self, rng):
         # One degree of freedom: gaussian_boundary iff the induced pair touches.
