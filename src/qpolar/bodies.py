@@ -24,7 +24,6 @@ import numpy as np
 from scipy.linalg import eigh as gen_eigh
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection
-from scipy.stats import norm, qmc
 
 from .errors import (
     ConvergenceError,
@@ -32,13 +31,13 @@ from .errors import (
     DimensionError,
     NotPositiveDefiniteError,
     SingularMatrixError,
+    UndecidedError,
 )
 from .symplectic import require_symmetric
 
 # H-polytope vertex enumeration is attempted up to this dimension; beyond it
-# the inclusion scale falls back to sampled support ratios (flagged approximate).
+# an inclusion scale that needs the vertices is undecided.
 ENUMERATION_MAX_DIM = 8
-DEFAULT_DIRECTIONS = 4096
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -131,12 +130,12 @@ ConvexBody = Union[Ellipsoid, HPolytope, VPolytope]
 class ContainmentResult:
     """Outcome of a containment query; truthy iff inner is contained in outer.
 
-    ``exact`` is False when the verdict came from sampled support ratios
-    rather than a closed-form or vertex-complete test.
+    Every verdict is exact, so ``exact`` is always True; a containment that
+    cannot be decided exactly raises ``UndecidedError`` instead.
     """
 
     contained: bool
-    exact: bool
+    exact: bool = True
 
     def __bool__(self) -> bool:
         return self.contained
@@ -228,13 +227,18 @@ def scale(body: ConvexBody, factor: float) -> ConvexBody:
 
 
 def hpolytope_vertices(body: HPolytope) -> np.ndarray:
-    """All vertices of an H-polytope (both sign classes), via Qhull for dim >= 2."""
+    """All vertices of an H-polytope (both sign classes), via Qhull for dim >= 2.
+
+    Raises ``UndecidedError`` above ``ENUMERATION_MAX_DIM``.
+    """
     n = body.dim
     if n == 1:
         a = 1.0 / np.max(np.abs(body.rows))
         return np.array([[a], [-a]])
     if n > ENUMERATION_MAX_DIM:
-        raise DegenerateBodyError(f"vertex enumeration not attempted for dim {n} > {ENUMERATION_MAX_DIM}")
+        raise UndecidedError(
+            f"undecided: vertex enumeration not attempted for dim {n} > {ENUMERATION_MAX_DIM}"
+        )
     stacked = np.vstack([body.rows, -body.rows])
     halfspaces = np.hstack([stacked, -np.ones((stacked.shape[0], 1))])
     hs = HalfspaceIntersection(halfspaces, np.zeros(n))
@@ -245,43 +249,21 @@ def hpolytope_vertices(body: HPolytope) -> np.ndarray:
     return verts[np.sort(idx)]
 
 
-def sphere_directions(n: int, count: int = DEFAULT_DIRECTIONS, seed: int = 0) -> np.ndarray:
-    """Low-discrepancy unit directions (Sobol points mapped through the normal CDF)."""
-    if n == 1:
-        return np.array([[1.0], [-1.0]])
-    sob = qmc.Sobol(d=n, scramble=True, seed=seed)
-    u = sob.random(count)
-    z = norm.ppf(np.clip(u, 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return z / norms
-
-
-def _fit_scale(inner: ConvexBody, outer: ConvexBody) -> tuple[float, bool]:
-    """max{lambda > 0 : lambda * inner subset of outer}, with exactness flag."""
+def _fit_scale(inner: ConvexBody, outer: ConvexBody) -> float:
+    """max{lambda > 0 : lambda * inner subset of outer}, exact or UndecidedError."""
     if isinstance(inner, Ellipsoid):
         if isinstance(outer, Ellipsoid):
             mu_max = gen_eigh(outer.matrix, inner.matrix, eigvals_only=True)[-1]
-            return float(1.0 / np.sqrt(mu_max)), True
+            return float(1.0 / np.sqrt(mu_max))
         if isinstance(outer, HPolytope):
             worst = max(support(inner, row) for row in outer.rows)
-            return float(1.0 / worst), True
+            return float(1.0 / worst)
         # inner E, outer V: by unit polarity lambda*E in V iff lambda*V° in E°.
         return _fit_scale(HPolytope(outer.vertices), Ellipsoid(np.linalg.inv(inner.matrix)))
 
-    if isinstance(inner, VPolytope):
-        pts = inner.vertices
-    else:
-        try:
-            pts = hpolytope_vertices(inner)
-        except DegenerateBodyError:
-            # Sampled support ratios: an over-estimate restricted to the
-            # direction set, reported as approximate.
-            dirs = sphere_directions(inner.dim)
-            ratio = min(support(outer, u) / support(inner, u) for u in dirs)
-            return float(ratio), False
+    pts = inner.vertices if isinstance(inner, VPolytope) else hpolytope_vertices(inner)
     worst = max(gauge(outer, p) for p in pts)
-    return float(1.0 / worst), True
+    return float(1.0 / worst)
 
 
 DEFAULT_TOL = 1e-9
@@ -298,14 +280,13 @@ def contains(outer: ConvexBody, inner: ConvexBody, tol: float = DEFAULT_TOL) -> 
     Decided by the inclusion scale max{lambda : lambda * inner in outer},
     accepted when it is at least 1/(1 + tol), the same rule as the
     quantum-pair verdict and the 4*hbar capacity bound. Exact for every
-    pairing of the three representations except an H-polytope source (or an
+    pairing of the three representations; an H-polytope source (or an
     ellipsoid in a V-polytope, which flips to one) beyond the vertex
-    enumeration cap, where sampled support ratios answer with ``exact=False``.
+    enumeration cap raises ``UndecidedError``.
     """
     if outer.dim != inner.dim:
         raise DimensionError(f"dimension mismatch: outer {outer.dim}, inner {inner.dim}")
-    lam, exact = _fit_scale(inner, outer)
-    return ContainmentResult(_accepts(lam, tol), exact)
+    return ContainmentResult(_accepts(_fit_scale(inner, outer), tol))
 
 
 def enclosing_ellipsoid(points, mode: str = "ball", vol_tol: float = 0.01,
@@ -334,7 +315,6 @@ def enclosing_ellipsoid(points, mode: str = "ball", vol_tol: float = 0.01,
     u = np.full(m, 1.0 / m)
     # (1 + eps)^(n/2) <= 1 + vol_tol  maps the volume gap to the duality gap.
     eps = (1.0 + vol_tol) ** (2.0 / n) - 1.0
-    kappa = n
     for _ in range(max_iter):
         mat = pts.T @ (pts * u[:, None])
         g = np.einsum("ij,ij->i", pts @ np.linalg.inv(mat), pts)
@@ -349,8 +329,6 @@ def enclosing_ellipsoid(points, mode: str = "ball", vol_tol: float = 0.01,
         raise ConvergenceError(
             f"enclosing ellipsoid did not reach the {vol_tol:.0%} volume gap in {max_iter} iterations"
         )
-    mat = pts.T @ (pts * u[:, None])
-    g = np.einsum("ij,ij->i", pts @ np.linalg.inv(mat), pts)
     # Scale by the worst gauge so containment of every input point is exact.
     q = np.linalg.inv(mat) / np.max(g)
     return Ellipsoid(0.5 * (q + q.T))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, HPolytope, _accepts, support
 from .errors import DimensionError
-from .polarity import _inclusion_scale_detail
+from .polarity import inclusion_scale
 from .symplectic import symplectic_eigenvalues
 
 
@@ -29,6 +29,7 @@ class CapacityReport:
     For kind="product", value = 4 * hbar * lambda_max and
     lower_bound_4hbar_met records value >= 4*hbar (the quantum-pair
     threshold); equality_case flags the minimal pair lambda_max = 1.
+    lambda_max is always exact, so ``exact`` is always True.
     """
 
     value: float
@@ -60,10 +61,11 @@ def product_capacity(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,
     so the report is consistent with the quantum-pair verdict on (X, P) by
     construction: the 4*hbar lower bound holds iff the pair does, both
     accepting lambda_max >= 1/(1 + tol); the equality case also accepts 1/lambda_max.
+    Raises ``UndecidedError`` where ``inclusion_scale`` does.
     """
     if hbar <= 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
-    lam, exact = _inclusion_scale_detail(x, p, hbar)
+    lam = inclusion_scale(x, p, hbar)
     value = 4.0 * hbar * lam
     return CapacityReport(
         value=value,
@@ -71,7 +73,6 @@ def product_capacity(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,
         lower_bound_4hbar_met=_accepts(lam, tol),
         equality_case=_accepts(lam, tol) and _accepts(1.0 / lam, tol),
         lambda_max=lam,
-        exact=exact,
     )
 
 

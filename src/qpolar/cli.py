@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from . import io as qio
 from .bodies import DEFAULT_TOL, Ellipsoid
 from .capacities import ellipsoid_capacity, product_capacity, section_area
-from .cloud import cloud_analyze, cloud_generate_disk, disk_demo
+from .cloud import FIT_MODES, body_to_dict, cloud_analyze, cloud_generate_disk, disk_demo
 from .errors import QPolarError
 from .hardy import HardyInput, hardy_check
 from .polarity import is_quantum_pair, polar_dual
@@ -102,8 +103,6 @@ def cli():
 def polar(body_path, hbar, output):
     """Write the hbar-polar dual of a body."""
     dual = polar_dual(qio.load_body(body_path), hbar)
-    from .cloud import body_to_dict
-
     text = json.dumps(body_to_dict(dual), indent=2) + "\n"
     _write_out(text, output)
 
@@ -119,16 +118,7 @@ def polar(body_path, hbar, output):
 def pair_check(x_path, p_path, hbar, tol, fmt):
     """Decide whether (X, P) is an hbar-polar quantum pair; exit 2 if not."""
     verdict = is_quantum_pair(qio.load_body(x_path), qio.load_body(p_path), hbar, tol)
-    _emit(
-        {
-            "is_pair": verdict.is_pair,
-            "lambda_max": verdict.lambda_max,
-            "margin": verdict.margin,
-            "exact": verdict.exact,
-            "hbar": hbar,
-        },
-        fmt,
-    )
+    _emit({**asdict(verdict), "hbar": hbar}, fmt)
     sys.exit(PASS if verdict.is_pair else FAIL)
 
 
@@ -286,7 +276,7 @@ def cloud_generate(rx, rp, n_samples, seed, output, x_out, p_out):
               help="Position sample text file.")
 @click.option("-p", "p_path", type=click.Path(exists=True), default=None,
               help="Momentum sample text file.")
-@click.option("--fit", type=click.Choice(["ball", "mvee", "interval-box"]),
+@click.option("--fit", type=click.Choice(FIT_MODES),
               default="ball", show_default=True)
 @click.option("--trim", type=float, default=0.0, show_default=True,
               help="Fraction of most-outlying samples (by gauge) to drop before fitting.")
@@ -297,13 +287,11 @@ def cloud_analyze_cmd(cloud_path, x_path, p_path, fit, trim, hbar, tol, fmt):
     """Fit bodies to a cloud and report pair, capacity, and covariance verdicts."""
     made = qio.load_cloud(cloud_path, x_path, p_path)
     report = cloud_analyze(made, hbar=hbar, fit=fit, trim=trim, tol=tol)
-    if fmt == "structured":
-        click.echo(json.dumps(report.to_dict(), indent=2))
-    else:
-        doc = report.to_dict()
+    doc = report.to_dict()
+    if fmt == "text":
         doc.pop("body_x")
         doc.pop("body_p")
-        _emit(doc, "text")
+    _emit(doc, fmt)
     sys.exit(PASS if report.pair.is_pair else FAIL)
 
 

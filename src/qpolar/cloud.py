@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -85,20 +85,8 @@ class AnalysisReport:
             "p_center": self.p_center.tolist(),
             "body_x": body_to_dict(self.body_x),
             "body_p": body_to_dict(self.body_p),
-            "pair": {
-                "is_pair": self.pair.is_pair,
-                "lambda_max": self.pair.lambda_max,
-                "margin": self.pair.margin,
-                "exact": self.pair.exact,
-            },
-            "capacity": {
-                "value": self.capacity.value,
-                "kind": self.capacity.kind,
-                "lower_bound_4hbar_met": self.capacity.lower_bound_4hbar_met,
-                "equality_case": self.capacity.equality_case,
-                "lambda_max": self.capacity.lambda_max,
-                "exact": self.capacity.exact,
-            },
+            "pair": asdict(self.pair),
+            "capacity": asdict(self.capacity),
             "x_variances": self.x_variances.tolist(),
             "p_variances": self.p_variances.tolist(),
             "hbar": self.hbar,

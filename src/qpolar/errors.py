@@ -29,6 +29,10 @@ class ConvergenceError(QPolarError, RuntimeError):
     """An iterative procedure hit its cap or left residuals beyond tolerance."""
 
 
+class UndecidedError(QPolarError, RuntimeError):
+    """A verdict cannot be decided exactly (e.g. vertex enumeration above its dimension cap)."""
+
+
 class GridError(QPolarError, ValueError):
     """A sample grid violates the transform preconditions (uniform, power-of-two)."""
 

@@ -30,14 +30,15 @@ class PairVerdict:
     """Result of a quantum-pair check.
 
     ``margin`` is lambda_max - 1: the dimensionless slack of the inclusion
-    lambda * P^hbar inside X (nonnegative iff the pair holds). ``exact`` is
-    False when lambda_max came from the sampled fallback path.
+    lambda * P^hbar inside X (nonnegative iff the pair holds). lambda_max is
+    always exact, so ``exact`` is always True; a pair that cannot be decided
+    exactly raises ``UndecidedError`` instead.
     """
 
     is_pair: bool
     lambda_max: float
     margin: float
-    exact: bool
+    exact: bool = True
 
 
 def polar_dual(body: ConvexBody, hbar: float = 1.0) -> ConvexBody:
@@ -57,21 +58,17 @@ def polar_dual(body: ConvexBody, hbar: float = 1.0) -> ConvexBody:
     return HPolytope(body.vertices / hbar)
 
 
-def _inclusion_scale_detail(x: ConvexBody, p: ConvexBody, hbar: float) -> tuple[float, bool]:
-    if x.dim != p.dim:
-        raise DimensionError(f"dimension mismatch: X is {x.dim}-dim, P is {p.dim}-dim")
-    return _fit_scale(polar_dual(p, hbar), x)
-
-
 def inclusion_scale(x: ConvexBody, p: ConvexBody, hbar: float = 1.0) -> float:
     """lambda_max = max{lambda > 0 : lambda * P^hbar subset of X}.
 
-    Exact for every pairing of the three representations except H-polytope
-    sources beyond the vertex-enumeration dimension cap. Symmetric in its
-    body arguments.
+    Exact for every pairing of the three representations. When the
+    computation needs the vertices of an H-polytope beyond the enumeration
+    dimension cap (P a V-polytope, or X a V-polytope with P an ellipsoid) it
+    raises ``UndecidedError``. Symmetric in its body arguments.
     """
-    lam, _ = _inclusion_scale_detail(x, p, hbar)
-    return lam
+    if x.dim != p.dim:
+        raise DimensionError(f"dimension mismatch: X is {x.dim}-dim, P is {p.dim}-dim")
+    return _fit_scale(polar_dual(p, hbar), x)
 
 
 def is_quantum_pair(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,
@@ -80,13 +77,9 @@ def is_quantum_pair(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,
 
     Decided through the inclusion scale, so the verdict, the scale, and the
     product-capacity value are mutually consistent by construction; the
-    boundary lambda_max = 1 (dual touching) counts as a pair.
+    boundary lambda_max = 1 (dual touching) counts as a pair. Raises
+    ``UndecidedError`` where ``inclusion_scale`` does.
     """
-    lam, exact = _inclusion_scale_detail(x, p, hbar)
-    return PairVerdict(
-        is_pair=_accepts(lam, tol),
-        lambda_max=lam,
-        margin=lam - 1.0,
-        exact=exact,
-    )
+    lam = inclusion_scale(x, p, hbar)
+    return PairVerdict(is_pair=_accepts(lam, tol), lambda_max=lam, margin=lam - 1.0)
 

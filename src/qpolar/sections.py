@@ -19,6 +19,7 @@ the polygonal (shoelace) area of what is drawn.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from .bodies import ConvexBody, Ellipsoid, HPolytope, VPolytope, gauge, hpolytope_vertices
 from .errors import DegenerateBodyError, DimensionError
@@ -48,8 +49,6 @@ def _ellipse_polyline(q2: np.ndarray, count: int = CURVE_POINTS) -> np.ndarray:
 
 def _vpoly_facet_rows(body: VPolytope) -> np.ndarray:
     """H-representation rows of a V-polytope via its convex hull facets."""
-    from scipy.spatial import ConvexHull
-
     pts = np.vstack([body.vertices, -body.vertices])
     if body.dim == 1:
         return np.array([[1.0 / np.max(np.abs(pts))]])

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qpolar import bodies
 from qpolar.bodies import (
     ContainmentResult,
     Ellipsoid,
@@ -15,12 +14,15 @@ from qpolar.bodies import (
     scale,
     support,
 )
+from qpolar.capacities import product_capacity
 from qpolar.errors import (
     DegenerateBodyError,
     DimensionError,
     NotPositiveDefiniteError,
     SingularMatrixError,
+    UndecidedError,
 )
+from qpolar.polarity import inclusion_scale, is_quantum_pair, polar_dual
 
 from conftest import random_body, random_ellipsoid, random_hpolytope, random_vpolytope
 
@@ -216,20 +218,25 @@ class TestContains:
         with pytest.raises(DimensionError):
             contains(Ellipsoid.ball(2), Ellipsoid.ball(3))
 
-    def test_sampled_fallback_above_enumeration_cap(self, monkeypatch):
-        # 9-dimensional box source: vertex enumeration is declined, the
-        # support-ratio sampler answers and flags itself approximate. A
-        # 128-direction set keeps the sampler fast.
-        orig = bodies.sphere_directions
-        monkeypatch.setattr(bodies, "sphere_directions", lambda n: orig(n, 128))
-        n = 9
-        box = HPolytope.box(np.full(n, 1.0))
-        big_ball = Ellipsoid.ball(n, 2 * np.sqrt(n))
-        res = contains(big_ball, box)
-        assert res.contained and not res.exact
-        small_ball = Ellipsoid.ball(n, 1.05)  # corners stick out at |x| = 3
-        res = contains(small_ball, box)
-        assert not res.contained and not res.exact
+    def test_undecided_above_enumeration_cap(self):
+        # X = B(2.95), P = conv{+-e_i}: P's dual is the unit box, whose corners
+        # sit at |x| = sqrt(n), so lambda_max = 2.95 / sqrt(n). At n = 9 that is
+        # 0.983 (not a pair) and needs the box's vertices, beyond the cap.
+        def shapes(n):
+            return Ellipsoid.ball(n, 2.95), VPolytope(np.eye(n))
+
+        x, p = shapes(9)
+        for verdict in (is_quantum_pair, inclusion_scale, product_capacity,
+                        lambda a, b: contains(a, polar_dual(b))):
+            with pytest.raises(UndecidedError):
+                verdict(x, p)
+
+        x, p = shapes(8)
+        lam = 2.95 / np.sqrt(8)
+        assert inclusion_scale(x, p) == pytest.approx(lam, rel=1e-12)
+        assert is_quantum_pair(x, p).lambda_max == pytest.approx(lam, rel=1e-12)
+        assert product_capacity(x, p).value == pytest.approx(4 * lam, rel=1e-12)
+        assert contains(x, polar_dual(p)) and not contains(scale(x, 0.95), polar_dual(p))
 
 
 class TestEnclosingEllipsoid:

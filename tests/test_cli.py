@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qpolar
 from qpolar.cli import cli
 
 
@@ -68,11 +73,20 @@ class TestPairCheck:
         assert doc["is_pair"] is True
         assert doc["lambda_max"] == pytest.approx(2.0)
 
-    def test_bad_file_exit_one(self, runner, tmp_path, disk_p):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"type": "ellipsoid", "matrix": [[1.0, 0], [0, -1.0]]}))
-        result = runner.invoke(cli, ["pair-check", "-x", str(bad), "-p", disk_p])
+    @pytest.mark.parametrize("x_doc, p_doc", [
+        # A matrix that is not positive definite.
+        ({"type": "ellipsoid", "matrix": [[1.0, 0], [0, -1.0]]},
+         {"type": "ellipsoid", "matrix": [[1.0, 0], [0, 1.0]]}),
+        # Undecided: the box dual of conv{+-e_i} needs vertex enumeration at n = 9.
+        ({"type": "ellipsoid", "matrix": (np.eye(9) / 2.95**2).tolist()},
+         {"type": "vpoly", "vertices": np.eye(9).tolist()}),
+    ], ids=["not-positive-definite", "undecided-n9"])
+    def test_bad_file_exit_one(self, runner, tmp_path, x_doc, p_doc):
+        x = write_json(tmp_path / "x.json", x_doc)
+        p = write_json(tmp_path / "p.json", p_doc)
+        result = runner.invoke(cli, ["pair-check", "-x", x, "-p", p])
         assert result.exit_code == 1
+        assert "is_pair" not in result.stdout
 
 
 class TestCapacity:
@@ -200,3 +214,10 @@ class TestPlotSection:
         assert result.exit_code == 0
         area_line = next(l for l in result.output.splitlines() if l.startswith("# area"))
         assert float(area_line.split(":")[1]) == pytest.approx(2 * np.pi, rel=1e-3)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(qpolar.__file__).resolve().parents[1])}
+    code = "import sys, qpolar; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
