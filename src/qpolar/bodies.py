@@ -6,9 +6,12 @@ All bodies are origin-centered (body = -body by construction):
 * ``HPolytope(rows=A)``        is {x : |a_i^T x| <= 1 for every row a_i};
 * ``VPolytope(vertices=V)``    is conv{+-v_j} over the listed vertices.
 
-Operations are pure functions over these immutable values. Support and gauge
-are exact for every representation; V-polytope gauges and H-polytope supports
-are solved as small linear programs (HiGHS).
+Operations are pure functions over these immutable values. The Minkowski
+gauge is the one body kernel: it takes one vector or a (k, n) array of rows,
+is a closed form for ellipsoids and H-polytopes, and a small linear program
+(HiGHS) per row only for V-polytopes. The support function is the gauge of
+the unit polar, h_K = ||.||_{K°}, and ``polar_dual`` maps each
+representation to the representation of its polar.
 
 Containment, the quantum-pair verdict and the product capacity all reduce to
 one inclusion scale, max{lambda : lambda * inner subset of outer}, computed by
@@ -38,6 +41,11 @@ from .symplectic import require_symmetric
 # H-polytope vertex enumeration is attempted up to this dimension; beyond it
 # an inclusion scale that needs the vertices is undecided.
 ENUMERATION_MAX_DIM = 8
+
+# The MVEE fit stops within this volume factor (1 + MVEE_VOL_TOL) of optimal,
+# or raises ConvergenceError after MVEE_MAX_ITER iterations.
+MVEE_VOL_TOL = 0.01
+MVEE_MAX_ITER = 100_000
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -126,77 +134,68 @@ class VPolytope:
 ConvexBody = Union[Ellipsoid, HPolytope, VPolytope]
 
 
-@dataclass(frozen=True)
-class ContainmentResult:
-    """Outcome of a containment query; truthy iff inner is contained in outer.
-
-    Every verdict is exact, so ``exact`` is always True; a containment that
-    cannot be decided exactly raises ``UndecidedError`` instead.
-    """
-
-    contained: bool
-    exact: bool = True
-
-    def __bool__(self) -> bool:
-        return self.contained
-
-
-def _check_vector(body: ConvexBody, u) -> np.ndarray:
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (body.dim,):
-        raise DimensionError(f"expected a vector of length {body.dim}, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
+def _check_rows(body: ConvexBody, x) -> tuple[np.ndarray, bool]:
+    """x as a (k, n) array of rows, and whether it was given as one vector."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim <= 1
+    rows = x.reshape(1, -1) if single else x
+    if rows.ndim != 2 or rows.shape[1] != body.dim:
+        raise DimensionError(f"expected vectors of length {body.dim}, got shape {x.shape}")
+    if not np.all(np.isfinite(rows)):
         raise ValueError("vector entries must be finite")
-    return u
+    return rows, single
 
 
-def support(body: ConvexBody, u) -> float:
-    """Support function h_body(u) = max{u . x : x in body}."""
-    u = _check_vector(body, u)
+def gauge(body: ConvexBody, x) -> float | np.ndarray:
+    """Minkowski gauge ||x||_body = inf{t > 0 : x/t in body}; 0 at the origin.
+
+    x is one vector (returns a float) or a (k, n) array of rows (returns the
+    k gauges). Closed forms for ellipsoids and H-polytopes; a V-polytope above
+    dimension 1 solves one LP per nonzero row.
+    """
+    rows, single = _check_rows(body, x)
     if isinstance(body, Ellipsoid):
-        return float(np.sqrt(u @ np.linalg.solve(body.matrix, u)))
-    if isinstance(body, VPolytope):
-        return float(np.max(np.abs(body.vertices @ u)))
-    if body.dim == 1:
-        return float(abs(u[0]) / np.max(np.abs(body.rows)))
-    # H-polytope: LP  max u.x  s.t.  |rows x| <= 1.
-    a_ub = np.vstack([body.rows, -body.rows])
-    res = linprog(
-        -u,
-        A_ub=a_ub,
-        b_ub=np.ones(a_ub.shape[0]),
-        bounds=[(None, None)] * body.dim,
-        method="highs",
-    )
-    if not res.success:
-        raise DegenerateBodyError(f"support LP failed: {res.message}")
-    return float(-res.fun)
+        g = np.sqrt(np.sum((rows @ body.matrix) * rows, axis=1))
+    elif isinstance(body, HPolytope):
+        g = np.max(np.abs(rows @ body.rows.T), axis=1)
+    elif body.dim == 1:
+        g = np.abs(rows[:, 0]) / np.max(np.abs(body.vertices))
+    else:
+        # One LP per nonzero row: min sum(c+ + c-)  s.t.  V^T (c+ - c-) = x, c+- >= 0.
+        w = body.vertices.T
+        a_eq = np.hstack([w, -w])
+        g = np.zeros(rows.shape[0])
+        for i in np.flatnonzero(np.any(rows, axis=1)):
+            res = linprog(np.ones(a_eq.shape[1]), A_eq=a_eq, b_eq=rows[i], bounds=(0, None), method="highs")
+            if not res.success:
+                raise DegenerateBodyError(f"gauge LP failed: {res.message}")
+            g[i] = res.fun
+    return float(g[0]) if single else g
 
 
-def gauge(body: ConvexBody, x) -> float:
-    """Minkowski gauge ||x||_body = inf{t > 0 : x/t in body}; 0 at the origin."""
-    x = _check_vector(body, x)
-    if not np.any(x):
-        return 0.0
+def support(body: ConvexBody, u) -> float | np.ndarray:
+    """Support function h_body(u) = max{u . x : x in body}: the gauge of the unit polar.
+
+    Takes one vector or (k, n) rows, as ``gauge`` does.
+    """
+    return gauge(polar_dual(body), u)
+
+
+def polar_dual(body: ConvexBody, hbar: float = 1.0) -> ConvexBody:
+    """The hbar-polar dual X^hbar = {p : p . x <= hbar on X}.
+
+    Representation map: an ellipsoid {x Q x <= 1} dualizes to the ellipsoid
+    with matrix Q^{-1} / hbar^2 (so a ball of radius R dualizes to one of
+    radius hbar / R); H-polytope rows a_i become V-polytope vertices
+    hbar * a_i, and V-polytope vertices v_j become H-polytope rows v_j / hbar.
+    """
+    if hbar <= 0:
+        raise ValueError(f"hbar must be positive, got {hbar}")
     if isinstance(body, Ellipsoid):
-        return float(np.sqrt(x @ body.matrix @ x))
+        return Ellipsoid(np.linalg.inv(body.matrix) / hbar**2)
     if isinstance(body, HPolytope):
-        return float(np.max(np.abs(body.rows @ x)))
-    if body.dim == 1:
-        return float(abs(x[0]) / np.max(np.abs(body.vertices)))
-    # V-polytope: min sum(c+ + c-)  s.t.  V^T (c+ - c-) = x, c+- >= 0.
-    w = body.vertices.T  # n x m
-    m = w.shape[1]
-    res = linprog(
-        np.ones(2 * m),
-        A_eq=np.hstack([w, -w]),
-        b_eq=x,
-        bounds=[(0, None)] * (2 * m),
-        method="highs",
-    )
-    if not res.success:
-        raise DegenerateBodyError(f"gauge LP failed: {res.message}")
-    return float(res.fun)
+        return VPolytope(hbar * body.rows)
+    return HPolytope(body.vertices / hbar)
 
 
 def linear_image(body: ConvexBody, l: np.ndarray) -> ConvexBody:
@@ -255,15 +254,11 @@ def _fit_scale(inner: ConvexBody, outer: ConvexBody) -> float:
         if isinstance(outer, Ellipsoid):
             mu_max = gen_eigh(outer.matrix, inner.matrix, eigvals_only=True)[-1]
             return float(1.0 / np.sqrt(mu_max))
-        if isinstance(outer, HPolytope):
-            worst = max(support(inner, row) for row in outer.rows)
-            return float(1.0 / worst)
-        # inner E, outer V: by unit polarity lambda*E in V iff lambda*V° in E°.
-        return _fit_scale(HPolytope(outer.vertices), Ellipsoid(np.linalg.inv(inner.matrix)))
+        # By unit polarity lambda * E in K iff lambda * K° in E°.
+        return _fit_scale(polar_dual(outer), polar_dual(inner))
 
     pts = inner.vertices if isinstance(inner, VPolytope) else hpolytope_vertices(inner)
-    worst = max(gauge(outer, p) for p in pts)
-    return float(1.0 / worst)
+    return float(1.0 / np.max(gauge(outer, pts)))
 
 
 DEFAULT_TOL = 1e-9
@@ -274,7 +269,7 @@ def _accepts(r: float, tol: float) -> bool:
     return bool(r >= 1.0 / (1.0 + tol))
 
 
-def contains(outer: ConvexBody, inner: ConvexBody, tol: float = DEFAULT_TOL) -> ContainmentResult:
+def contains(outer: ConvexBody, inner: ConvexBody, tol: float = DEFAULT_TOL) -> bool:
     """Test inner subset-of (1 + tol) * outer.
 
     Decided by the inclusion scale max{lambda : lambda * inner in outer},
@@ -286,16 +281,15 @@ def contains(outer: ConvexBody, inner: ConvexBody, tol: float = DEFAULT_TOL) -> 
     """
     if outer.dim != inner.dim:
         raise DimensionError(f"dimension mismatch: outer {outer.dim}, inner {inner.dim}")
-    return ContainmentResult(_accepts(_fit_scale(inner, outer), tol))
+    return _accepts(_fit_scale(inner, outer), tol)
 
 
-def enclosing_ellipsoid(points, mode: str = "ball", vol_tol: float = 0.01,
-                        max_iter: int = 100_000) -> Ellipsoid:
+def enclosing_ellipsoid(points, mode: str = "ball") -> Ellipsoid:
     """Origin-centered ellipsoid enclosing every point of a centered sample.
 
     mode="ball" gives the smallest origin-centered Euclidean ball.
     mode="mvee" gives a minimum-volume enclosing ellipsoid of {+-p_i}, within
-    a (1 + vol_tol) volume factor of optimal, by Frank-Wolfe ascent on the
+    a (1 + MVEE_VOL_TOL) volume factor of optimal, by Frank-Wolfe ascent on the
     determinant (the symmetric Khachiyan iteration).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -313,9 +307,9 @@ def enclosing_ellipsoid(points, mode: str = "ball", vol_tol: float = 0.01,
 
     m = pts.shape[0]
     u = np.full(m, 1.0 / m)
-    # (1 + eps)^(n/2) <= 1 + vol_tol  maps the volume gap to the duality gap.
-    eps = (1.0 + vol_tol) ** (2.0 / n) - 1.0
-    for _ in range(max_iter):
+    # (1 + eps)^(n/2) <= 1 + MVEE_VOL_TOL  maps the volume gap to the duality gap.
+    eps = (1.0 + MVEE_VOL_TOL) ** (2.0 / n) - 1.0
+    for _ in range(MVEE_MAX_ITER):
         mat = pts.T @ (pts * u[:, None])
         g = np.einsum("ij,ij->i", pts @ np.linalg.inv(mat), pts)
         j = int(np.argmax(g))
@@ -327,7 +321,8 @@ def enclosing_ellipsoid(points, mode: str = "ball", vol_tol: float = 0.01,
         u[j] += step
     else:
         raise ConvergenceError(
-            f"enclosing ellipsoid did not reach the {vol_tol:.0%} volume gap in {max_iter} iterations"
+            f"enclosing ellipsoid did not reach the {MVEE_VOL_TOL:.0%} volume gap "
+            f"in {MVEE_MAX_ITER} iterations"
         )
     # Scale by the worst gauge so containment of every input point is exact.
     q = np.linalg.inv(mat) / np.max(g)

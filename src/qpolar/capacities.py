@@ -1,13 +1,12 @@
 """Symplectic capacities: exact ellipsoid values, the Lagrangian-product formula,
-conjugate-plane section areas, and the one-degree-of-freedom area oracle.
+and conjugate-plane section areas.
 
 On a phase-space ellipsoid {z : z^T Q z <= 1} every symplectic capacity equals
 pi / mu_max with mu_max the largest Williamson eigenvalue of Q (normalized so a
 ball of radius R has capacity pi R^2). On a Lagrangian product X x P of a
 position body and a momentum body the capacity is 4 * hbar * lambda_max with
 lambda_max the polar inclusion scale (Artstein-Avidan, Karasev & Ostrover
-2014, Duke Math. J.); for intervals this reduces to the rectangle area 4ab,
-which area_oracle_1d computes independently.
+2014, Duke Math. J.); for intervals this reduces to the rectangle area 4ab.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, HPolytope, _accepts, support
+from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, _accepts, support
 from .errors import DimensionError
 from .polarity import inclusion_scale
 from .symplectic import symplectic_eigenvalues
@@ -98,25 +97,6 @@ def section_area(sigma, j: int) -> float:
     if det <= 0:
         raise DimensionError("covariance matrix is singular on the requested plane")
     return float(np.pi / np.sqrt(det))
-
-
-def _interval_halfwidth(body: ConvexBody) -> float:
-    if body.dim != 1:
-        raise DimensionError(f"expected a one-dimensional interval body, got dim {body.dim}")
-    if isinstance(body, Ellipsoid):
-        return float(1.0 / np.sqrt(body.matrix[0, 0]))
-    if isinstance(body, HPolytope):
-        return float(1.0 / np.max(np.abs(body.rows)))
-    return float(np.max(np.abs(body.vertices)))
-
-
-def area_oracle_1d(x: ConvexBody, p: ConvexBody) -> float:
-    """Area of the rectangle X x P for symmetric intervals X = [-a,a], P = [-b,b].
-
-    Computed straight from the representations (no polarity involved); on one
-    degree of freedom this must coincide with product_capacity.
-    """
-    return 4.0 * _interval_halfwidth(x) * _interval_halfwidth(p)
 
 
 def product_projection_area(x: ConvexBody, p: ConvexBody, j: int) -> float:

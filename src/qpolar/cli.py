@@ -15,12 +15,12 @@ import click
 import numpy as np
 
 from . import io as qio
-from .bodies import DEFAULT_TOL, Ellipsoid
+from .bodies import DEFAULT_TOL, Ellipsoid, polar_dual
 from .capacities import ellipsoid_capacity, product_capacity, section_area
 from .cloud import FIT_MODES, body_to_dict, cloud_analyze, cloud_generate_disk, disk_demo
 from .errors import QPolarError
 from .hardy import HardyInput, hardy_check
-from .polarity import is_quantum_pair, polar_dual
+from .polarity import is_quantum_pair
 from .quantum import (
     capacity_criterion,
     covariance_ellipsoid,

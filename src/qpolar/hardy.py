@@ -114,10 +114,10 @@ def _log_envelope_constant(values: np.ndarray, exponent: np.ndarray) -> float:
 
 
 def hardy_envelope_verify(samples, grid, sigma_x: float, sigma_p: float,
-                          hbar: float = 1.0, c_factor: float = ENVELOPE_C_FACTOR) -> bool:
+                          hbar: float = 1.0) -> bool:
     """Check Gaussian envelope bounds on a grid function and its transform.
 
-    True iff a single constant C <= c_factor * max|psi| satisfies
+    True iff a single constant C <= ENVELOPE_C_FACTOR * max|psi| satisfies
     |psi(x)| <= C exp(-x^2 / 4 sigma_x^2) and
     |psi^(p)| <= C exp(-p^2 / 4 sigma_p^2) on the grid (above the relative
     noise floor). When the check passes with sigma_x * sigma_p below hbar/2
@@ -137,7 +137,7 @@ def hardy_envelope_verify(samples, grid, sigma_x: float, sigma_p: float,
     peak = float(np.max(np.abs(psi)))
     if peak == 0:
         return True
-    ok = log_c <= np.log(c_factor * peak)
+    ok = log_c <= np.log(ENVELOPE_C_FACTOR * peak)
     if ok and not _accepts(2.0 * sigma_x * sigma_p / hbar, DEFAULT_TOL):
         warnings.warn(
             f"envelopes verified at sigma_x*sigma_p = {sigma_x * sigma_p:.6g} "
@@ -216,8 +216,7 @@ class MinkowskiExperiment:
 
 
 def minkowski_envelope_experiment(samples, grid, x_body: ConvexBody, p_body: ConvexBody,
-                                  hbar: float = 1.0,
-                                  c_factor: float = ENVELOPE_C_FACTOR) -> MinkowskiExperiment:
+                                  hbar: float = 1.0) -> MinkowskiExperiment:
     """Run the Minkowski-norm envelope experiment for one-dimensional bodies."""
     if x_body.dim != 1 or p_body.dim != 1:
         raise GridError("the grid experiment is one-dimensional; bodies must have dim 1")
@@ -225,12 +224,12 @@ def minkowski_envelope_experiment(samples, grid, x_body: ConvexBody, p_body: Con
     grid = np.asarray(grid, dtype=float)
     p_grid, psi_hat = hbar_fourier_1d(psi, grid, hbar)
 
-    gauge_x = np.array([gauge(x_body, [t]) for t in grid])
-    gauge_p = np.array([gauge(p_body, [t]) for t in p_grid])
+    gauge_x = gauge(x_body, grid[:, None])
+    gauge_p = gauge(p_body, p_grid[:, None])
     log_cx = _log_envelope_constant(psi, 0.5 * gauge_x**2)
     log_cp = _log_envelope_constant(psi_hat, 0.5 * gauge_p**2)
     peak = float(np.max(np.abs(psi)))
-    bound = np.log(c_factor * peak) if peak > 0 else np.inf
+    bound = np.log(ENVELOPE_C_FACTOR * peak) if peak > 0 else np.inf
     pos_ok = bool(log_cx <= bound)
     mom_ok = bool(log_cp <= bound)
     verdict = is_quantum_pair(x_body, p_body, hbar)

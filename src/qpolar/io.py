@@ -84,7 +84,7 @@ def load_samples(path) -> np.ndarray:
     return _parse_sample_text(Path(path).read_text())
 
 
-def load_cloud(path=None, x_path=None, p_path=None, label: str = "") -> MeasurementCloud:
+def load_cloud(path=None, x_path=None, p_path=None) -> MeasurementCloud:
     """Load a cloud from a structured JSON file or a pair of sample files."""
     if path is not None:
         with open(path) as fh:
@@ -92,14 +92,13 @@ def load_cloud(path=None, x_path=None, p_path=None, label: str = "") -> Measurem
         return MeasurementCloud(
             x_samples=np.asarray(doc["x"], dtype=float),
             p_samples=np.asarray(doc["p"], dtype=float),
-            label=doc.get("label", label),
+            label=doc.get("label", ""),
         )
     if x_path is None or p_path is None:
         raise ValueError("provide either a structured cloud file or both sample files")
     return MeasurementCloud(
         x_samples=load_samples(x_path),
         p_samples=load_samples(p_path),
-        label=label,
     )
 
 

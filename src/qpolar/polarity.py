@@ -12,16 +12,15 @@ symmetric in X and P. The inclusion scale
     lambda_max = max{lambda > 0 : lambda * P^hbar subset of X}
 
 quantifies the pair: lambda_max >= 1 iff (X, P) is a quantum pair, and
-4 * hbar * lambda_max is the product capacity (see capacities).
+4 * hbar * lambda_max is the product capacity (see capacities). The
+representation map X -> X^hbar is ``bodies.polar_dual``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, HPolytope, VPolytope, _accepts, _fit_scale
+from .bodies import DEFAULT_TOL, ConvexBody, _accepts, _fit_scale, polar_dual
 from .errors import DimensionError
 
 
@@ -39,23 +38,6 @@ class PairVerdict:
     lambda_max: float
     margin: float
     exact: bool = True
-
-
-def polar_dual(body: ConvexBody, hbar: float = 1.0) -> ConvexBody:
-    """The hbar-polar dual X^hbar = {p : p . x <= hbar on X}.
-
-    Representation map: an ellipsoid {x Q x <= 1} dualizes to the ellipsoid
-    with matrix Q^{-1} / hbar^2 (so a ball of radius R dualizes to one of
-    radius hbar / R); H-polytope rows a_i become V-polytope vertices
-    hbar * a_i, and V-polytope vertices v_j become H-polytope rows v_j / hbar.
-    """
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
-    if isinstance(body, Ellipsoid):
-        return Ellipsoid(np.linalg.inv(body.matrix) / hbar**2)
-    if isinstance(body, HPolytope):
-        return VPolytope(hbar * body.rows)
-    return HPolytope(body.vertices / hbar)
 
 
 def inclusion_scale(x: ConvexBody, p: ConvexBody, hbar: float = 1.0) -> float:

@@ -53,10 +53,10 @@ def is_symplectic(m: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(m.T @ j @ m - j)) <= tol)
 
 
-def require_symmetric(s: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+def require_symmetric(s: np.ndarray) -> np.ndarray:
     """Validate approximate symmetry and return the symmetrized matrix (S + S^T)/2.
 
-    Accepts S when ||S - S^T||_max <= rtol * ||S||_max, guarding against
+    Accepts S when ||S - S^T||_max <= SYMMETRY_RTOL * ||S||_max, guarding against
     ingestion round-off; anything worse raises NotSymmetricError.
     """
     s = np.asarray(s, dtype=float)
@@ -65,7 +65,7 @@ def require_symmetric(s: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     if not np.all(np.isfinite(s)):
         raise ValueError("matrix entries must be finite")
     scale = np.max(np.abs(s))
-    if scale > 0 and np.max(np.abs(s - s.T)) > rtol * scale:
+    if scale > 0 and np.max(np.abs(s - s.T)) > SYMMETRY_RTOL * scale:
         raise NotSymmetricError("matrix is not symmetric within tolerance")
     return 0.5 * (s + s.T)
 

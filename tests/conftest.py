@@ -1,9 +1,12 @@
 """Shared random generators for the test suite. Everything is seeded."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from qpolar.bodies import Ellipsoid, HPolytope, VPolytope
+from qpolar.errors import DimensionError
 from qpolar.symplectic import random_symplectic
 
 
@@ -47,6 +50,50 @@ def covariance_with_spectrum(nu, rng):
     m = random_symplectic(len(nu), rng)
     sigma = m @ np.diag(np.concatenate([nu, nu])) @ m.T
     return 0.5 * (sigma + sigma.T)
+
+
+def support_oracle(body, u):
+    """h_body(u) in plain numpy, without polarity: E and V at any n, H at n = 2.
+
+    An H-polytope's support is the largest u.x over its vertices, found as
+    the intersections of pairs of facet lines a_i.x = +-1, a_j.x = +-1 that
+    satisfy every row.
+    """
+    u = np.asarray(u, dtype=float)
+    if isinstance(body, Ellipsoid):
+        return float(np.sqrt(u @ np.linalg.solve(body.matrix, u)))
+    if isinstance(body, VPolytope):
+        return float(np.max(np.abs(body.vertices @ u)))
+    assert body.dim == 2, "the H-polytope support oracle is planar"
+    best = -np.inf
+    for i, j in itertools.combinations(range(body.rows.shape[0]), 2):
+        pair = body.rows[[i, j]]
+        if abs(np.linalg.det(pair)) < 1e-12:
+            continue
+        for signs in itertools.product((-1.0, 1.0), repeat=2):
+            x = np.linalg.solve(pair, np.array(signs))
+            if np.max(np.abs(body.rows @ x)) <= 1.0 + 1e-9:
+                best = max(best, float(u @ x))
+    return best
+
+
+def _interval_halfwidth(body):
+    if body.dim != 1:
+        raise DimensionError(f"expected a one-dimensional interval body, got dim {body.dim}")
+    if isinstance(body, Ellipsoid):
+        return float(1.0 / np.sqrt(body.matrix[0, 0]))
+    if isinstance(body, HPolytope):
+        return float(1.0 / np.max(np.abs(body.rows)))
+    return float(np.max(np.abs(body.vertices)))
+
+
+def area_oracle_1d(x, p):
+    """Area of the rectangle X x P for symmetric intervals X = [-a,a], P = [-b,b].
+
+    Computed straight from the representations (no polarity involved); on one
+    degree of freedom this must coincide with product_capacity.
+    """
+    return 4.0 * _interval_halfwidth(x) * _interval_halfwidth(p)
 
 
 @pytest.fixture

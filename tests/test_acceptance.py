@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qpolar.bodies import Ellipsoid, HPolytope, VPolytope, contains, linear_image, scale
-from qpolar.capacities import area_oracle_1d, ellipsoid_capacity, product_capacity
+from qpolar.capacities import ellipsoid_capacity, product_capacity
 from qpolar.cloud import disk_demo
 from qpolar.hardy import HardyInput, hardy_check, hardy_envelope_verify
 from qpolar.polarity import is_quantum_pair, polar_dual
@@ -23,7 +23,7 @@ from qpolar.quantum import (
 )
 from qpolar.symplectic import block_diagonalize, random_symplectic, symplectic_eigenvalues
 
-from conftest import random_body, random_spd
+from conftest import area_oracle_1d, random_body, random_spd
 from test_polarity import bodies_close
 
 

@@ -106,6 +106,20 @@ class TestCloudAnalyze:
         assert report.sample_covariance is None and report.sigpos_ok is None
         assert report.pair.lambda_max > 0
 
+    @pytest.mark.parametrize("fit", ["ball", "mvee", "interval-box"])
+    def test_trim_gauges_each_sample_set_in_one_call(self, fit, monkeypatch):
+        # The trim evaluates all gauges of a sample set at once, not per point.
+        calls = []
+
+        def counted(body, x):
+            calls.append(np.shape(x))
+            return gauge(body, x)
+
+        monkeypatch.setattr("qpolar.cloud.gauge", counted)
+        report = cloud_analyze(cloud_generate_disk(1.2, 0.9, 10_000, seed=23), fit=fit, trim=0.01)
+        assert len(calls) <= 2
+        assert report.kept_x < 10_000 and report.kept_p < 10_000
+
     def test_unexpected_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("bug in a covariance verdict")
