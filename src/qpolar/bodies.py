@@ -7,11 +7,11 @@ All bodies are origin-centered (body = -body by construction):
 * ``VPolytope(vertices=V)``    is conv{+-v_j} over the listed vertices.
 
 Operations are pure functions over these immutable values. The Minkowski
-gauge is the one body kernel: it takes one vector or a (k, n) array of rows,
-is a closed form for ellipsoids and H-polytopes, and a small linear program
-(HiGHS) per row only for V-polytopes. The support function is the gauge of
-the unit polar, h_K = ||.||_{K°}, and ``polar_dual`` maps each
-representation to the representation of its polar.
+gauge is the one body kernel and a closed form for every representation;
+a V-polytope's facet normals come from ``hpolytope_vertices`` (Qhull), the
+one polytope conversion. The support function is the gauge of the unit
+polar, h_K = ||.||_{K°}, and ``polar_dual`` maps each representation to the
+representation of its polar.
 
 Containment, the quantum-pair verdict and the product capacity all reduce to
 one inclusion scale, max{lambda : lambda * inner subset of outer}, computed by
@@ -25,8 +25,6 @@ from typing import Union
 
 import numpy as np
 from scipy.linalg import eigh as gen_eigh
-from scipy.optimize import linprog
-from scipy.spatial import HalfspaceIntersection
 
 from .errors import (
     ConvergenceError,
@@ -150,17 +148,20 @@ def gauge(body: ConvexBody, x) -> float | np.ndarray:
     """Minkowski gauge ||x||_body = inf{t > 0 : x/t in body}; 0 at the origin.
 
     x is one vector (returns a float) or a (k, n) array of rows (returns the
-    k gauges). Closed forms for ellipsoids and H-polytopes; a V-polytope above
-    dimension 1 solves one LP per nonzero row.
+    k gauges). Closed forms for ellipsoids and H-polytopes. A V-polytope's gauge
+    is max|w . x| over the vertices w of its unit polar (||.||_K = h_{K°}) up to
+    ``ENUMERATION_MAX_DIM``, and one HiGHS LP per nonzero row above it.
     """
     rows, single = _check_rows(body, x)
     if isinstance(body, Ellipsoid):
         g = np.sqrt(np.sum((rows @ body.matrix) * rows, axis=1))
     elif isinstance(body, HPolytope):
         g = np.max(np.abs(rows @ body.rows.T), axis=1)
-    elif body.dim == 1:
-        g = np.abs(rows[:, 0]) / np.max(np.abs(body.vertices))
+    elif body.dim <= ENUMERATION_MAX_DIM:
+        g = np.max(np.abs(rows @ hpolytope_vertices(polar_dual(body)).T), axis=1)
     else:
+        from scipy.optimize import linprog
+
         # One LP per nonzero row: min sum(c+ + c-)  s.t.  V^T (c+ - c-) = x, c+- >= 0.
         w = body.vertices.T
         a_eq = np.hstack([w, -w])
@@ -189,8 +190,7 @@ def polar_dual(body: ConvexBody, hbar: float = 1.0) -> ConvexBody:
     radius hbar / R); H-polytope rows a_i become V-polytope vertices
     hbar * a_i, and V-polytope vertices v_j become H-polytope rows v_j / hbar.
     """
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    _check_hbar(hbar)
     if isinstance(body, Ellipsoid):
         return Ellipsoid(np.linalg.inv(body.matrix) / hbar**2)
     if isinstance(body, HPolytope):
@@ -228,7 +228,8 @@ def scale(body: ConvexBody, factor: float) -> ConvexBody:
 def hpolytope_vertices(body: HPolytope) -> np.ndarray:
     """All vertices of an H-polytope (both sign classes), via Qhull for dim >= 2.
 
-    Raises ``UndecidedError`` above ``ENUMERATION_MAX_DIM``.
+    Raises ``UndecidedError`` above ``ENUMERATION_MAX_DIM`` or when Qhull
+    fails on nearly coincident rows.
     """
     n = body.dim
     if n == 1:
@@ -238,14 +239,16 @@ def hpolytope_vertices(body: HPolytope) -> np.ndarray:
         raise UndecidedError(
             f"undecided: vertex enumeration not attempted for dim {n} > {ENUMERATION_MAX_DIM}"
         )
+    from scipy.spatial import HalfspaceIntersection, QhullError
+
     stacked = np.vstack([body.rows, -body.rows])
     halfspaces = np.hstack([stacked, -np.ones((stacked.shape[0], 1))])
-    hs = HalfspaceIntersection(halfspaces, np.zeros(n))
-    verts = hs.intersections
-    # Qhull reports one point per facet intersection; dedupe to working precision.
-    scale_ = max(np.max(np.abs(verts)), 1.0)
-    _, idx = np.unique(np.round(verts / scale_, 9), axis=0, return_index=True)
-    return verts[np.sort(idx)]
+    # One point per merged dual facet, i.e. per vertex; not rounded, which would
+    # merge distinct vertices of a badly scaled body.
+    try:
+        return HalfspaceIntersection(halfspaces, np.zeros(n)).intersections
+    except QhullError as exc:
+        raise UndecidedError(f"undecided: Qhull vertex enumeration failed: {exc}".splitlines()[0]) from None
 
 
 def _fit_scale(inner: ConvexBody, outer: ConvexBody) -> float:
@@ -267,6 +270,12 @@ DEFAULT_TOL = 1e-9
 def _accepts(r: float, tol: float) -> bool:
     """The one acceptance rule: a ratio r (>= 1 iff the bound holds) passes when r >= 1/(1 + tol)."""
     return bool(r >= 1.0 / (1.0 + tol))
+
+
+def _check_hbar(hbar: float) -> None:
+    """The one hbar check: ValueError unless hbar is positive and finite."""
+    if not 0 < hbar < np.inf:
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
 
 
 def contains(outer: ConvexBody, inner: ConvexBody, tol: float = DEFAULT_TOL) -> bool:

@@ -62,8 +62,6 @@ def product_capacity(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,
     accepting lambda_max >= 1/(1 + tol); the equality case also accepts 1/lambda_max.
     Raises ``UndecidedError`` where ``inclusion_scale`` does.
     """
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
     lam = inclusion_scale(x, p, hbar)
     value = 4.0 * hbar * lam
     return CapacityReport(

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, HPolytope, VPolytope, enclosing_ellipsoid, gauge
+from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, HPolytope, VPolytope, _check_hbar, enclosing_ellipsoid, gauge
 from .capacities import CapacityReport, product_capacity
 from .errors import DegenerateBodyError, DimensionError, QPolarError
 from .polarity import PairVerdict, is_quantum_pair
@@ -178,8 +178,7 @@ def cloud_analyze(cloud: MeasurementCloud, hbar: float = 1.0, fit: str = "ball",
         raise ValueError(f"unknown fit mode {fit!r}; expected one of {FIT_MODES}")
     if not 0.0 <= trim < 0.5:
         raise ValueError(f"trim quantile must lie in [0, 0.5), got {trim}")
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    _check_hbar(hbar)
 
     x_center = cloud.x_samples.mean(axis=0)
     p_center = cloud.p_samples.mean(axis=0)

@@ -25,7 +25,7 @@ from typing import Literal
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, _accepts, gauge
+from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, _accepts, _check_hbar, gauge
 from .errors import BoundaryDecayWarning, GridError, HardyInconsistencyWarning
 from .polarity import PairVerdict, is_quantum_pair
 from .quantum import _half_inverse_ellipsoid, _mode_scales
@@ -70,8 +70,7 @@ def hbar_fourier_1d(samples, grid, hbar: float = 1.0,
     Samples that fail to decay below 1e-12 (relative) at the grid edges
     trigger a BoundaryDecayWarning; the transform still runs.
     """
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    _check_hbar(hbar)
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
     psi = np.asarray(samples, dtype=complex)

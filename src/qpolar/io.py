@@ -20,14 +20,21 @@ from .cloud import MeasurementCloud, body_to_dict
 from .quantum import CovarianceMatrix
 
 
+def _field(doc, key: str, what: str):
+    """doc[key] of a JSON object, or ValueError naming the missing key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"{what} is missing the key {key!r}")
+    return doc[key]
+
+
 def body_from_dict(doc: dict) -> ConvexBody:
-    kind = doc.get("type")
-    if kind == "ellipsoid":
-        return Ellipsoid(np.asarray(doc["matrix"], dtype=float))
-    if kind == "hpoly":
-        return HPolytope(np.asarray(doc["rows"], dtype=float))
-    if kind == "vpoly":
-        return VPolytope(np.asarray(doc["vertices"], dtype=float))
+    kind = _field(doc, "type", "body document")
+    for name, cls, key in (("ellipsoid", Ellipsoid, "matrix"), ("hpoly", HPolytope, "rows"),
+                           ("vpoly", VPolytope, "vertices")):
+        if kind == name:
+            return cls(np.asarray(_field(doc, key, f"{name} document"), dtype=float))
     raise ValueError(f"unknown body type {kind!r}; expected ellipsoid, hpoly, or vpoly")
 
 
@@ -49,7 +56,7 @@ def load_matrix(path) -> np.ndarray:
     if stripped.startswith("{"):
         doc = json.loads(text)
         key = "sigma" if "sigma" in doc else "matrix"
-        return np.asarray(doc[key], dtype=float)
+        return np.asarray(_field(doc, key, "matrix document without 'sigma'"), dtype=float)
     return _parse_sample_text(text)
 
 
@@ -90,8 +97,8 @@ def load_cloud(path=None, x_path=None, p_path=None) -> MeasurementCloud:
         with open(path) as fh:
             doc = json.load(fh)
         return MeasurementCloud(
-            x_samples=np.asarray(doc["x"], dtype=float),
-            p_samples=np.asarray(doc["p"], dtype=float),
+            x_samples=np.asarray(_field(doc, "x", "cloud document"), dtype=float),
+            p_samples=np.asarray(_field(doc, "p", "cloud document"), dtype=float),
             label=doc.get("label", ""),
         )
     if x_path is None or p_path is None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .bodies import DEFAULT_TOL, Ellipsoid, _accepts
+from .bodies import DEFAULT_TOL, Ellipsoid, _accepts, _check_hbar
 from .capacities import ellipsoid_capacity
 from .errors import DimensionError, InvalidCovarianceError, NotPositiveDefiniteError
 from .polarity import PairVerdict, is_quantum_pair
@@ -83,6 +83,7 @@ def is_quantum_covariance(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> boo
     as valid, a Sigma that is not positive definite as invalid. Agrees with
     the Williamson threshold and the capacity criterion on every SPD input.
     """
+    _check_hbar(hbar)
     cov = _as_cov(s)
     try:
         smallest = eigh(0.5j * hbar * standard_symplectic_matrix(cov.n), cov.sigma,
@@ -98,6 +99,7 @@ def rs_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> list[bool]:
     Entry j is (Dx_j)^2 (Dp_j)^2 >= Delta(x_j,p_j)^2 + hbar^2/4, boundary
     included, accepted on the ratio 2 sqrt(det_j) / hbar.
     """
+    _check_hbar(hbar)
     cov = _as_cov(s)
     det = np.diag(cov.dxx) * np.diag(cov.dpp) - np.diag(cov.dxp) ** 2
     return [_accepts(r, tol) for r in 2.0 * np.sqrt(np.maximum(det, 0.0)) / hbar]
@@ -119,6 +121,7 @@ def covariance_ellipsoid(s) -> Ellipsoid:
 
 def capacity_criterion(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> bool:
     """True iff the covariance ellipsoid has capacity >= pi * hbar (= h/2)."""
+    _check_hbar(hbar)
     return _accepts(ellipsoid_capacity(covariance_ellipsoid(s)) / (np.pi * hbar), tol)
 
 
@@ -150,6 +153,7 @@ def theorem2_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> PairVerdic
 
 def _mode_scales(a, b, hbar: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues eig_j of A B for SPD A, B, ascending, and their ratios 2 sqrt(eig_j) / hbar."""
+    _check_hbar(hbar)
     a = require_symmetric(a)
     b = require_symmetric(b)
     if a.shape != b.shape:
@@ -187,8 +191,7 @@ def random_quantum_covariance(n: int, seed: int, hbar: float = 1.0,
         raise DimensionError(f"need n >= 1 modes, got n={n}")
     if slack < 0:
         raise ValueError(f"slack must be nonnegative, got {slack}")
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    _check_hbar(hbar)
     m = random_symplectic(n, np.random.default_rng(seed))
     sigma = (1.0 + slack) * 0.5 * hbar * (m @ m.T)
     return CovarianceMatrix(0.5 * (sigma + sigma.T))

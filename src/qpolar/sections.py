@@ -19,9 +19,7 @@ the polygonal (shoelace) area of what is drawn.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import ConvexHull
-
-from .bodies import ConvexBody, Ellipsoid, HPolytope, VPolytope, gauge, hpolytope_vertices
+from .bodies import ConvexBody, Ellipsoid, HPolytope, VPolytope, gauge, hpolytope_vertices, polar_dual
 from .errors import DegenerateBodyError, DimensionError
 
 CURVE_POINTS = 256
@@ -47,17 +45,6 @@ def _ellipse_polyline(q2: np.ndarray, count: int = CURVE_POINTS) -> np.ndarray:
     return circle @ np.diag(1.0 / np.sqrt(w)) @ v.T
 
 
-def _vpoly_facet_rows(body: VPolytope) -> np.ndarray:
-    """H-representation rows of a V-polytope via its convex hull facets."""
-    pts = np.vstack([body.vertices, -body.vertices])
-    if body.dim == 1:
-        return np.array([[1.0 / np.max(np.abs(pts))]])
-    hull = ConvexHull(pts)
-    # Facets satisfy a . x + b <= 0 with b < 0 for a body containing 0.
-    rows = -hull.equations[:, :-1] / hull.equations[:, -1:]
-    return rows
-
-
 def section_polygon(body: ConvexBody, plane: tuple[int, int]) -> np.ndarray:
     """Points outlining the section of a body by the coordinate plane (i, j).
 
@@ -70,7 +57,8 @@ def section_polygon(body: ConvexBody, plane: tuple[int, int]) -> np.ndarray:
     if isinstance(body, Ellipsoid):
         sub = body.matrix[np.ix_([i, j], [i, j])]
         return _ellipse_polyline(sub)
-    rows = _vpoly_facet_rows(body) if isinstance(body, VPolytope) else body.rows
+    # A V-polytope's facet rows are the vertices of its unit polar.
+    rows = hpolytope_vertices(polar_dual(body)) if isinstance(body, VPolytope) else body.rows
     restricted = rows[:, [i, j]]
     # Rows orthogonal to the plane constrain nothing once the other
     # coordinates are pinned to zero.

@@ -4,10 +4,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from scipy.optimize import linprog
 
 from qpolar.bodies import Ellipsoid, HPolytope, VPolytope
 from qpolar.errors import DimensionError
 from qpolar.symplectic import random_symplectic
+
+# Property tests draw the same examples on every run.
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 def random_spd(n, rng, cond=50.0):
@@ -75,6 +81,15 @@ def support_oracle(body, u):
             if np.max(np.abs(body.rows @ x)) <= 1.0 + 1e-9:
                 best = max(best, float(u @ x))
     return best
+
+
+def vgauge_lp_oracle(body, x):
+    """||x|| of a V-polytope as the LP min sum|c| subject to V^T c = x (HiGHS), without polarity."""
+    w = body.vertices.T
+    res = linprog(np.ones(2 * w.shape[1]), A_eq=np.hstack([w, -w]), b_eq=np.asarray(x, dtype=float),
+                  bounds=(0, None), method="highs")
+    assert res.success, res.message
+    return float(res.fun)
 
 
 def _interval_halfwidth(body):

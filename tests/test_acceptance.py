@@ -23,7 +23,7 @@ from qpolar.quantum import (
 )
 from qpolar.symplectic import block_diagonalize, random_symplectic, symplectic_eigenvalues
 
-from conftest import area_oracle_1d, random_body, random_spd
+from conftest import area_oracle_1d, covariance_with_spectrum, random_body, random_spd
 from test_polarity import bodies_close
 
 
@@ -135,7 +135,8 @@ def test_criterion_3_product_lower_bound():
 
 def test_criterion_4_validity_equivalence():
     """sigpos, capacity criterion, and the Williamson threshold agree pairwise on
-    500 mixed matrices (n <= 3) with zero disagreements; the boundary state
+    500 mixed matrices (n <= 3) with zero disagreements, and with the built
+    spectrum on 150 states with a spread Williamson spectrum; the boundary state
     reproduces h/2 = pi exactly at hbar = 1."""
     rng = np.random.default_rng(1004)
     disagreements = 0
@@ -153,18 +154,30 @@ def test_criterion_4_validity_equivalence():
         c = bool(symplectic_eigenvalues(sigma)[0] >= 0.5 * (1 - 1e-9))
         if not (a == b == c):
             disagreements += 1
+    for i in range(150):
+        n = 1 + i % 3
+        # nu_min / (hbar/2) in [0.5, 2): valid and invalid states, the others up to 4x higher.
+        nu = 0.5 * float(rng.uniform(0.5, 2.0)) * np.concatenate([[1.0], rng.uniform(1.0, 4.0, n - 1)])
+        sigma = covariance_with_spectrum(nu, rng)
+        a = is_quantum_covariance(sigma, 1.0, 1e-9)
+        b = capacity_criterion(sigma, 1.0, 1e-9)
+        c = bool(symplectic_eigenvalues(sigma)[0] >= 0.5 * (1 - 1e-9))
+        if not (a == b == c == (nu[0] >= 0.5)):
+            disagreements += 1
     assert disagreements == 0
 
     from qpolar.quantum import covariance_ellipsoid
 
     boundary = ellipsoid_capacity(covariance_ellipsoid(0.5 * np.eye(2)))
     assert boundary == np.pi  # exact: h/2 at hbar = 1
-    report(4, "sigpos = capacity = Williamson threshold on 500 matrices; boundary h/2 exact")
+    report(4, "sigpos = capacity = Williamson threshold on 500 matrices and 150 spread spectra; "
+              "boundary h/2 exact")
 
 
 def test_criterion_5_projection_pairs():
     """theorem2_check returns a pair on 100% of 500 random valid covariance
-    matrices (n <= 4), boundary states included."""
+    matrices and 200 with a spread Williamson spectrum (n <= 4), boundary
+    states included."""
     rng = np.random.default_rng(1005)
     passed = 0
     for i in range(500):
@@ -175,8 +188,18 @@ def test_criterion_5_projection_pairs():
         verdict = theorem2_check(cov, hbar=hbar)
         assert verdict.is_pair, f"projection pair failed at seed {7000 + i} (release blocker)"
         passed += 1
-    assert passed == 500
-    report(5, "projection pair verdict on 500/500 valid covariance matrices (n <= 4)")
+    for i in range(200):
+        n = 1 + i % 4
+        hbar = float(rng.uniform(0.3, 3.0))
+        # Every fifth state has nu_min = hbar/2 exactly; the others sit above it.
+        nu = 0.5 * hbar * np.concatenate([[1.0 if i % 5 == 0 else float(rng.uniform(1.0, 3.0))],
+                                          rng.uniform(1.0, 4.0, n - 1)])
+        verdict = theorem2_check(covariance_with_spectrum(nu, rng), hbar=hbar)
+        assert verdict.is_pair, f"projection pair failed on spectrum {nu} (release blocker)"
+        passed += 1
+    assert passed == 700
+    report(5, "projection pair verdict on 700/700 valid covariance matrices (n <= 4), "
+              "200 with a spread spectrum")
 
 
 def test_criterion_6_block_williamson():

@@ -22,8 +22,20 @@ from qpolar.errors import (
     UndecidedError,
 )
 from qpolar.polarity import inclusion_scale, is_quantum_pair, polar_dual
+from qpolar.sections import section_polygon
 
-from conftest import random_body, random_ellipsoid, random_hpolytope, random_vpolytope, support_oracle
+from conftest import (
+    random_body,
+    random_ellipsoid,
+    random_hpolytope,
+    random_vpolytope,
+    support_oracle,
+    vgauge_lp_oracle,
+)
+
+# conv{+-m_i} with a 1e-12 entry: its facet normals are (s1, s2, (s3 - s1 - s2) 1e12)
+# for the sign vectors s, so they differ only far below the largest entry.
+BADLY_SCALED = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-12]])
 
 
 class TestConstruction:
@@ -92,6 +104,41 @@ class TestGauge:
         # Cross-polytope gauge is the l1 norm.
         body = VPolytope(np.eye(3))
         assert gauge(body, [0.2, -0.3, 0.1]) == pytest.approx(0.6, rel=1e-8)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_vpolytope_cross_image_closed_form(self, n, rng):
+        # conv{+-m_i} over the rows of an invertible M has gauge ||M^-T x||_1.
+        # n = 9 is above the enumeration cap, where the gauge solves LPs.
+        m = rng.standard_normal((n, n)) + 3 * np.eye(n)
+        x = rng.standard_normal((5, n))
+        x[1] = 0.0
+        got = gauge(VPolytope(m), x)
+        assert got[1] == 0.0
+        assert np.allclose(got, np.abs(np.linalg.solve(m.T, x.T)).sum(axis=0), rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_vpolytope_matches_lp_oracle(self, n, rng):
+        for extra in (0, n):
+            body = random_vpolytope(n, rng, extra_vertices=extra)
+            x = rng.standard_normal((4, n))
+            assert np.allclose(gauge(body, x), [vgauge_lp_oracle(body, r) for r in x], rtol=1e-9, atol=0.0)
+
+    def test_badly_scaled_vpolytope(self):
+        # ||M^-T x||_1 in closed form. Rounding the normals to their common
+        # scale would merge distinct ones and read 0.4 for the second x.
+        body = VPolytope(BADLY_SCALED)
+        assert gauge(body, [0.3, 0.2, 1e-13]) == pytest.approx(0.4, rel=1e-9)
+        assert gauge(body, [0.3, -0.2, 1e-13]) == pytest.approx(0.6, rel=1e-9)
+
+    def test_failed_enumeration_is_undecided(self, monkeypatch):
+        import scipy.spatial
+
+        def fail(*args, **kwargs):
+            raise scipy.spatial.QhullError("QH6154 Qhull precision error: Initial simplex is flat")
+
+        monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection", fail)
+        with pytest.raises(UndecidedError, match="Qhull"):
+            gauge(VPolytope(np.eye(3)), [1.0, 0.0, 0.0])
 
     def test_membership_criterion(self, rng):
         for _ in range(20):
@@ -247,6 +294,13 @@ class TestContains:
         with pytest.raises(DimensionError):
             contains(Ellipsoid.ball(2), Ellipsoid.ball(3))
 
+    def test_badly_scaled_outer_vpolytope(self):
+        # The vertex x / 0.35 has gauge 0.4 / 0.35, so lambda_max = 0.875: no containment.
+        x = np.array([0.3, 0.2, 1e-13])
+        inner = VPolytope(np.vstack([x / 0.35, 0.1 * BADLY_SCALED]))
+        assert not contains(VPolytope(BADLY_SCALED), inner)
+        assert contains(VPolytope(BADLY_SCALED), scale(inner, 0.875))
+
     def test_undecided_above_enumeration_cap(self):
         # X = B(2.95), P = conv{+-e_i}: P's dual is the unit box, whose corners
         # sit at |x| = sqrt(n), so lambda_max = 2.95 / sqrt(n). At n = 9 that is
@@ -266,6 +320,26 @@ class TestContains:
         assert is_quantum_pair(x, p).lambda_max == pytest.approx(lam, rel=1e-12)
         assert product_capacity(x, p).value == pytest.approx(4 * lam, rel=1e-12)
         assert contains(x, polar_dual(p)) and not contains(scale(x, 0.95), polar_dual(p))
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_no_lp_up_to_the_enumeration_cap(n, monkeypatch):
+    import scipy.optimize
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("linprog called at or below the enumeration cap")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", forbidden)
+    shapes = [Ellipsoid.ball(n, 1.3), HPolytope.box(np.full(n, 0.7)), VPolytope(1.9 * np.eye(n))]
+    u = np.eye(n)
+    for x in shapes:
+        gauge(x, u)
+        support(x, u)
+        section_polygon(x, (0, 1))
+        for p in shapes:
+            is_quantum_pair(x, p)
+            product_capacity(x, p)
+            contains(x, polar_dual(p))
 
 
 class TestEnclosingEllipsoid:

@@ -217,7 +217,40 @@ class TestPlotSection:
 
 
 def test_import_leaves_scipy_stats_unloaded():
+    # Nor the LP solver and Qhull, which load on first use.
     env = {**os.environ, "PYTHONPATH": str(Path(qpolar.__file__).resolve().parents[1])}
-    code = "import sys, qpolar; print('scipy.stats' in sys.modules)"
+    modules = ["scipy.stats", "scipy.optimize", "scipy.spatial"]
+    code = f"import sys, qpolar; print([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("hbar", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["polar", "pair-check", "capacity", "covariance", "hardy"])
+def test_bad_hbar_exits_one(runner, tmp_path, disk_x, disk_p, command, hbar):
+    sigma = write_json(tmp_path / "s.json", {"sigma": np.eye(2).tolist()})
+    args = {
+        "polar": ["--body", disk_x],
+        "pair-check": ["-x", disk_x, "-p", disk_p],
+        "capacity": ["-x", disk_x, "-p", disk_p],
+        "covariance": ["--sigma", sigma],
+        "hardy": ["--sigma-x", "1", "--sigma-p", "1"],
+    }[command]
+    result = runner.invoke(cli, [command, *args, "--hbar", hbar])
+    assert result.exit_code == 1
+    assert "Error: hbar must be positive and finite" in result.output
+
+
+@pytest.mark.parametrize("doc, args, key", [
+    ({"type": "ellipsoid"}, ["pair-check", "-x", "{doc}", "-p", "{doc}"], "'matrix'"),
+    ([[1.0, 0.0], [0.0, 1.0]], ["polar", "--body", "{doc}"], "JSON object"),
+    ({"type": "vpoly", "rows": [[1.0]]}, ["polar", "--body", "{doc}"], "'vertices'"),
+    ({"cov": [[1.0, 0.0], [0.0, 1.0]]}, ["covariance", "--sigma", "{doc}"], "'matrix'"),
+    ({"x": [[0.0, 1.0], [1.0, 0.0]]}, ["cloud", "analyze", "--cloud", "{doc}"], "'p'"),
+    ({"p": [[0.0, 1.0], [1.0, 0.0]]}, ["cloud", "analyze", "--cloud", "{doc}"], "'x'"),
+], ids=["body-no-matrix", "body-list", "vpoly-no-vertices", "sigma-no-matrix", "cloud-no-p", "cloud-no-x"])
+def test_malformed_document_exits_one(runner, tmp_path, doc, args, key):
+    path = write_json(tmp_path / "doc.json", doc)
+    result = runner.invoke(cli, [path if a == "{doc}" else a for a in args])
+    assert result.exit_code == 1
+    assert "Error:" in result.output and key in result.output

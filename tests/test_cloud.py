@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,15 @@ class TestSections:
         # Section of the octahedron by the z=0 plane is the unit cross-polytope.
         assert poly.shape == (4, 2)
         assert np.max(np.abs(np.linalg.norm(poly, axis=1) - 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_cube_from_vertices_matches_box(self, n):
+        from qpolar.bodies import VPolytope
+
+        corners = np.array(list(itertools.product([-1.0, 1.0], repeat=n))) * np.arange(1.0, n + 1)
+        box = HPolytope.box(np.arange(1.0, n + 1))
+        for plane in [(0, 1), (n - 1, 1)]:
+            assert emit_section_plot(VPolytope(corners), plane) == emit_section_plot(box, plane)
 
     def test_invalid_plane(self):
         with pytest.raises(IndexError):

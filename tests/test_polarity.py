@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qpolar.bodies import Ellipsoid, HPolytope, VPolytope, contains, gauge, linear_image, scale, support
+from qpolar.bodies import DEFAULT_TOL, Ellipsoid, HPolytope, VPolytope, contains, gauge, linear_image, scale, support
+from qpolar.capacities import product_capacity
 from qpolar.errors import DimensionError
 from qpolar.polarity import inclusion_scale, is_quantum_pair, polar_dual
 
@@ -197,6 +200,35 @@ class TestQuantumPair:
             v = is_quantum_pair(x, p)
             assert v.margin == pytest.approx(v.lambda_max - 1.0)
             assert v.is_pair == (v.lambda_max >= 1.0 - 1e-9)
+
+
+UNIT_SHAPES = {
+    "ball": lambda n: Ellipsoid.ball(n),
+    "box": lambda n: HPolytope.box(np.ones(n)),
+    "cross": lambda n: VPolytope(np.eye(n)),
+}
+
+
+def unit_fit(inner: str, outer: str, n: int) -> float:
+    """max{lambda : lambda * inner in outer} for the unit ball, box and cross-polytope."""
+    smaller = {("box", "ball"): n**-0.5, ("ball", "cross"): n**-0.5, ("box", "cross"): 1.0 / n}
+    return smaller.get((inner, outer), 1.0)
+
+
+@given(x_shape=st.sampled_from(sorted(UNIT_SHAPES)), dual_shape=st.sampled_from(sorted(UNIT_SHAPES)),
+       n=st.sampled_from([1, 2, 3, 6]), hbar=st.sampled_from([1e-3, 1.0, 1e3]),
+       k=st.sampled_from([2, 10, 100]), sign=st.sampled_from([-1, 1]), seed=st.integers(0, 2**32 - 1))
+def test_pair_bound_and_containment_agree_on_band(x_shape, dual_shape, n, hbar, k, sign, seed):
+    # X = L.outer and P^hbar = c L.inner, with c chosen so that lambda_max = 1 + sign k tol.
+    l = np.random.default_rng(seed).standard_normal((n, n)) + 3 * np.eye(n)
+    lam = 1 + sign * k * DEFAULT_TOL
+    x = linear_image(UNIT_SHAPES[x_shape](n), l)
+    c = unit_fit(dual_shape, x_shape, n) / lam
+    p = polar_dual(scale(linear_image(UNIT_SHAPES[dual_shape](n), l), c), hbar)
+    pair = is_quantum_pair(x, p, hbar)
+    assert pair.lambda_max == pytest.approx(lam, rel=1e-12)
+    assert pair.is_pair == product_capacity(x, p, hbar).lower_bound_4hbar_met
+    assert pair.is_pair == contains(x, polar_dual(p, hbar)) == (sign > 0)
 
 
 class TestInclusionScale:

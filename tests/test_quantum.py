@@ -1,6 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import qpolar
 from qpolar.bodies import DEFAULT_TOL, Ellipsoid, _accepts
 from qpolar.capacities import ellipsoid_capacity, product_capacity
 from qpolar.errors import (
@@ -110,6 +115,15 @@ class TestToleranceBand:
                     assert valid == capacity_criterion(sigma, hbar) == williamson == (sign > 0)
                     if n == 1:
                         assert rs_check(sigma, hbar) == [valid]
+
+    @given(n=st.integers(1, 3), hbar=st.sampled_from([1e-3, 1.0, 1e3]), k=st.sampled_from([2, 10, 100]),
+           sign=st.sampled_from([-1, 1]), spread=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_triangle_agrees_on_band_property(self, n, hbar, k, sign, spread, seed):
+        nu = 0.5 * hbar * np.concatenate([[1 + sign * k * DEFAULT_TOL], 1 + np.array(spread[: n - 1])])
+        sigma = covariance_with_spectrum(nu, np.random.default_rng(seed))
+        williamson = _accepts(2 * symplectic_eigenvalues(sigma)[0] / hbar, DEFAULT_TOL)
+        assert is_quantum_covariance(sigma, hbar) == capacity_criterion(sigma, hbar) == williamson == (sign > 0)
 
     def test_rs_relative_violation_at_small_hbar(self):
         # One mode at hbar = 1e-3 with det = (hbar^2 / 4)(1 - 1e-4), correlated.
@@ -327,6 +341,44 @@ class TestHardyCheck:
             verdict = hardy_check(HardyInput(a, b), hbar=1.0)
             assert verdict.classification == "gaussian_boundary"
             assert inclusion_scale(*verdict.pair, 1.0) == pytest.approx(1.0, rel=1e-9)
+
+
+def _hbar_calls():
+    grid = np.linspace(-8.0, 8.0, 64, endpoint=False)
+    psi = np.exp(-grid**2 / 4)
+    ball, interval, eye = Ellipsoid.ball(2), Ellipsoid.ball(1), np.eye(2)
+    return {
+        "polar_dual": lambda h: qpolar.polar_dual(ball, h),
+        "inclusion_scale": lambda h: qpolar.inclusion_scale(ball, ball, h),
+        "is_quantum_pair": lambda h: qpolar.is_quantum_pair(ball, ball, h),
+        "product_capacity": lambda h: qpolar.product_capacity(ball, ball, h),
+        "is_quantum_covariance": lambda h: qpolar.is_quantum_covariance(eye, h),
+        "rs_check": lambda h: qpolar.rs_check(eye, h),
+        "capacity_criterion": lambda h: qpolar.capacity_criterion(eye, h),
+        "theorem2_check": lambda h: qpolar.theorem2_check(eye, h),
+        "heisenberg_eigen_check": lambda h: qpolar.heisenberg_eigen_check(eye, eye, h),
+        "hardy_check": lambda h: qpolar.hardy_check(HardyInput(eye, eye), h),
+        "random_quantum_covariance": lambda h: qpolar.random_quantum_covariance(1, 0, hbar=h),
+        "hbar_fourier_1d": lambda h: qpolar.hbar_fourier_1d(psi, grid, h),
+        "hardy_envelope_verify": lambda h: qpolar.hardy_envelope_verify(psi, grid, 1.0, 1.0, h),
+        "minkowski_envelope_experiment":
+            lambda h: qpolar.minkowski_envelope_experiment(psi, grid, interval, interval, h),
+        "cloud_analyze": lambda h: qpolar.cloud_analyze(qpolar.cloud_generate_disk(1.0, 1.0, 50, 0), h),
+        "disk_demo": lambda h: qpolar.disk_demo(1.0, 1.0, 50, 0, h),
+    }
+
+
+def test_hbar_calls_cover_every_public_function():
+    public = (getattr(qpolar, name) for name in qpolar.__all__)
+    takes_hbar = {f.__name__ for f in public if inspect.isfunction(f) and "hbar" in inspect.signature(f).parameters}
+    assert takes_hbar == set(_hbar_calls())
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("name", sorted(_hbar_calls()))
+def test_bad_hbar_rejected(name, hbar):
+    with pytest.raises(ValueError, match="hbar must be positive and finite"):
+        _hbar_calls()[name](hbar)
 
 
 class TestRandomQuantumCovariance:
