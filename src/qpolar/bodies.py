@@ -9,7 +9,8 @@ All bodies are origin-centered (body = -body by construction):
 Operations are pure functions over these immutable values. The Minkowski
 gauge is the one body kernel and a closed form for every representation;
 a V-polytope's facet normals come from ``hpolytope_vertices`` (Qhull), the
-one polytope conversion. The support function is the gauge of the unit
+one polytope conversion, unless there may be so many that one HiGHS LP per
+row costs less. The support function is the gauge of the unit
 polar, h_K = ||.||_{K°}, and ``polar_dual`` maps each representation to the
 representation of its polar.
 
@@ -21,6 +22,7 @@ one inclusion scale, max{lambda : lambda * inner subset of outer}, computed by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Union
 
 import numpy as np
@@ -36,9 +38,15 @@ from .errors import (
 )
 from .symplectic import require_symmetric
 
-# H-polytope vertex enumeration is attempted up to this dimension; beyond it
-# an inclusion scale that needs the vertices is undecided.
+# Inclusion scales and V-polytope gauges enumerate H-polytope vertices up to
+# this dimension; beyond it an inclusion scale that needs the vertices is
+# undecided and a V-polytope gauge solves LPs. Sections enumerate at any dimension.
 ENUMERATION_MAX_DIM = 8
+
+# Where Qhull fails on nearly coincident rows, a row that agrees (up to sign)
+# with a longer row to within this factor of its own norm is dropped and the
+# enumeration retried; the body grows by at most this relative amount.
+ROW_MERGE_RTOL = 1e-10
 
 # The MVEE fit stops within this volume factor (1 + MVEE_VOL_TOL) of optimal,
 # or raises ConvergenceError after MVEE_MAX_ITER iterations.
@@ -144,40 +152,56 @@ def _check_rows(body: ConvexBody, x) -> tuple[np.ndarray, bool]:
     return rows, single
 
 
+def _max_facets(vertices: int, n: int) -> int:
+    """McMullen's upper bound on the facets of an n-polytope with this many vertices."""
+    k = n // 2
+    if n % 2:
+        return 2 * comb(vertices - k - 1, k)
+    return vertices * comb(vertices - k, k) // (vertices - k)
+
+
 def gauge(body: ConvexBody, x) -> float | np.ndarray:
     """Minkowski gauge ||x||_body = inf{t > 0 : x/t in body}; 0 at the origin.
 
     x is one vector (returns a float) or a (k, n) array of rows (returns the
     k gauges). Closed forms for ellipsoids and H-polytopes. A V-polytope's gauge
-    is max|w . x| over the vertices w of its unit polar (||.||_K = h_{K°}) up to
-    ``ENUMERATION_MAX_DIM``, and one HiGHS LP per nonzero row above it.
+    is max|w . x| over the vertices w of its unit polar (||.||_K = h_{K°}), its
+    facet normals, when they are few enough; otherwise, and always above
+    ``ENUMERATION_MAX_DIM``, it solves one HiGHS LP per nonzero row. Raises
+    ``UndecidedError`` where ``hpolytope_vertices`` does.
     """
     rows, single = _check_rows(body, x)
     if isinstance(body, Ellipsoid):
         g = np.sqrt(np.sum((rows @ body.matrix) * rows, axis=1))
     elif isinstance(body, HPolytope):
         g = np.max(np.abs(rows @ body.rows.T), axis=1)
-    elif body.dim <= ENUMERATION_MAX_DIM:
-        g = np.max(np.abs(rows @ hpolytope_vertices(polar_dual(body)).T), axis=1)
     else:
-        from scipy.optimize import linprog
+        m, n = body.vertices.shape
+        nonzero = np.flatnonzero(np.any(rows, axis=1))
+        # Enumerate the facets when their bound is at most, per LP replaced, the
+        # bound for a linear image of the cross-polytope (m = n), whose 2^n
+        # facets enumerate faster than one LP up to the cap.
+        if n <= ENUMERATION_MAX_DIM and _max_facets(2 * m, n) <= _max_facets(2 * n, n) * nonzero.size:
+            g = np.max(np.abs(rows @ hpolytope_vertices(polar_dual(body)).T), axis=1)
+        else:
+            from scipy.optimize import linprog
 
-        # One LP per nonzero row: min sum(c+ + c-)  s.t.  V^T (c+ - c-) = x, c+- >= 0.
-        w = body.vertices.T
-        a_eq = np.hstack([w, -w])
-        g = np.zeros(rows.shape[0])
-        for i in np.flatnonzero(np.any(rows, axis=1)):
-            res = linprog(np.ones(a_eq.shape[1]), A_eq=a_eq, b_eq=rows[i], bounds=(0, None), method="highs")
-            if not res.success:
-                raise DegenerateBodyError(f"gauge LP failed: {res.message}")
-            g[i] = res.fun
+            # One LP per nonzero row: min sum(c+ + c-)  s.t.  V^T (c+ - c-) = x, c+- >= 0.
+            w = body.vertices.T
+            a_eq = np.hstack([w, -w])
+            g = np.zeros(rows.shape[0])
+            for i in nonzero:
+                res = linprog(np.ones(a_eq.shape[1]), A_eq=a_eq, b_eq=rows[i], bounds=(0, None), method="highs")
+                if not res.success:
+                    raise DegenerateBodyError(f"gauge LP failed: {res.message}")
+                g[i] = res.fun
     return float(g[0]) if single else g
 
 
 def support(body: ConvexBody, u) -> float | np.ndarray:
     """Support function h_body(u) = max{u . x : x in body}: the gauge of the unit polar.
 
-    Takes one vector or (k, n) rows, as ``gauge`` does.
+    Takes one vector or (k, n) rows, and raises, as ``gauge`` does.
     """
     return gauge(polar_dual(body), u)
 
@@ -225,28 +249,56 @@ def scale(body: ConvexBody, factor: float) -> ConvexBody:
     return HPolytope(body.rows / factor)
 
 
+def _halfspace_vertices(rows: np.ndarray) -> np.ndarray:
+    """Vertices of {x : |a_i . x| <= 1} by Qhull; one point per merged dual facet,
+    i.e. per vertex. Not rounded, which would merge distinct vertices of a badly
+    scaled body."""
+    from scipy.spatial import HalfspaceIntersection
+
+    stacked = np.vstack([rows, -rows])
+    halfspaces = np.hstack([stacked, -np.ones((stacked.shape[0], 1))])
+    return HalfspaceIntersection(halfspaces, np.zeros(rows.shape[1])).intersections
+
+
+def _merge_close_rows(rows: np.ndarray) -> np.ndarray:
+    """rows without each row that agrees, up to sign, with a longer row (or an
+    earlier one of equal norm) to within ROW_MERGE_RTOL of its own norm."""
+    from scipy.spatial import KDTree
+
+    m = rows.shape[0]
+    norms = np.linalg.norm(rows, axis=1)
+    units = rows / norms[:, None]
+    # Such rows have unit directions within 2 * ROW_MERGE_RTOL of each other.
+    tree = KDTree(np.vstack([units, -units]))
+    keep = np.ones(m, dtype=bool)
+    for i in np.argsort(-norms, kind="stable"):
+        if keep[i]:
+            near = np.asarray(tree.query_ball_point(units[i], 2 * ROW_MERGE_RTOL), dtype=int) % m
+            near = near[(near != i) & keep[near]]
+            gap = np.minimum(np.linalg.norm(rows[near] - rows[i], axis=1),
+                             np.linalg.norm(rows[near] + rows[i], axis=1))
+            keep[near[gap <= ROW_MERGE_RTOL * norms[near]]] = False
+    return rows[keep]
+
+
 def hpolytope_vertices(body: HPolytope) -> np.ndarray:
     """All vertices of an H-polytope (both sign classes), via Qhull for dim >= 2.
 
-    Raises ``UndecidedError`` above ``ENUMERATION_MAX_DIM`` or when Qhull
-    fails on nearly coincident rows.
+    Where Qhull fails, nearly coincident rows are merged (``ROW_MERGE_RTOL``)
+    and Qhull runs once more; ``UndecidedError`` if it fails again.
     """
     n = body.dim
     if n == 1:
         a = 1.0 / np.max(np.abs(body.rows))
         return np.array([[a], [-a]])
-    if n > ENUMERATION_MAX_DIM:
-        raise UndecidedError(
-            f"undecided: vertex enumeration not attempted for dim {n} > {ENUMERATION_MAX_DIM}"
-        )
-    from scipy.spatial import HalfspaceIntersection, QhullError
+    from scipy.spatial import QhullError
 
-    stacked = np.vstack([body.rows, -body.rows])
-    halfspaces = np.hstack([stacked, -np.ones((stacked.shape[0], 1))])
-    # One point per merged dual facet, i.e. per vertex; not rounded, which would
-    # merge distinct vertices of a badly scaled body.
     try:
-        return HalfspaceIntersection(halfspaces, np.zeros(n)).intersections
+        return _halfspace_vertices(body.rows)
+    except QhullError:
+        pass
+    try:
+        return _halfspace_vertices(_merge_close_rows(body.rows))
     except QhullError as exc:
         raise UndecidedError(f"undecided: Qhull vertex enumeration failed: {exc}".splitlines()[0]) from None
 
@@ -260,7 +312,14 @@ def _fit_scale(inner: ConvexBody, outer: ConvexBody) -> float:
         # By unit polarity lambda * E in K iff lambda * K° in E°.
         return _fit_scale(polar_dual(outer), polar_dual(inner))
 
-    pts = inner.vertices if isinstance(inner, VPolytope) else hpolytope_vertices(inner)
+    if isinstance(inner, VPolytope):
+        pts = inner.vertices
+    elif inner.dim > ENUMERATION_MAX_DIM:
+        raise UndecidedError(
+            f"undecided: vertex enumeration not attempted for dim {inner.dim} > {ENUMERATION_MAX_DIM}"
+        )
+    else:
+        pts = hpolytope_vertices(inner)
     return float(1.0 / np.max(gauge(outer, pts)))
 
 

@@ -31,10 +31,12 @@ def _field(doc, key: str, what: str):
 
 def body_from_dict(doc: dict) -> ConvexBody:
     kind = _field(doc, "type", "body document")
-    for name, cls, key in (("ellipsoid", Ellipsoid, "matrix"), ("hpoly", HPolytope, "rows"),
-                           ("vpoly", VPolytope, "vertices")):
-        if kind == name:
-            return cls(np.asarray(_field(doc, key, f"{name} document"), dtype=float))
+    if kind == "ellipsoid":
+        return Ellipsoid(np.asarray(_field(doc, "matrix", "ellipsoid document"), dtype=float))
+    if kind == "hpoly":
+        return HPolytope(np.asarray(_field(doc, "rows", "hpoly document"), dtype=float))
+    if kind == "vpoly":
+        return VPolytope(np.asarray(_field(doc, "vertices", "vpoly document"), dtype=float))
     raise ValueError(f"unknown body type {kind!r}; expected ellipsoid, hpoly, or vpoly")
 
 

@@ -38,6 +38,10 @@ from conftest import (
 BADLY_SCALED = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-12]])
 
 
+def forbid_linprog(*args, **kwargs):
+    raise AssertionError("linprog called where the facets should be enumerated")
+
+
 class TestConstruction:
     def test_ellipsoid_requires_spd(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -117,11 +121,45 @@ class TestGauge:
         assert np.allclose(got, np.abs(np.linalg.solve(m.T, x.T)).sum(axis=0), rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_vpolytope_matches_lp_oracle(self, n, rng):
+    def test_vpolytope_matches_lp_oracle(self, n, rng, monkeypatch):
+        # 40 rows are enough for the facet path at m = 2n, n <= 8; the oracle's
+        # linprog was bound at import, so forbidding the library's keeps it working.
+        import scipy.optimize
+
+        monkeypatch.setattr(scipy.optimize, "linprog", forbid_linprog)
         for extra in (0, n):
             body = random_vpolytope(n, rng, extra_vertices=extra)
-            x = rng.standard_normal((4, n))
+            x = rng.standard_normal((40, n))
             assert np.allclose(gauge(body, x), [vgauge_lp_oracle(body, r) for r in x], rtol=1e-9, atol=0.0)
+
+    def test_facet_rich_vpolytope_solves_lps_for_few_rows(self, rng, monkeypatch):
+        # m = 12 vertex pairs at n = 6: at most 1520 facets against 112 for a
+        # cross-polytope image, so the facets are enumerated from 14 rows on.
+        import qpolar.bodies
+        import scipy.optimize
+
+        body = random_vpolytope(6, rng, extra_vertices=6)
+        x = rng.standard_normal((14, 6))
+        expected = [vgauge_lp_oracle(body, r) for r in x]
+        with monkeypatch.context() as patch:
+            patch.setattr(qpolar.bodies, "hpolytope_vertices", None)
+            assert np.allclose(gauge(body, x[:13]), expected[:13], rtol=1e-9, atol=0.0)
+        monkeypatch.setattr(scipy.optimize, "linprog", forbid_linprog)
+        assert np.allclose(gauge(body, x), expected, rtol=1e-9, atol=0.0)
+
+    def test_nearly_coincident_vertices(self, monkeypatch):
+        # The vertices of B and their negated copies with 1e-13 noise: Qhull fails
+        # on the polar's rows until each nearly opposite pair is merged. 16 rows
+        # take the facet path.
+        import scipy.optimize
+
+        rng = np.random.default_rng(73)
+        v = rng.standard_normal((7, 5)) * rng.uniform(0.5, 2.0, size=(7, 1))
+        body = VPolytope(np.vstack([v, -(v + 1e-13 * rng.standard_normal(v.shape))]))
+        x = rng.standard_normal((16, 5))
+        expected = [vgauge_lp_oracle(body, r) for r in x]
+        monkeypatch.setattr(scipy.optimize, "linprog", forbid_linprog)
+        assert np.allclose(gauge(body, x), expected, rtol=1e-9, atol=0.0)
 
     def test_badly_scaled_vpolytope(self):
         # ||M^-T x||_1 in closed form. Rounding the normals to their common
@@ -324,12 +362,10 @@ class TestContains:
 
 @pytest.mark.parametrize("n", [2, 8])
 def test_no_lp_up_to_the_enumeration_cap(n, monkeypatch):
+    # Balls, boxes and cross-polytopes: a V-polytope with m = n always takes the facet path.
     import scipy.optimize
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("linprog called at or below the enumeration cap")
-
-    monkeypatch.setattr(scipy.optimize, "linprog", forbidden)
+    monkeypatch.setattr(scipy.optimize, "linprog", forbid_linprog)
     shapes = [Ellipsoid.ball(n, 1.3), HPolytope.box(np.full(n, 0.7)), VPolytope(1.9 * np.eye(n))]
     u = np.eye(n)
     for x in shapes:

@@ -219,6 +219,16 @@ class TestSections:
         for plane in [(0, 1), (n - 1, 1)]:
             assert emit_section_plot(VPolytope(corners), plane) == emit_section_plot(box, plane)
 
+    def test_vpolytope_sections_above_enumeration_cap(self):
+        # Sections enumerate at any dimension: the 9-D cross-polytope's section
+        # is the unit diamond, in a single body and in a momentum plane of X x P.
+        from qpolar.bodies import VPolytope
+
+        cross = VPolytope(np.eye(9))
+        diamond = "# area: 2\n# points: 4\n0 -1\n1 0\n0 1\n-1 0\n0 -1\n"
+        assert emit_section_plot(cross, (0, 3)) == "# section: section\n# plane: 0 3\n" + diamond
+        assert emit_section_plot((cross, cross), (9, 12)) == "# section: section\n# plane: 9 12\n" + diamond
+
     def test_invalid_plane(self):
         with pytest.raises(IndexError):
             section_polygon(Ellipsoid.ball(2), (0, 0))
