@@ -32,11 +32,10 @@ from .errors import (
     ConvergenceError,
     DegenerateBodyError,
     DimensionError,
-    NotPositiveDefiniteError,
     SingularMatrixError,
     UndecidedError,
 )
-from .symplectic import require_symmetric
+from .symplectic import _spd_cholesky, require_symmetric
 
 # Inclusion scales and V-polytope gauges enumerate H-polytope vertices up to
 # this dimension; beyond it an inclusion scale that needs the vertices is
@@ -68,10 +67,7 @@ class Ellipsoid:
 
     def __post_init__(self):
         q = require_symmetric(self.matrix)
-        try:
-            np.linalg.cholesky(q)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefiniteError("ellipsoid matrix must be positive definite") from None
+        _spd_cholesky(q, "ellipsoid matrix")
         object.__setattr__(self, "matrix", _freeze(q))
 
     @property

@@ -261,8 +261,12 @@ class DiskDemoReport:
     measured_matches_quoted: bool
     pair_expected: bool
 
+    @property
+    def quoted_variance_flag(self) -> str:
+        return "consistent" if self.measured_matches_quoted else "inconsistent with Monte Carlo oracle"
+
     def to_dict(self) -> dict:
-        out = {
+        return {
             "rx": self.rx,
             "rp": self.rp,
             "n_samples": self.n_samples,
@@ -272,15 +276,10 @@ class DiskDemoReport:
             "quoted_pi_variance": self.quoted_pi_variance,
             "measured_matches_uniform": self.measured_matches_uniform,
             "measured_matches_quoted": self.measured_matches_quoted,
-            "quoted_variance_flag": (
-                "inconsistent with Monte Carlo oracle"
-                if not self.measured_matches_quoted
-                else "consistent"
-            ),
+            "quoted_variance_flag": self.quoted_variance_flag,
             "pair_expected_from_radii": self.pair_expected,
             "analysis": self.analysis.to_dict(),
         }
-        return out
 
 
 def disk_demo(rx: float, rp: float, n_samples: int = 100_000, seed: int = 0,

@@ -112,6 +112,21 @@ def _log_envelope_constant(values: np.ndarray, exponent: np.ndarray) -> float:
     return float(np.max(np.log(mags[mask]) + exponent[mask]))
 
 
+def _envelope_fit(samples, grid, hbar: float, x_exponent, p_exponent) -> tuple[bool, bool, float]:
+    """Verdicts |psi| <= C exp(-x_exponent(x)), |psi^| <= C exp(-p_exponent(p)) on the grid.
+
+    C is ENVELOPE_C_FACTOR * max|psi|; also returns the log of the least C serving both.
+    """
+    psi = np.asarray(samples, dtype=complex)
+    grid = np.asarray(grid, dtype=float)
+    p_grid, psi_hat = hbar_fourier_1d(psi, grid, hbar)
+    log_cx = _log_envelope_constant(psi, x_exponent(grid))
+    log_cp = _log_envelope_constant(psi_hat, p_exponent(p_grid))
+    peak = float(np.max(np.abs(psi)))
+    bound = np.log(ENVELOPE_C_FACTOR * peak) if peak > 0 else np.inf
+    return bool(log_cx <= bound), bool(log_cp <= bound), max(log_cx, log_cp)
+
+
 def hardy_envelope_verify(samples, grid, sigma_x: float, sigma_p: float,
                           hbar: float = 1.0) -> bool:
     """Check Gaussian envelope bounds on a grid function and its transform.
@@ -125,19 +140,11 @@ def hardy_envelope_verify(samples, grid, sigma_x: float, sigma_p: float,
     """
     if sigma_x <= 0 or sigma_p <= 0:
         raise ValueError("envelope widths must be positive")
-    psi = np.asarray(samples, dtype=complex)
-    grid = np.asarray(grid, dtype=float)
-    p_grid, psi_hat = hbar_fourier_1d(psi, grid, hbar)
-
-    log_c = max(
-        _log_envelope_constant(psi, grid**2 / (4.0 * sigma_x**2)),
-        _log_envelope_constant(psi_hat, p_grid**2 / (4.0 * sigma_p**2)),
-    )
-    peak = float(np.max(np.abs(psi)))
-    if peak == 0:
-        return True
-    ok = log_c <= np.log(ENVELOPE_C_FACTOR * peak)
-    if ok and not _accepts(2.0 * sigma_x * sigma_p / hbar, DEFAULT_TOL):
+    pos_ok, mom_ok, log_c = _envelope_fit(samples, grid, hbar,
+                                          lambda x: x**2 / (4.0 * sigma_x**2),
+                                          lambda p: p**2 / (4.0 * sigma_p**2))
+    # psi = 0 (log_c = -inf) meets every envelope and no uncertainty bound.
+    if pos_ok and mom_ok and log_c > -np.inf and not _accepts(2.0 * sigma_x * sigma_p / hbar, DEFAULT_TOL):
         warnings.warn(
             f"envelopes verified at sigma_x*sigma_p = {sigma_x * sigma_p:.6g} "
             f"< hbar/2 = {0.5 * hbar:.6g}; forbidden by the uncertainty bound, "
@@ -145,22 +152,22 @@ def hardy_envelope_verify(samples, grid, sigma_x: float, sigma_p: float,
             HardyInconsistencyWarning,
             stacklevel=2,
         )
-    return bool(ok)
+    return pos_ok and mom_ok
 
 
 @dataclass(frozen=True)
 class HardyInput:
-    """Gaussian envelope data |psi| <= C exp(-x A^{-1} x / 4), |psi^| <= C exp(-p B^{-1} p / 4)."""
+    """Gaussian envelope data |psi| <= C exp(-x A^{-1} x / 4), |psi^| <= C exp(-p B^{-1} p / 4).
+
+    The prefactor C does not enter the classification, so it is not stored.
+    """
 
     a: np.ndarray
     b: np.ndarray
-    c: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "a", require_symmetric(self.a))
         object.__setattr__(self, "b", require_symmetric(self.b))
-        if self.c <= 0:
-            raise ValueError(f"envelope prefactor must be positive, got {self.c}")
 
 
 HardyClass = Literal["violates", "gaussian_boundary", "hermite_subcritical"]
@@ -219,23 +226,14 @@ def minkowski_envelope_experiment(samples, grid, x_body: ConvexBody, p_body: Con
     """Run the Minkowski-norm envelope experiment for one-dimensional bodies."""
     if x_body.dim != 1 or p_body.dim != 1:
         raise GridError("the grid experiment is one-dimensional; bodies must have dim 1")
-    psi = np.asarray(samples, dtype=complex)
-    grid = np.asarray(grid, dtype=float)
-    p_grid, psi_hat = hbar_fourier_1d(psi, grid, hbar)
-
-    gauge_x = gauge(x_body, grid[:, None])
-    gauge_p = gauge(p_body, p_grid[:, None])
-    log_cx = _log_envelope_constant(psi, 0.5 * gauge_x**2)
-    log_cp = _log_envelope_constant(psi_hat, 0.5 * gauge_p**2)
-    peak = float(np.max(np.abs(psi)))
-    bound = np.log(ENVELOPE_C_FACTOR * peak) if peak > 0 else np.inf
-    pos_ok = bool(log_cx <= bound)
-    mom_ok = bool(log_cp <= bound)
+    pos_ok, mom_ok, log_c = _envelope_fit(samples, grid, hbar,
+                                          lambda x: 0.5 * gauge(x_body, x[:, None])**2,
+                                          lambda p: 0.5 * gauge(p_body, p[:, None])**2)
     verdict = is_quantum_pair(x_body, p_body, hbar)
     return MinkowskiExperiment(
         pair=verdict,
         position_envelope=pos_ok,
         momentum_envelope=mom_ok,
-        log_envelope_constant=max(log_cx, log_cp),
+        log_envelope_constant=log_c,
         counterexample_candidate=bool(pos_ok and mom_ok and not verdict.is_pair),
     )

@@ -1,11 +1,15 @@
 """File formats: body documents, covariance matrices, and sample clouds.
 
 Bodies are JSON documents {"type": "ellipsoid"|"hpoly"|"vpoly",
-"matrix"|"rows"|"vertices": [[...]]}. Covariance matrices are either JSON
-{"sigma": [[...]]} or whitespace-separated matrix text. Sample files are
-delimiter-separated text, one sample per line, '#' comments and an optional
-single header line allowed; a structured cloud is JSON with "x" and "p"
-record lists.
+"matrix"|"rows"|"vertices": [[...]]}; a structured cloud is JSON with "x" and
+"p" record lists. A covariance matrix is a JSON object {"sigma": [[...]]} or
+matrix text, not a JSON list.
+
+Sample (and matrix) text holds one row of numbers per line, separated by
+commas, whitespace or both (trailing separators and CR LF allowed). Lines that
+are blank or start with '#' are skipped; a '#' after a value is an error. The
+first other line is a header, and skipped, unless it is numeric. The rest hold
+as many numbers as the first, or ValueError names the line ("no numeric rows found" if none).
 """
 
 from __future__ import annotations
@@ -32,11 +36,11 @@ def _field(doc, key: str, what: str):
 def body_from_dict(doc: dict) -> ConvexBody:
     kind = _field(doc, "type", "body document")
     if kind == "ellipsoid":
-        return Ellipsoid(np.asarray(_field(doc, "matrix", "ellipsoid document"), dtype=float))
+        return Ellipsoid(_field(doc, "matrix", "ellipsoid document"))
     if kind == "hpoly":
-        return HPolytope(np.asarray(_field(doc, "rows", "hpoly document"), dtype=float))
+        return HPolytope(_field(doc, "rows", "hpoly document"))
     if kind == "vpoly":
-        return VPolytope(np.asarray(_field(doc, "vertices", "vpoly document"), dtype=float))
+        return VPolytope(_field(doc, "vertices", "vpoly document"))
     raise ValueError(f"unknown body type {kind!r}; expected ellipsoid, hpoly, or vpoly")
 
 
@@ -55,6 +59,8 @@ def load_matrix(path) -> np.ndarray:
     """Covariance (or generic) matrix from JSON {"sigma"|"matrix": ...} or text."""
     text = Path(path).read_text()
     stripped = text.lstrip()
+    if stripped.startswith("["):
+        raise ValueError('a matrix file is a JSON object {"sigma": ...} or matrix text, not a JSON list')
     if stripped.startswith("{"):
         doc = json.loads(text)
         key = "sigma" if "sigma" in doc else "matrix"
@@ -66,31 +72,36 @@ def load_covariance(path) -> CovarianceMatrix:
     return CovarianceMatrix(load_matrix(path))
 
 
+def _width(line: str) -> int:
+    """How many numbers a sample line holds; 0 if it is not a row of numbers."""
+    try:
+        return np.loadtxt([line], comments=None, ndmin=1).size
+    except ValueError:
+        return 0
+
+
 def _parse_sample_text(text: str) -> np.ndarray:
-    rows = []
-    header_allowance = 1
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.replace(",", " ").split()
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            if header_allowance and not rows:
-                header_allowance -= 1
-                continue
-            raise ValueError(f"cannot parse sample line: {raw!r}") from None
-    if not rows:
+    lines = text.replace(",", " ").splitlines()
+    keep = [k for k, line in enumerate(lines) if line.strip() and not line.lstrip().startswith("#")]
+    if keep and not _width(lines[keep[0]]):
+        keep = keep[1:]  # the header line
+    if not keep:
         raise ValueError("no numeric rows found")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("rows have inconsistent column counts")
-    return np.asarray(rows, dtype=float)
+    try:
+        return np.loadtxt([lines[k] for k in keep], comments=None, ndmin=2)
+    except ValueError:
+        width = _width(lines[keep[0]])
+        bad = next(k for k in keep if not 0 < _width(lines[k]) == width)
+        raise ValueError(f"cannot parse sample line {bad + 1}: {text.splitlines()[bad]!r}") from None
 
 
 def load_samples(path) -> np.ndarray:
     return _parse_sample_text(Path(path).read_text())
+
+
+def dump_samples(samples: np.ndarray, path, header: str) -> None:
+    """Write one sample per line under a '# ' header; load_samples reads it back exactly."""
+    np.savetxt(path, samples, header=header, comments="# ")
 
 
 def load_cloud(path=None, x_path=None, p_path=None) -> MeasurementCloud:
@@ -98,17 +109,11 @@ def load_cloud(path=None, x_path=None, p_path=None) -> MeasurementCloud:
     if path is not None:
         with open(path) as fh:
             doc = json.load(fh)
-        return MeasurementCloud(
-            x_samples=np.asarray(_field(doc, "x", "cloud document"), dtype=float),
-            p_samples=np.asarray(_field(doc, "p", "cloud document"), dtype=float),
-            label=doc.get("label", ""),
-        )
+        return MeasurementCloud(_field(doc, "x", "cloud document"), _field(doc, "p", "cloud document"),
+                                doc.get("label", ""))
     if x_path is None or p_path is None:
         raise ValueError("provide either a structured cloud file or both sample files")
-    return MeasurementCloud(
-        x_samples=load_samples(x_path),
-        p_samples=load_samples(p_path),
-    )
+    return MeasurementCloud(load_samples(x_path), load_samples(p_path))
 
 
 def dump_cloud(cloud: MeasurementCloud, path) -> None:

@@ -27,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .bodies import DEFAULT_TOL, Ellipsoid, _accepts, _check_hbar
+from .bodies import DEFAULT_TOL, Ellipsoid, _accepts, _check_hbar, _freeze
 from .capacities import ellipsoid_capacity
 from .errors import DimensionError, InvalidCovarianceError, NotPositiveDefiniteError
 from .polarity import PairVerdict, is_quantum_pair
-from .symplectic import random_symplectic, require_symmetric, standard_symplectic_matrix
+from .symplectic import _spd_pair, random_symplectic, require_symmetric, standard_symplectic_matrix
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,7 @@ class CovarianceMatrix:
         s = require_symmetric(self.sigma)
         if s.shape[0] % 2:
             raise DimensionError(f"covariance matrices have even dimension, got {s.shape[0]}")
-        s = np.array(s)
-        s.setflags(write=False)
-        object.__setattr__(self, "sigma", s)
+        object.__setattr__(self, "sigma", _freeze(s))
 
     @property
     def n(self) -> int:
@@ -154,18 +152,8 @@ def theorem2_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> PairVerdic
 def _mode_scales(a, b, hbar: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues eig_j of A B for SPD A, B, ascending, and their ratios 2 sqrt(eig_j) / hbar."""
     _check_hbar(hbar)
-    a = require_symmetric(a)
-    b = require_symmetric(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"matrix shapes differ: {a.shape} vs {b.shape}")
-    wb, vb = np.linalg.eigh(b)
-    if wb[0] <= 0:
-        raise NotPositiveDefiniteError("B is not positive definite")
-    b_sqrt = (vb * np.sqrt(wb)) @ vb.T
-    w = np.linalg.eigvalsh(b_sqrt @ a @ b_sqrt)
-    if w[0] <= 0:
-        raise NotPositiveDefiniteError("A is not positive definite")
-    return w, 2.0 * np.sqrt(w) / hbar
+    s = _spd_pair(require_symmetric(a), require_symmetric(b))[1]
+    return s**2, 2.0 * s / hbar
 
 
 def heisenberg_eigen_check(a, b, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> list[bool]:

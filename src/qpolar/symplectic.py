@@ -97,6 +97,19 @@ def symplectic_eigenvalues(s: np.ndarray) -> np.ndarray:
     return 0.5 * (svals[0::2] + svals[1::2])
 
 
+def _spd_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor symmetric A = C C^T and B = G G^T, checking each once, and take the SVD C^T G.
+
+    With C^T G = U diag(s) V^T, C^T B C = U diag(s^2) U^T is similar to A B, so the
+    s_j^2 are the eigenvalues of A B. Returns (C, s, U) with s ascending.
+    """
+    if a.shape != b.shape:
+        raise DimensionError(f"matrix shapes differ: {a.shape} vs {b.shape}")
+    c = _spd_cholesky(a, "A")
+    u, s, _ = np.linalg.svd(c.T @ _spd_cholesky(b, "B"))
+    return c, s[::-1], u[:, ::-1]
+
+
 def block_diagonalize(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Simultaneous congruence of two SPD matrices to a common diagonal.
 
@@ -107,30 +120,15 @@ def block_diagonalize(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     where Lam = diag(sqrt(mu_1), ..., sqrt(mu_n)) and the mu_j are the
     (positive) eigenvalues of the product A B, sorted ascending.
 
-    Construction: diagonalize W = A^{1/2} B A^{1/2} = U D^2 U^T and take
-    L = A^{-1/2} U D^{1/2}; both identities then hold exactly in exact
+    Construction: with A = C C^T and C^T B C = U D^2 U^T (``_spd_pair``), take
+    L = C^{-T} U D^{1/2}; both identities then hold exactly in exact
     arithmetic. Residuals beyond 1e-8 (relative) raise ConvergenceError.
     """
     a = require_symmetric(a)
     b = require_symmetric(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"matrix shapes differ: {a.shape} vs {b.shape}")
-    _spd_cholesky(a, "A")
-    _spd_cholesky(b, "B")
-
-    wa, va = np.linalg.eigh(a)
-    if wa[0] <= 0:
-        raise NotPositiveDefiniteError("A is not positive definite")
-    a_sqrt = (va * np.sqrt(wa)) @ va.T
-    a_isqrt = (va / np.sqrt(wa)) @ va.T
-
-    w = a_sqrt @ b @ a_sqrt
-    d2, u = np.linalg.eigh(0.5 * (w + w.T))
-    if d2[0] <= 0:
-        raise NotPositiveDefiniteError("B is not positive definite")
-    d = np.sqrt(np.sqrt(d2))  # D^{1/2}, ascending
-    l = a_isqrt @ u @ np.diag(d)
-    lam = np.diag(np.sqrt(d2))
+    c, d, u = _spd_pair(a, b)
+    l = np.linalg.solve(c.T, u * np.sqrt(d))
+    lam = np.diag(d)
 
     scale = max(np.max(np.abs(lam)), 1.0)
     r1 = np.max(np.abs(l.T @ a @ l - lam))

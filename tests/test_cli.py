@@ -183,6 +183,15 @@ class TestCloudCommands:
         ana = runner.invoke(cli, ["cloud", "analyze", "-x", str(x_file), "-p", str(p_file)])
         assert ana.exit_code == 2  # 0.4 * 1.0 < hbar
 
+    def test_generate_without_output_draws_nothing(self, runner, monkeypatch):
+        def draw(*args):
+            raise AssertionError("samples drawn before the output check")
+
+        monkeypatch.setattr("qpolar.cli.cloud_generate_disk", draw)
+        result = runner.invoke(cli, ["cloud", "generate", "--rx", "1", "--rp", "1"])
+        assert result.exit_code == 2
+        assert "provide -o or --x-out/--p-out" in result.output
+
     def test_demo_disk_example(self, runner):
         result = runner.invoke(cli, ["demo", "disk-example", "--rx", "2.0", "--rp", "1.0",
                                      "-n", "20000", "--format", "structured"])
@@ -246,9 +255,11 @@ def test_bad_hbar_exits_one(runner, tmp_path, disk_x, disk_p, command, hbar):
     ([[1.0, 0.0], [0.0, 1.0]], ["polar", "--body", "{doc}"], "JSON object"),
     ({"type": "vpoly", "rows": [[1.0]]}, ["polar", "--body", "{doc}"], "'vertices'"),
     ({"cov": [[1.0, 0.0], [0.0, 1.0]]}, ["covariance", "--sigma", "{doc}"], "'matrix'"),
+    ([[1.0, 0.0], [0.0, 1.0]], ["covariance", "--sigma", "{doc}"], "JSON object"),
     ({"x": [[0.0, 1.0], [1.0, 0.0]]}, ["cloud", "analyze", "--cloud", "{doc}"], "'p'"),
     ({"p": [[0.0, 1.0], [1.0, 0.0]]}, ["cloud", "analyze", "--cloud", "{doc}"], "'x'"),
-], ids=["body-no-matrix", "body-list", "vpoly-no-vertices", "sigma-no-matrix", "cloud-no-p", "cloud-no-x"])
+], ids=["body-no-matrix", "body-list", "vpoly-no-vertices", "sigma-no-matrix", "sigma-list",
+     "cloud-no-p", "cloud-no-x"])
 def test_malformed_document_exits_one(runner, tmp_path, doc, args, key):
     path = write_json(tmp_path / "doc.json", doc)
     result = runner.invoke(cli, [path if a == "{doc}" else a for a in args])

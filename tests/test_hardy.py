@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,12 @@ class TestHardyEnvelope:
     def test_rejects_bad_widths(self):
         with pytest.raises(ValueError):
             hardy_envelope_verify(self.psi, self.x, -1.0, 0.5)
+
+    def test_zero_function_passes_without_alarm(self):
+        # psi = 0 meets every envelope; the uncertainty bound says nothing about it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hardy_envelope_verify(np.zeros_like(self.x), self.x, 0.1, 0.1, hbar=1.0)
 
 
 class TestMinkowskiExperiment:

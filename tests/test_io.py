@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from qpolar.bodies import Ellipsoid, HPolytope, VPolytope
 from qpolar.io import (
     body_from_dict,
     dump_body,
+    dump_samples,
     load_body,
     load_cloud,
     load_matrix,
@@ -32,6 +34,23 @@ class TestBodyDocuments:
             body_from_dict({"type": "zonotope", "generators": [[1.0]]})
 
 
+def _reference_parse(text):
+    """Line-by-line reference for the sample grammar: Python's float on every value."""
+    rows, header = [], True
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            rows.append([float(v) for v in line.replace(",", " ").split()])
+        except ValueError:
+            if header and not rows:
+                header = False
+                continue
+            raise
+    return np.asarray(rows, dtype=float)
+
+
 class TestSampleText:
     def test_comments_and_header_skipped(self, tmp_path):
         path = tmp_path / "x.txt"
@@ -39,17 +58,63 @@ class TestSampleText:
         out = load_samples(path)
         assert np.array_equal(out, [[1.0, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize("text, expected", [
+        ("# a comment\n\n# another\nx1 x2\n1.0 2.0\n3.0 4.0\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1.0, 2.0\n3.0 ,4.0\n5,\t6\n7 ,, 8\n", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]),
+        ("p1,p2\r\n# c\r\n1.5,-2.5\r\n\r\n-3e-300 4E+300\r\n", [[1.5, -2.5], [-3e-300, 4e300]]),
+        ("1 2,\n3 4 \n5, 6,\n", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+        ("  0.1\n\t-0.2\n", [[0.1], [-0.2]]),
+    ], ids=["comments-then-header", "mixed-separators", "crlf", "trailing-separators", "one-column"])
+    def test_accepted_grammar(self, tmp_path, text, expected):
+        path = tmp_path / "x.txt"
+        path.write_bytes(text.encode())
+        out = load_samples(path)
+        assert np.array_equal(out, expected)
+        assert out.dtype == np.float64 and out.ndim == 2
+
     def test_inconsistent_columns_rejected(self, tmp_path):
         path = tmp_path / "x.txt"
-        path.write_text("1.0 2.0\n3.0\n")
-        with pytest.raises(ValueError):
-            load_samples(path)
+        for text, line in [("1.0 2.0\n3.0\n", "line 2: '3.0'"),
+                           ("1 2\n3 4 5\n", "line 2: '3 4 5'"),
+                           ("# c\n1\n\n2 3\n", "line 4: '2 3'")]:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=re.escape(line)):
+                load_samples(path)
 
     def test_garbage_line_rejected(self, tmp_path):
         path = tmp_path / "x.txt"
-        path.write_text("1.0 2.0\nnot numbers here\n")
-        with pytest.raises(ValueError):
+        for text, line in [("1.0 2.0\nnot numbers here\n", "not numbers here"),
+                           ("1.0 2.0\n3.0 abc\n", "3.0 abc"),
+                           ("x y\nfoo bar\n1 2\n", "foo bar"),
+                           ("1 2\n3 4 # note\n", "3 4 # note")]:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=re.escape(repr(line))):
+                load_samples(path)
+
+    @pytest.mark.parametrize("text", ["", "\n \n\t\n", "# only\n# comments\n", "x1 x2\n# c\n"],
+                             ids=["empty", "blank", "comment-only", "header-only"])
+    def test_no_rows(self, tmp_path, text):
+        path = tmp_path / "x.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="no numeric rows found"):
             load_samples(path)
+
+    def test_dump_samples_round_trip(self, tmp_path):
+        rng = np.random.default_rng(8)
+        samples = rng.standard_normal((500, 2)) * 10.0 ** rng.integers(-300, 300, size=(500, 2))
+        path = tmp_path / "x.txt"
+        dump_samples(samples, path, "x1 x2")
+        assert path.read_text().startswith("# x1 x2\n")
+        assert np.array_equal(load_samples(path), samples)
+
+    def test_matches_python_float(self, tmp_path):
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((2000, 3)) * 10.0 ** rng.integers(-300, 300, size=(2000, 3))
+        lines = [f"{a!r}, {b:.17g}\t{c:.6e}" for a, b, c in values.tolist()]
+        text = "# samples\nx y z\n" + "\n".join(lines) + "\n"
+        path = tmp_path / "x.txt"
+        path.write_text(text)
+        assert np.array_equal(load_samples(path), _reference_parse(text))
 
 
 class TestMatrixAndCloud:

@@ -27,7 +27,7 @@ from qpolar.quantum import (
     rs_check,
     theorem2_check,
 )
-from qpolar.symplectic import symplectic_eigenvalues
+from qpolar.symplectic import block_diagonalize, symplectic_eigenvalues
 
 from conftest import covariance_with_spectrum, random_spd
 
@@ -294,6 +294,18 @@ class TestHeisenbergEigenCheck:
             check(a, b, float(rng.uniform(0.5, 2.0)))
         # Spread spectrum: the smallest eigenvalue misses hbar^2/4 by 1e-5 relative.
         check(np.diag([0.25 * (1 - 1e-5), 1e4]), np.eye(2), 1.0)
+
+
+def test_spd_pair_routes_agree():
+    # hardy_check, block_diagonalize and the unsymmetric product A B give one spectrum.
+    rng = np.random.default_rng(909)
+    for trial in range(100):
+        n = 1 + trial % 6
+        a = random_spd(n, rng)
+        b = random_spd(n, rng)
+        expected = np.sort(np.linalg.eigvals(a @ b).real)
+        assert hardy_check(HardyInput(a, b)).eigenvalues == pytest.approx(expected, rel=1e-12)
+        assert np.diag(block_diagonalize(a, b)[1]) ** 2 == pytest.approx(expected, rel=1e-12)
 
 
 class TestHardyCheck:

@@ -6,6 +6,8 @@ from qpolar.errors import (
     NotPositiveDefiniteError,
     NotSymmetricError,
 )
+from qpolar.hardy import HardyInput, hardy_check
+from qpolar.quantum import heisenberg_eigen_check
 from qpolar.symplectic import (
     block_diagonalize,
     is_symplectic,
@@ -179,9 +181,12 @@ class TestBlockDiagonalize:
             assert np.diag(lam) == pytest.approx(expected, rel=1e-10)
 
     def test_rejects_non_spd(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            block_diagonalize(np.diag([1.0, -1.0]), np.eye(2))
-        with pytest.raises(NotPositiveDefiniteError):
-            block_diagonalize(np.eye(2), np.diag([0.0, 1.0]))
-        with pytest.raises(DimensionError):
-            block_diagonalize(np.eye(2), np.eye(3))
+        for check in (block_diagonalize, heisenberg_eigen_check,
+                      lambda a, b: hardy_check(HardyInput(a, b))):
+            for bad in (np.diag([1.0, -1.0]), np.diag([0.0, 1.0]), np.array([[1.0, 2.0], [2.0, 1.0]])):
+                with pytest.raises(NotPositiveDefiniteError, match="^A is not positive definite"):
+                    check(bad, np.eye(2))
+                with pytest.raises(NotPositiveDefiniteError, match="^B is not positive definite"):
+                    check(np.eye(2), bad)
+            with pytest.raises(DimensionError):
+                check(np.eye(2), np.eye(3))
