@@ -17,6 +17,8 @@ representation of its polar.
 Containment, the quantum-pair verdict and the product capacity all reduce to
 one inclusion scale, max{lambda : lambda * inner subset of outer}, computed by
 ``_fit_scale`` and accepted by ``_accepts``, the one rule of every verdict.
+For ellipsoids it is 1 / sqrt(mu_max), mu_max the largest eigenvalue of the outer
+matrix relative to the inner one by the inner's Cholesky factor (``_pencil_eigenvalues``).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from math import comb
 from typing import Union
 
 import numpy as np
-from scipy.linalg import eigh as gen_eigh
 
 from .errors import (
     ConvergenceError,
@@ -35,7 +36,7 @@ from .errors import (
     SingularMatrixError,
     UndecidedError,
 )
-from .symplectic import _spd_cholesky, require_symmetric
+from .symplectic import _pencil_eigenvalues, _spd_cholesky, require_symmetric
 
 # Inclusion scales and V-polytope gauges enumerate H-polytope vertices up to
 # this dimension; beyond it an inclusion scale that needs the vertices is
@@ -303,7 +304,7 @@ def _fit_scale(inner: ConvexBody, outer: ConvexBody) -> float:
     """max{lambda > 0 : lambda * inner subset of outer}, exact or UndecidedError."""
     if isinstance(inner, Ellipsoid):
         if isinstance(outer, Ellipsoid):
-            mu_max = gen_eigh(outer.matrix, inner.matrix, eigvals_only=True)[-1]
+            mu_max = _pencil_eigenvalues(outer.matrix, inner.matrix)[-1]
             return float(1.0 / np.sqrt(mu_max))
         # By unit polarity lambda * E in K iff lambda * K° in E°.
         return _fit_scale(polar_dual(outer), polar_dual(inner))

@@ -1,5 +1,5 @@
 """Symplectic capacities: exact ellipsoid values, the Lagrangian-product formula,
-and conjugate-plane section areas.
+and conjugate-plane projection areas of products.
 
 On a phase-space ellipsoid {z : z^T Q z <= 1} every symplectic capacity equals
 pi / mu_max with mu_max the largest Williamson eigenvalue of Q (normalized so a
@@ -71,30 +71,6 @@ def product_capacity(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,
         equality_case=_accepts(lam, tol) and _accepts(1.0 / lam, tol),
         lambda_max=lam,
     )
-
-
-def section_area(sigma, j: int) -> float:
-    """Area of the covariance ellipsoid's section by the j-th conjugate plane.
-
-    sigma is a 2n x 2n covariance matrix (or a CovarianceMatrix); the region
-    is {z : z^T Sigma^{-1} z / 2 <= 1} and the section sets every coordinate
-    except (x_j, p_j) to zero. j is 1-based. For a valid quantum covariance
-    matrix the area is at least pi * hbar; hbar itself does not enter the
-    value.
-    """
-    mat = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
-        raise DimensionError(f"expected a 2n x 2n matrix, got shape {mat.shape}")
-    n = mat.shape[0] // 2
-    if not 1 <= j <= n:
-        raise IndexError(f"mode index must satisfy 1 <= j <= {n}, got {j}")
-    inv = np.linalg.inv(mat)
-    idx = [j - 1, n + j - 1]
-    sub = inv[np.ix_(idx, idx)] / 2.0
-    det = np.linalg.det(sub)
-    if det <= 0:
-        raise DimensionError("covariance matrix is singular on the requested plane")
-    return float(np.pi / np.sqrt(det))
 
 
 def product_projection_area(x: ConvexBody, p: ConvexBody, j: int) -> float:

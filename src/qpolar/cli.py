@@ -16,7 +16,7 @@ import numpy as np
 
 from . import io as qio
 from .bodies import DEFAULT_TOL, Ellipsoid, polar_dual
-from .capacities import ellipsoid_capacity, product_capacity, section_area
+from .capacities import ellipsoid_capacity, product_capacity
 from .cloud import FIT_MODES, body_to_dict, cloud_analyze, cloud_generate_disk, disk_demo
 from .errors import QPolarError
 from .hardy import HardyInput, hardy_check
@@ -25,8 +25,9 @@ from .quantum import (
     capacity_criterion,
     covariance_ellipsoid,
     is_quantum_covariance,
+    project_xp,
     rs_check,
-    theorem2_check,
+    section_area,
 )
 from .sections import emit_section_plot
 from .symplectic import symplectic_eigenvalues
@@ -199,7 +200,7 @@ def covariance(sigma_path, hbar, tol, fmt):
         "half_hbar": 0.5 * hbar,
     }
     if valid:
-        verdict = theorem2_check(cov, hbar, tol)
+        verdict = is_quantum_pair(*project_xp(cov), hbar, tol)
         doc["projection_pair"] = {
             "is_pair": verdict.is_pair,
             "lambda_max": verdict.lambda_max,

@@ -3,7 +3,8 @@
 Bodies are JSON documents {"type": "ellipsoid"|"hpoly"|"vpoly",
 "matrix"|"rows"|"vertices": [[...]]}; a structured cloud is JSON with "x" and
 "p" record lists. A covariance matrix is a JSON object {"sigma": [[...]]} or
-matrix text, not a JSON list.
+matrix text, not a JSON list. Every file is read as UTF-8, a leading
+byte-order mark ignored.
 
 Sample (and matrix) text holds one row of numbers per line, separated by
 commas, whitespace or both (trailing separators and CR LF allowed). Lines that
@@ -45,7 +46,7 @@ def body_from_dict(doc: dict) -> ConvexBody:
 
 
 def load_body(path) -> ConvexBody:
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return body_from_dict(json.load(fh))
 
 
@@ -57,7 +58,7 @@ def dump_body(body: ConvexBody, path) -> None:
 
 def load_matrix(path) -> np.ndarray:
     """Covariance (or generic) matrix from JSON {"sigma"|"matrix": ...} or text."""
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8-sig")
     stripped = text.lstrip()
     if stripped.startswith("["):
         raise ValueError('a matrix file is a JSON object {"sigma": ...} or matrix text, not a JSON list')
@@ -96,7 +97,7 @@ def _parse_sample_text(text: str) -> np.ndarray:
 
 
 def load_samples(path) -> np.ndarray:
-    return _parse_sample_text(Path(path).read_text())
+    return _parse_sample_text(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def dump_samples(samples: np.ndarray, path, header: str) -> None:
@@ -107,7 +108,7 @@ def dump_samples(samples: np.ndarray, path, header: str) -> None:
 def load_cloud(path=None, x_path=None, p_path=None) -> MeasurementCloud:
     """Load a cloud from a structured JSON file or a pair of sample files."""
     if path is not None:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
         return MeasurementCloud(_field(doc, "x", "cloud document"), _field(doc, "p", "cloud document"),
                                 doc.get("label", ""))

@@ -25,13 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .bodies import DEFAULT_TOL, Ellipsoid, _accepts, _check_hbar, _freeze
 from .capacities import ellipsoid_capacity
 from .errors import DimensionError, InvalidCovarianceError, NotPositiveDefiniteError
 from .polarity import PairVerdict, is_quantum_pair
-from .symplectic import _spd_pair, random_symplectic, require_symmetric, standard_symplectic_matrix
+from .symplectic import (_pencil_eigenvalues, _spd_pair, random_symplectic, require_symmetric,
+                         standard_symplectic_matrix)
 
 
 @dataclass(frozen=True)
@@ -76,17 +76,17 @@ def _as_cov(s) -> CovarianceMatrix:
 def is_quantum_covariance(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> bool:
     """True iff Sigma + (i hbar / 2) J is positive semidefinite (within tol).
 
-    Relative to Sigma, (i hbar / 2) J has eigenvalues +-hbar / (2 nu_j), so the
-    ratio is 2 nu_min / hbar = -1 / (smallest of them). Boundary states count
-    as valid, a Sigma that is not positive definite as invalid. Agrees with
-    the Williamson threshold and the capacity criterion on every SPD input.
+    With Sigma = C C^T (Cholesky), the Hermitian C^{-1} (i hbar / 2) J C^{-T}
+    has eigenvalues +-hbar / (2 nu_j), so the ratio is 2 nu_min / hbar
+    = -1 / (smallest of them). Boundary states count as valid, a Sigma that is
+    not positive definite (no Cholesky factor) as invalid. Agrees with the
+    Williamson threshold and the capacity criterion on every SPD input.
     """
     _check_hbar(hbar)
     cov = _as_cov(s)
     try:
-        smallest = eigh(0.5j * hbar * standard_symplectic_matrix(cov.n), cov.sigma,
-                        eigvals_only=True)[0]
-    except np.linalg.LinAlgError:
+        smallest = _pencil_eigenvalues(0.5j * hbar * standard_symplectic_matrix(cov.n), cov.sigma)[0]
+    except NotPositiveDefiniteError:
         return False
     return _accepts(-1.0 / smallest, tol)
 
@@ -121,6 +121,18 @@ def capacity_criterion(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> bool:
     """True iff the covariance ellipsoid has capacity >= pi * hbar (= h/2)."""
     _check_hbar(hbar)
     return _accepts(ellipsoid_capacity(covariance_ellipsoid(s)) / (np.pi * hbar), tol)
+
+
+def section_area(s, j: int) -> float:
+    """Area of the covariance ellipsoid's section by the j-th conjugate plane (1-based):
+    pi / sqrt(det) of the (x_j, p_j) block of its matrix, >= pi * hbar when Sigma is
+    valid. NotPositiveDefiniteError unless Sigma is positive definite."""
+    q = covariance_ellipsoid(s).matrix
+    n = q.shape[0] // 2
+    if not 1 <= j <= n:
+        raise IndexError(f"mode index must satisfy 1 <= j <= {n}, got {j}")
+    idx = [j - 1, n + j - 1]
+    return float(np.pi / np.sqrt(np.linalg.det(q[np.ix_(idx, idx)])))
 
 
 def project_xp(s) -> tuple[Ellipsoid, Ellipsoid]:

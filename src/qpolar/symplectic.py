@@ -110,6 +110,13 @@ def _spd_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return c, s[::-1], u[:, ::-1]
 
 
+def _pencil_eigenvalues(m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Eigenvalues of M v = mu S v (M Hermitian, S SPD), ascending: those of C^{-1} M C^{-H}
+    for S = C C^T, the Cholesky reduction LAPACK's generalized solver makes."""
+    c_inv = np.linalg.inv(_spd_cholesky(s))
+    return np.linalg.eigvalsh(c_inv @ m @ c_inv.T)
+
+
 def block_diagonalize(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Simultaneous congruence of two SPD matrices to a common diagonal.
 

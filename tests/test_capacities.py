@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 
 from qpolar.bodies import Ellipsoid, HPolytope, VPolytope, contains, linear_image, scale
-from qpolar.capacities import (
-    ellipsoid_capacity,
-    product_capacity,
-    product_projection_area,
-    section_area,
-)
-from qpolar.errors import DimensionError
+from qpolar.capacities import ellipsoid_capacity, product_capacity, product_projection_area
+from qpolar.errors import DimensionError, NotPositiveDefiniteError
 from qpolar.polarity import is_quantum_pair, polar_dual
+from qpolar.quantum import section_area
 from qpolar.symplectic import random_symplectic
 
 from conftest import area_oracle_1d, random_body, random_spd
@@ -160,6 +156,11 @@ class TestSectionArea:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             section_area(np.eye(4), 3)
+
+    @pytest.mark.parametrize("sigma", [np.diag([1.0, -1.0, 1.0, -1.0]), np.diag([1.0, 0.0, 1.0, 1.0])])
+    def test_not_positive_definite_rejected(self, sigma):
+        with pytest.raises(NotPositiveDefiniteError):
+            section_area(sigma, 1)
 
     def test_section_vs_capacity_on_williamson_aligned(self, rng):
         # For block-diagonal Sigma = diag(c, c) the x1,p1 section is a disk of

@@ -108,6 +108,13 @@ class TestCapacity:
                                      "--format", "structured"])
         assert json.loads(result.output)["section_area"] == pytest.approx(np.pi)
 
+    @pytest.mark.parametrize("diag", [[1.0, -1.0, 1.0, -1.0], [1.0, 0.0, 1.0, 1.0]])
+    def test_section_of_non_positive_definite_sigma_exits_one(self, runner, tmp_path, diag):
+        sigma = write_json(tmp_path / "sigma.json", {"sigma": np.diag(diag).tolist()})
+        result = runner.invoke(cli, ["capacity", "--sigma", sigma, "-j", "1"])
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: ")
+
     def test_product_below_bound_exits_two(self, runner, tmp_path, disk_p):
         small = write_json(tmp_path / "s.json", {"type": "ellipsoid", "matrix": [[4.0, 0], [0, 4.0]]})
         result = runner.invoke(cli, ["capacity", "-x", small, "-p", disk_p])
@@ -138,6 +145,31 @@ class TestCovariance:
         path.write_text("# comment\n1.0 0.0\n0.0 1.0\n")
         result = runner.invoke(cli, ["covariance", "--sigma", str(path)])
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("scale", [1.0, 0.25])
+    def test_validity_decided_once(self, runner, tmp_path, monkeypatch, scale):
+        import qpolar.cli
+        import qpolar.quantum
+
+        sigma = scale * qpolar.random_quantum_covariance(2, 3, slack=0.5).sigma
+        path = write_json(tmp_path / "sigma.json", {"sigma": sigma.tolist()})
+        calls = []
+        decide = qpolar.quantum.is_quantum_covariance
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return decide(*args, **kwargs)
+
+        for module in (qpolar.cli, qpolar.quantum):
+            monkeypatch.setattr(module, "is_quantum_covariance", counted)
+        result = runner.invoke(cli, ["covariance", "--sigma", path, "--format", "structured"])
+        assert len(calls) == 1
+        doc = json.loads(result.output)
+        if scale == 1.0:
+            verdict = qpolar.theorem2_check(sigma)
+            assert doc["projection_pair"] == {"is_pair": verdict.is_pair, "lambda_max": verdict.lambda_max}
+        else:
+            assert result.exit_code == 2 and "projection_pair" not in doc
 
 
 class TestHardy:
@@ -225,13 +257,37 @@ class TestPlotSection:
         assert float(area_line.split(":")[1]) == pytest.approx(2 * np.pi, rel=1e-3)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # Nor the LP solver and Qhull, which load on first use.
+def _scipy_modules_after(code):
+    """The scipy modules loaded in a fresh interpreter that runs code."""
     env = {**os.environ, "PYTHONPATH": str(Path(qpolar.__file__).resolve().parents[1])}
-    modules = ["scipy.stats", "scipy.optimize", "scipy.spatial"]
-    code = f"import sys, qpolar; print([m for m in {modules!r} if m in sys.modules])"
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # Nor any other scipy module: the LP solver and Qhull load on first use.
+    assert _scipy_modules_after("import qpolar") == "[]"
+    assert _scipy_modules_after("import qpolar.cli") == "[]"
+
+
+def test_ellipsoid_and_covariance_work_loads_no_scipy():
+    code = """
+import numpy as np
+import qpolar as q
+x, p = q.Ellipsoid(np.diag([0.25, 1.0])), q.Ellipsoid(np.diag([1.0, 0.5]))
+assert q.is_quantum_pair(x, p).is_pair and not q.contains(x, p)
+sigma = q.random_quantum_covariance(2, 0, slack=0.5).sigma
+assert q.is_quantum_covariance(sigma)
+assert not q.is_quantum_covariance(0.25 * np.eye(4))
+assert not q.is_quantum_covariance(np.diag([1.0, 0.0, 1.0, 1.0]))
+assert q.theorem2_check(sigma).is_pair
+assert q.hardy_check(q.HardyInput(np.eye(2), np.eye(2))).classification == "hermite_subcritical"
+q.disk_demo(2.0, 1.0, 2000, 0)
+for fit in ("ball", "mvee", "interval-box"):
+    q.cloud_analyze(q.cloud_generate_disk(2.0, 1.0, 2000, 0), fit=fit, trim=0.01)
+"""
+    assert _scipy_modules_after(code) == "[]"
 
 
 @pytest.mark.parametrize("hbar", ["0", "-1", "nan", "inf"])

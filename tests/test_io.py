@@ -139,3 +139,17 @@ class TestMatrixAndCloud:
     def test_cloud_requires_some_input(self):
         with pytest.raises(ValueError):
             load_cloud()
+
+
+@pytest.mark.parametrize("text, load", [
+    ("1 2\n3 4\n", load_samples),
+    ('{"sigma": [[1.0, 0.0], [0.0, 1.0]]}', load_matrix),
+    ('{"type": "hpoly", "rows": [[1.0, 0.5], [0.0, 2.0]]}', lambda path: load_body(path).rows),
+    ('{"x": [[1.0, 0.0], [0.0, 1.0]], "p": [[2.0, 0.0], [0.0, 2.0]]}',
+     lambda path: load_cloud(path).p_samples),
+], ids=["samples", "matrix", "body", "cloud"])
+def test_byte_order_mark_ignored(tmp_path, text, load):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert np.array_equal(load(marked), load(plain))

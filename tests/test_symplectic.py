@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from qpolar.errors import (
     DimensionError,
@@ -9,6 +10,7 @@ from qpolar.errors import (
 from qpolar.hardy import HardyInput, hardy_check
 from qpolar.quantum import heisenberg_eigen_check
 from qpolar.symplectic import (
+    _pencil_eigenvalues,
     block_diagonalize,
     is_symplectic,
     random_symplectic,
@@ -17,7 +19,7 @@ from qpolar.symplectic import (
     symplectic_form,
 )
 
-from conftest import random_spd
+from conftest import covariance_with_spectrum, random_spd
 
 
 class TestStandardForm:
@@ -190,3 +192,30 @@ class TestBlockDiagonalize:
                     check(np.eye(2), bad)
             with pytest.raises(DimensionError):
                 check(np.eye(2), np.eye(3))
+
+
+class TestPencilEigenvalues:
+    """The Cholesky reduction agrees with LAPACK's generalized Hermitian solver."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_real_spd_pencils(self, n, rng):
+        for cond in (1.0, 1e2, 1e4):
+            for _ in range(10):
+                a, b = random_spd(n, rng, cond), random_spd(n, rng, cond)
+                ref = eigh(a, b, eigvals_only=True)
+                assert np.max(np.abs(_pencil_eigenvalues(a, b) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("ratio", np.logspace(-3, np.log10(5e17), 12))
+    def test_covariance_pencil(self, ratio, rng):
+        # (i hbar / 2) J relative to Sigma: eigenvalues +-hbar / (2 nu_j), nu / hbar = ratio.
+        for n in (1, 2, 3):
+            for hbar in (1e-3, 1.0, 1e3):
+                nu = hbar * ratio * np.exp(rng.uniform(0.0, 1.0, size=n))
+                m = 0.5j * hbar * standard_symplectic_matrix(n)
+                sigma = covariance_with_spectrum(nu, rng)
+                ref = eigh(m, sigma, eigvals_only=True)
+                assert np.allclose(_pencil_eigenvalues(m, sigma), ref, rtol=1e-13, atol=0.0)
+
+    def test_not_positive_definite_raises(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            _pencil_eigenvalues(np.eye(2), np.diag([1.0, -1.0]))
