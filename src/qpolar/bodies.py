@@ -6,13 +6,14 @@ All bodies are origin-centered (body = -body by construction):
 * ``HPolytope(rows=A)``        is {x : |a_i^T x| <= 1 for every row a_i};
 * ``VPolytope(vertices=V)``    is conv{+-v_j} over the listed vertices.
 
-Operations are pure functions over these immutable values. The Minkowski
-gauge is the one body kernel and a closed form for every representation;
-a V-polytope's facet normals come from ``hpolytope_vertices`` (Qhull), the
-one polytope conversion, unless there may be so many that one HiGHS LP per
-row costs less. The support function is the gauge of the unit
-polar, h_K = ||.||_{K°}, and ``polar_dual`` maps each representation to the
-representation of its polar.
+Operations are pure functions over these immutable values, and each derived body has
+one construction: every inverted ellipsoid (a polar, the MVEE) is ``_inverse_ellipsoid``,
+which symmetrizes the computed inverse; both polytopes validate in ``_polytope_array``;
+``scale`` is a ``linear_image``. The Minkowski gauge is the one body kernel and a closed
+form for every representation; a V-polytope's facet normals come from
+``hpolytope_vertices`` (Qhull), the one polytope conversion, unless there may be so many
+that one HiGHS LP per row costs less. The support function is the gauge of the unit
+polar, h_K = ||.||_{K°}, and ``polar_dual`` maps each representation to its polar's.
 
 Containment, the quantum-pair verdict and the product capacity all reduce to
 one inclusion scale, max{lambda : lambda * inner subset of outer}, computed by
@@ -33,6 +34,7 @@ from .errors import (
     ConvergenceError,
     DegenerateBodyError,
     DimensionError,
+    NotPositiveDefiniteError,
     SingularMatrixError,
     UndecidedError,
 )
@@ -58,6 +60,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=float)
     arr.setflags(write=False)
     return arr
+
+
+def _polytope_array(arr, kind: str, what: str, spans: str) -> np.ndarray:
+    """The one polytope validator: arr as frozen finite nonzero rows spanning the space."""
+    arr = np.atleast_2d(np.asarray(arr, dtype=float))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"polytope {what} must be finite")
+    if arr.shape[0] == 0 or np.any(np.linalg.norm(arr, axis=1) == 0):
+        raise DegenerateBodyError(f"{kind}-polytope {what} must be non-empty and nonzero")
+    if np.linalg.matrix_rank(arr) < arr.shape[1]:
+        raise DegenerateBodyError(f"{kind}-polytope {what} must span the space ({spans})")
+    return _freeze(arr)
 
 
 @dataclass(frozen=True)
@@ -90,15 +104,7 @@ class HPolytope:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("polytope rows must be finite")
-        norms = np.linalg.norm(rows, axis=1)
-        if rows.shape[0] == 0 or np.any(norms == 0):
-            raise DegenerateBodyError("H-polytope rows must be non-empty and nonzero")
-        if np.linalg.matrix_rank(rows) < rows.shape[1]:
-            raise DegenerateBodyError("H-polytope rows must span the space (bounded body)")
-        object.__setattr__(self, "rows", _freeze(rows))
+        object.__setattr__(self, "rows", _polytope_array(self.rows, "H", "rows", "bounded body"))
 
     @property
     def dim(self) -> int:
@@ -120,14 +126,7 @@ class VPolytope:
     vertices: np.ndarray
 
     def __post_init__(self):
-        verts = np.atleast_2d(np.asarray(self.vertices, dtype=float))
-        if not np.all(np.isfinite(verts)):
-            raise ValueError("polytope vertices must be finite")
-        if verts.shape[0] == 0 or np.any(np.linalg.norm(verts, axis=1) == 0):
-            raise DegenerateBodyError("V-polytope vertices must be non-empty and nonzero")
-        if np.linalg.matrix_rank(verts) < verts.shape[1]:
-            raise DegenerateBodyError("V-polytope vertices must span the space (full-dimensional body)")
-        object.__setattr__(self, "vertices", _freeze(verts))
+        object.__setattr__(self, "vertices", _polytope_array(self.vertices, "V", "vertices", "full-dimensional body"))
 
     @property
     def dim(self) -> int:
@@ -203,6 +202,15 @@ def support(body: ConvexBody, u) -> float | np.ndarray:
     return gauge(polar_dual(body), u)
 
 
+def _inverse_ellipsoid(m: np.ndarray, d: float, what: str) -> Ellipsoid:
+    """The ellipsoid with matrix M^{-1} / d, the computed inverse symmetrized."""
+    try:
+        inv = np.linalg.inv(m) / d
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(f"{what} is singular") from None
+    return Ellipsoid(0.5 * (inv + inv.T))
+
+
 def polar_dual(body: ConvexBody, hbar: float = 1.0) -> ConvexBody:
     """The hbar-polar dual X^hbar = {p : p . x <= hbar on X}.
 
@@ -213,7 +221,7 @@ def polar_dual(body: ConvexBody, hbar: float = 1.0) -> ConvexBody:
     """
     _check_hbar(hbar)
     if isinstance(body, Ellipsoid):
-        return Ellipsoid(np.linalg.inv(body.matrix) / hbar**2)
+        return _inverse_ellipsoid(body.matrix, hbar**2, "ellipsoid matrix")
     if isinstance(body, HPolytope):
         return VPolytope(hbar * body.rows)
     return HPolytope(body.vertices / hbar)
@@ -239,11 +247,7 @@ def scale(body: ConvexBody, factor: float) -> ConvexBody:
     """The dilate factor * body for factor > 0."""
     if factor <= 0:
         raise ValueError(f"scale factor must be positive, got {factor}")
-    if isinstance(body, Ellipsoid):
-        return Ellipsoid(body.matrix / factor**2)
-    if isinstance(body, VPolytope):
-        return VPolytope(body.vertices * factor)
-    return HPolytope(body.rows / factor)
+    return linear_image(body, factor * np.eye(body.dim))
 
 
 def _halfspace_vertices(rows: np.ndarray) -> np.ndarray:
@@ -390,5 +394,4 @@ def enclosing_ellipsoid(points, mode: str = "ball") -> Ellipsoid:
             f"in {MVEE_MAX_ITER} iterations"
         )
     # Scale by the worst gauge so containment of every input point is exact.
-    q = np.linalg.inv(mat) / np.max(g)
-    return Ellipsoid(0.5 * (q + q.T))
+    return _inverse_ellipsoid(mat, np.max(g), "moment matrix")

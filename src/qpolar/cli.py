@@ -18,7 +18,7 @@ from . import io as qio
 from .bodies import DEFAULT_TOL, Ellipsoid, polar_dual
 from .capacities import ellipsoid_capacity, product_capacity
 from .cloud import FIT_MODES, body_to_dict, cloud_analyze, cloud_generate_disk, disk_demo
-from .errors import QPolarError
+from .errors import NotPositiveDefiniteError, QPolarError
 from .hardy import HardyInput, hardy_check
 from .polarity import is_quantum_pair
 from .quantum import (
@@ -57,6 +57,8 @@ def _emit(doc: dict, fmt: str) -> None:
 
 
 def _fmt_value(v):
+    if v is None:
+        return "null"
     if isinstance(v, float):
         return f"{v:.12g}"
     if isinstance(v, np.ndarray):
@@ -192,11 +194,15 @@ def covariance(sigma_path, hbar, tol, fmt):
     """Run every quantum-covariance verdict on a matrix; exit 2 if invalid."""
     cov = qio.load_covariance(sigma_path)
     valid = is_quantum_covariance(cov, hbar, tol)
+    try:
+        spectrum = symplectic_eigenvalues(cov.sigma)
+    except NotPositiveDefiniteError:
+        spectrum = None
     doc = {
         "quantum_covariance": valid,
         "rs_per_mode": rs_check(cov, hbar, tol),
         "capacity_criterion": capacity_criterion(cov, hbar, tol),
-        "symplectic_spectrum": symplectic_eigenvalues(cov.sigma),
+        "symplectic_spectrum": spectrum,
         "half_hbar": 0.5 * hbar,
     }
     if valid:

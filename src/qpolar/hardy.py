@@ -25,10 +25,10 @@ from typing import Literal
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, _accepts, _check_hbar, gauge
+from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, _accepts, _check_hbar, _inverse_ellipsoid, gauge
 from .errors import BoundaryDecayWarning, GridError, HardyInconsistencyWarning
 from .polarity import PairVerdict, is_quantum_pair
-from .quantum import _half_inverse_ellipsoid, _mode_scales
+from .quantum import _mode_scales
 from .symplectic import require_symmetric
 
 RELATIVE_FLOOR = 1e-12
@@ -199,7 +199,7 @@ def hardy_check(inp: HardyInput, hbar: float = 1.0, tol: float = DEFAULT_TOL) ->
         kind = "gaussian_boundary"
     else:
         kind = "hermite_subcritical"
-    pair = (_half_inverse_ellipsoid(inp.a, "A"), _half_inverse_ellipsoid(inp.b, "B"))
+    pair = (_inverse_ellipsoid(inp.a, 2.0, "A"), _inverse_ellipsoid(inp.b, 2.0, "B"))
     return HardyVerdict(eigenvalues=eigs, classification=kind, pair=pair)
 
 

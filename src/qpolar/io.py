@@ -51,9 +51,7 @@ def load_body(path) -> ConvexBody:
 
 
 def dump_body(body: ConvexBody, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(body_to_dict(body), fh, indent=2)
-        fh.write("\n")
+    Path(path).write_text(json.dumps(body_to_dict(body), indent=2) + "\n")
 
 
 def load_matrix(path) -> np.ndarray:
@@ -123,6 +121,4 @@ def dump_cloud(cloud: MeasurementCloud, path) -> None:
         "x": cloud.x_samples.tolist(),
         "p": cloud.p_samples.tolist(),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    Path(path).write_text(json.dumps(doc) + "\n")

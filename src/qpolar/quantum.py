@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, Ellipsoid, _accepts, _check_hbar, _freeze
+from .bodies import DEFAULT_TOL, Ellipsoid, _accepts, _check_hbar, _freeze, _inverse_ellipsoid
 from .capacities import ellipsoid_capacity
 from .errors import DimensionError, InvalidCovarianceError, NotPositiveDefiniteError
 from .polarity import PairVerdict, is_quantum_pair
@@ -103,24 +103,19 @@ def rs_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> list[bool]:
     return [_accepts(r, tol) for r in 2.0 * np.sqrt(np.maximum(det, 0.0)) / hbar]
 
 
-def _half_inverse_ellipsoid(m: np.ndarray, what: str) -> Ellipsoid:
-    """The ellipsoid {z : z^T M^{-1} z / 2 <= 1}, symmetrizing the computed inverse."""
-    try:
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(f"{what} is singular") from None
-    return Ellipsoid(0.25 * (inv + inv.T))
-
-
 def covariance_ellipsoid(s) -> Ellipsoid:
     """The phase-space region {z : z^T Sigma^{-1} z / 2 <= 1} as an Ellipsoid."""
-    return _half_inverse_ellipsoid(_as_cov(s).sigma, "covariance matrix")
+    return _inverse_ellipsoid(_as_cov(s).sigma, 2.0, "covariance matrix")
 
 
 def capacity_criterion(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the covariance ellipsoid has capacity >= pi * hbar (= h/2)."""
+    """True iff the covariance ellipsoid has capacity >= pi * hbar (= h/2); False if Sigma has none."""
     _check_hbar(hbar)
-    return _accepts(ellipsoid_capacity(covariance_ellipsoid(s)) / (np.pi * hbar), tol)
+    try:
+        ell = covariance_ellipsoid(s)
+    except NotPositiveDefiniteError:  # not positive definite: invalid, as in is_quantum_covariance
+        return False
+    return _accepts(ellipsoid_capacity(ell) / (np.pi * hbar), tol)
 
 
 def section_area(s, j: int) -> float:
@@ -144,7 +139,7 @@ def project_xp(s) -> tuple[Ellipsoid, Ellipsoid]:
     """
     cov = _as_cov(s)
     what = "a diagonal block of the covariance matrix"
-    return _half_inverse_ellipsoid(cov.dxx, what), _half_inverse_ellipsoid(cov.dpp, what)
+    return _inverse_ellipsoid(cov.dxx, 2.0, what), _inverse_ellipsoid(cov.dpp, 2.0, what)
 
 
 def theorem2_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> PairVerdict:

@@ -56,8 +56,8 @@ def is_symplectic(m: np.ndarray, tol: float = 1e-9) -> bool:
 def require_symmetric(s: np.ndarray) -> np.ndarray:
     """Validate approximate symmetry and return the symmetrized matrix (S + S^T)/2.
 
-    Accepts S when ||S - S^T||_max <= SYMMETRY_RTOL * ||S||_max, guarding against
-    ingestion round-off; anything worse raises NotSymmetricError.
+    Accepts S when ||S - S^T||_max <= SYMMETRY_RTOL * ||S||_max, a guard for round-off in
+    input files (computed inverses are symmetrized first); worse raises NotSymmetricError.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:

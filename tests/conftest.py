@@ -24,6 +24,12 @@ def random_spd(n, rng, cond=50.0):
     return q @ np.diag(eigs) @ q.T
 
 
+def spd_with_condition(n, cond, rng):
+    """Random SPD matrix with eigenvalues geometrically spaced from 1 to cond."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q @ np.diag(np.geomspace(1.0, cond, n)) @ q.T
+
+
 def random_ellipsoid(n, rng, cond=50.0):
     return Ellipsoid(random_spd(n, rng, cond))
 

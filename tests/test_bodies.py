@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qpolar.bodies import (
     Ellipsoid,
@@ -21,7 +23,9 @@ from qpolar.errors import (
     SingularMatrixError,
     UndecidedError,
 )
+from qpolar.hardy import HardyInput, hardy_check
 from qpolar.polarity import inclusion_scale, is_quantum_pair, polar_dual
+from qpolar.quantum import covariance_ellipsoid, project_xp
 from qpolar.sections import section_polygon
 
 from conftest import (
@@ -29,6 +33,7 @@ from conftest import (
     random_ellipsoid,
     random_hpolytope,
     random_vpolytope,
+    spd_with_condition,
     support_oracle,
     vgauge_lp_oracle,
 )
@@ -419,3 +424,38 @@ class TestEnclosingEllipsoid:
         with pytest.raises(DegenerateBodyError):
             enclosing_ellipsoid([[1.0, 0.0], [2.0, 0.0]], "ball")
 
+
+def decided_or_undecided(f, *args):
+    try:
+        f(*args)
+    except UndecidedError:
+        pass
+
+
+@given(n=st.sampled_from([2, 3, 6, 9]), log_cond=st.integers(0, 11), seed=st.integers(0, 2**32 - 1))
+def test_maps_of_valid_ellipsoids_build_or_are_undecided(n, log_cond, seed):
+    # Inverting an ill-conditioned matrix leaves round-off far above the symmetry
+    # check's input tolerance; every derived body must still construct.
+    rng = np.random.default_rng(seed)
+    cond = 10.0**log_cond
+    ell = Ellipsoid(spd_with_condition(n, cond, rng))
+    ball = Ellipsoid.ball(n)
+    cube = HPolytope.box(np.ones(n))
+    cross = VPolytope(np.eye(n))
+
+    dual = polar_dual(ell)
+    q = ell.matrix
+    assert np.allclose(polar_dual(dual).matrix, q, rtol=0, atol=1e-14 * cond * np.abs(q).max())
+    assert np.all(support(ell, rng.standard_normal((5, n))) > 0)
+    for x in (ball, cube, cross):
+        decided_or_undecided(is_quantum_pair, x, ell)
+        decided_or_undecided(is_quantum_pair, ell, x)
+        decided_or_undecided(contains, x, ell)
+        decided_or_undecided(contains, ell, x)
+    linear_image(ell, rng.standard_normal((n, n)) + 3 * np.eye(n))
+    scale(ell, 0.5)
+
+    sigma = spd_with_condition(2 * n, cond, rng)
+    covariance_ellipsoid(sigma)
+    project_xp(sigma)
+    hardy_check(HardyInput(q, spd_with_condition(n, cond, rng)))

@@ -11,6 +11,8 @@ from click.testing import CliRunner
 import qpolar
 from qpolar.cli import cli
 
+from conftest import spd_with_condition
+
 
 @pytest.fixture
 def runner():
@@ -72,6 +74,15 @@ class TestPairCheck:
         doc = json.loads(result.output)
         assert doc["is_pair"] is True
         assert doc["lambda_max"] == pytest.approx(2.0)
+
+    def test_ill_conditioned_ellipsoid_is_decided(self, runner, tmp_path):
+        # Eigenvalues 1..1e10 at n = 6: the computed polar is asymmetric far beyond
+        # input round-off, which must not make a valid pair an error.
+        ell = spd_with_condition(6, 1e10, np.random.default_rng(1))
+        x = write_json(tmp_path / "x.json", {"type": "ellipsoid", "matrix": np.eye(6).tolist()})
+        p = write_json(tmp_path / "p.json", {"type": "ellipsoid", "matrix": ell.tolist()})
+        result = runner.invoke(cli, ["pair-check", "-x", x, "-p", p])
+        assert result.exit_code in (0, 2), result.output
 
     @pytest.mark.parametrize("x_doc, p_doc", [
         # A matrix that is not positive definite.
@@ -139,6 +150,25 @@ class TestCovariance:
         sigma = write_json(tmp_path / "sigma.json", {"sigma": (0.25 * np.eye(2)).tolist()})
         result = runner.invoke(cli, ["covariance", "--sigma", sigma])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("diag, rs", [([1.0, -1.0, 1.0, -1.0], [True, True]),
+                                          ([1.0, 0.0, 1.0, 1.0], [True, False])],
+                             ids=["indefinite", "singular"])
+    def test_not_positive_definite_exit_two(self, runner, tmp_path, diag, rs):
+        sigma = write_json(tmp_path / "sigma.json", {"sigma": np.diag(diag).tolist()})
+        result = runner.invoke(cli, ["covariance", "--sigma", sigma])
+        assert result.exit_code == 2
+        flags = ", ".join(map(str, rs))
+        assert result.output == ("quantum_covariance: False\n"
+                                 f"rs_per_mode: [{flags}]\n"
+                                 "capacity_criterion: False\n"
+                                 "symplectic_spectrum: null\n"
+                                 "half_hbar: 0.5\n")
+        result = runner.invoke(cli, ["covariance", "--sigma", sigma, "--format", "structured"])
+        assert result.exit_code == 2
+        assert json.loads(result.output) == {"quantum_covariance": False, "rs_per_mode": rs,
+                                             "capacity_criterion": False,
+                                             "symplectic_spectrum": None, "half_hbar": 0.5}
 
     def test_plain_text_matrix_file(self, runner, tmp_path):
         path = tmp_path / "sigma.txt"

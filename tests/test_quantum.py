@@ -206,6 +206,12 @@ class TestCapacityCriterion:
     def test_squeezed_fails(self):
         assert not capacity_criterion(np.diag([0.25, 0.25]), hbar=1.0)
 
+    @pytest.mark.parametrize("diag", [[1.0, -1.0, 1.0, -1.0], [1.0, 0.0, 1.0, 1.0]])
+    def test_not_positive_definite_fails(self, diag):
+        # No covariance ellipsoid: False, as is_quantum_covariance answers.
+        assert not capacity_criterion(np.diag(diag))
+        assert not is_quantum_covariance(np.diag(diag))
+
     def test_capacity_value_scaling(self):
         cap = ellipsoid_capacity(covariance_ellipsoid(2 * 0.5 * np.eye(2)))
         assert cap == pytest.approx(2 * np.pi)
