@@ -11,9 +11,15 @@ one construction: every inverted ellipsoid (a polar, the MVEE) is ``_inverse_ell
 which symmetrizes the computed inverse; both polytopes validate in ``_polytope_array``;
 ``scale`` is a ``linear_image``. The Minkowski gauge is the one body kernel and a closed
 form for every representation; a V-polytope's facet normals come from
-``hpolytope_vertices`` (Qhull), the one polytope conversion, unless there may be so many
+``hpolytope_vertices``, the one polytope conversion, unless there may be so many
 that one HiGHS LP per row costs less. The support function is the gauge of the unit
 polar, h_K = ||.||_{K°}, and ``polar_dual`` maps each representation to its polar's.
+
+Boxes and cross-polytopes, and their linear images, have closed forms chosen by the
+row count: an H-polytope with n rows A (a parallelotope) has the vertices A^-1 s over
+the 2^n sign vectors s, and a V-polytope with n vertices V (a cross-polytope image)
+has the gauge ||V^-T x||_1 at every dimension. Qhull runs only for an H-polytope with
+more than n rows, and HiGHS only for a V-polytope with more than n vertices.
 
 Containment, the quantum-pair verdict and the product capacity all reduce to
 one inclusion scale, max{lambda : lambda * inner subset of outer}, computed by
@@ -160,17 +166,22 @@ def gauge(body: ConvexBody, x) -> float | np.ndarray:
     """Minkowski gauge ||x||_body = inf{t > 0 : x/t in body}; 0 at the origin.
 
     x is one vector (returns a float) or a (k, n) array of rows (returns the
-    k gauges). Closed forms for ellipsoids and H-polytopes. A V-polytope's gauge
-    is max|w . x| over the vertices w of its unit polar (||.||_K = h_{K°}), its
-    facet normals, when they are few enough; otherwise, and always above
-    ``ENUMERATION_MAX_DIM``, it solves one HiGHS LP per nonzero row. Raises
-    ``UndecidedError`` where ``hpolytope_vertices`` does.
+    k gauges). Closed forms for ellipsoids, H-polytopes and V-polytopes with n
+    vertices, ||V^-T x||_1. Any other V-polytope's gauge is max|w . x| over the
+    vertices w of its unit polar (||.||_K = h_{K°}), its facet normals, when
+    they are few enough; otherwise, and always above ``ENUMERATION_MAX_DIM``,
+    it solves one HiGHS LP per nonzero row. Raises ``UndecidedError`` where
+    ``hpolytope_vertices`` does.
     """
     rows, single = _check_rows(body, x)
     if isinstance(body, Ellipsoid):
         g = np.sqrt(np.sum((rows @ body.matrix) * rows, axis=1))
     elif isinstance(body, HPolytope):
         g = np.max(np.abs(rows @ body.rows.T), axis=1)
+    elif body.vertices.shape[0] == body.dim:
+        # A linear image of the cross-polytope: x = V^T c has the one solution
+        # c = V^-T x, so the least ||c||_1 over x's representations is its own.
+        g = np.abs(np.linalg.solve(body.vertices.T, rows.T)).sum(axis=0)
     else:
         m, n = body.vertices.shape
         nonzero = np.flatnonzero(np.any(rows, axis=1))
@@ -283,15 +294,21 @@ def _merge_close_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def hpolytope_vertices(body: HPolytope) -> np.ndarray:
-    """All vertices of an H-polytope (both sign classes), via Qhull for dim >= 2.
+    """All vertices of an H-polytope (both sign classes).
 
-    Where Qhull fails, nearly coincident rows are merged (``ROW_MERGE_RTOL``)
-    and Qhull runs once more; ``UndecidedError`` if it fails again.
+    In closed form for dim 1 and for n rows A (a parallelotope): A^-1 s over the
+    2^n sign vectors s. Otherwise by Qhull; where it fails, nearly coincident
+    rows are merged (``ROW_MERGE_RTOL``) and Qhull runs once more;
+    ``UndecidedError`` if it fails again.
     """
     n = body.dim
     if n == 1:
         a = 1.0 / np.max(np.abs(body.rows))
         return np.array([[a], [-a]])
+    if body.rows.shape[0] == n:
+        # A parallelotope (the rows span, so A is invertible): A v = s over the sign vectors s.
+        signs = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+        return np.linalg.solve(body.rows, signs.T).T
     from scipy.spatial import QhullError
 
     try:

@@ -95,11 +95,13 @@ def rs_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> list[bool]:
     """Per-mode Robertson-Schrodinger test.
 
     Entry j is (Dx_j)^2 (Dp_j)^2 >= Delta(x_j,p_j)^2 + hbar^2/4, boundary
-    included, accepted on the ratio 2 sqrt(det_j) / hbar.
+    included, accepted on the ratio 2 sqrt(det_j) / hbar; a mode with a
+    variance that is not positive has ratio 0.
     """
     _check_hbar(hbar)
     cov = _as_cov(s)
-    det = np.diag(cov.dxx) * np.diag(cov.dpp) - np.diag(cov.dxp) ** 2
+    dx, dp = np.diag(cov.dxx), np.diag(cov.dpp)
+    det = np.where((dx > 0) & (dp > 0), dx * dp - np.diag(cov.dxp) ** 2, 0.0)
     return [_accepts(r, tol) for r in 2.0 * np.sqrt(np.maximum(det, 0.0)) / hbar]
 
 

@@ -7,6 +7,7 @@ from qpolar.bodies import (
     Ellipsoid,
     HPolytope,
     VPolytope,
+    _halfspace_vertices,
     contains,
     enclosing_ellipsoid,
     gauge,
@@ -45,6 +46,10 @@ BADLY_SCALED = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-12]])
 
 def forbid_linprog(*args, **kwargs):
     raise AssertionError("linprog called where the facets should be enumerated")
+
+
+def forbid_qhull(*args, **kwargs):
+    raise AssertionError("Qhull called on a body with a closed form")
 
 
 class TestConstruction:
@@ -115,15 +120,22 @@ class TestGauge:
         assert gauge(body, [0.2, -0.3, 0.1]) == pytest.approx(0.6, rel=1e-8)
 
     @pytest.mark.parametrize("n", range(1, 10))
-    def test_vpolytope_cross_image_closed_form(self, n, rng):
-        # conv{+-m_i} over the rows of an invertible M has gauge ||M^-T x||_1.
-        # n = 9 is above the enumeration cap, where the gauge solves LPs.
+    def test_vpolytope_cross_image_closed_form(self, n, rng, monkeypatch):
+        # conv{+-m_i} over the rows of an invertible M has gauge ||M^-T x||_1 at
+        # every dimension, above the enumeration cap too, with no Qhull and no LP.
+        import scipy.optimize
+        import scipy.spatial
+
         m = rng.standard_normal((n, n)) + 3 * np.eye(n)
         x = rng.standard_normal((5, n))
         x[1] = 0.0
+        expected = [vgauge_lp_oracle(VPolytope(m), r) for r in x]
+        monkeypatch.setattr(scipy.optimize, "linprog", forbid_linprog)
+        monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection", forbid_qhull)
         got = gauge(VPolytope(m), x)
         assert got[1] == 0.0
         assert np.allclose(got, np.abs(np.linalg.solve(m.T, x.T)).sum(axis=0), rtol=1e-9, atol=0.0)
+        assert np.allclose(got, expected, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_vpolytope_matches_lp_oracle(self, n, rng, monkeypatch):
@@ -180,8 +192,10 @@ class TestGauge:
             raise scipy.spatial.QhullError("QH6154 Qhull precision error: Initial simplex is flat")
 
         monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection", fail)
+        # More vertex pairs than dimensions (a cross-polytope image has a closed
+        # form) and enough rows that the facets cost less than the LPs.
         with pytest.raises(UndecidedError, match="Qhull"):
-            gauge(VPolytope(np.eye(3)), [1.0, 0.0, 0.0])
+            gauge(VPolytope(np.vstack([np.eye(3), [[1.0, 1.0, 1.0]]])), np.eye(3))
 
     def test_membership_criterion(self, rng):
         for _ in range(20):
@@ -290,6 +304,31 @@ class TestHPolytopeVertices:
             for v in hpolytope_vertices(body):
                 assert gauge(body, v) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("cond", [None, 1e6])
+    def test_parallelotope_vertices_match_qhull(self, n, cond, rng, monkeypatch):
+        # n rows: the 2^n vertices A^-1 s over the sign vectors s, without Qhull.
+        # Qhull's intersections (the reference) are off by up to about 1e-16 cond(A)
+        # relative, so the tolerance is 1e-12, or 1e-14 cond(A) where that is larger.
+        import scipy.spatial
+
+        if cond is None:
+            a = rng.standard_normal((n, n))
+        else:
+            u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            a = u @ np.diag(np.geomspace(1.0, cond, n)) @ v.T
+        expected = _halfspace_vertices(a)
+        monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection", forbid_qhull)
+        got = hpolytope_vertices(HPolytope(a))
+        assert got.shape == expected.shape == (2**n, n)
+        # Each vertex is named by its sign vector sign(A v); both sets name all 2^n.
+        names = [((a @ vs.T) > 0).T @ (1 << np.arange(n)) for vs in (got, expected)]
+        assert sorted(names[0]) == sorted(names[1]) == list(range(2**n))
+        got = got[np.argsort(names[0])][names[1]]
+        rtol = max(1e-12, 1e-14 * np.linalg.cond(a))
+        assert np.max(np.abs(got - expected)) <= rtol * np.max(np.abs(expected))
+
 
 class TestContains:
     def test_nested_balls(self):
@@ -367,7 +406,7 @@ class TestContains:
 
 @pytest.mark.parametrize("n", [2, 8])
 def test_no_lp_up_to_the_enumeration_cap(n, monkeypatch):
-    # Balls, boxes and cross-polytopes: a V-polytope with m = n always takes the facet path.
+    # Balls, boxes and cross-polytopes: a V-polytope with m = n has a closed-form gauge.
     import scipy.optimize
 
     monkeypatch.setattr(scipy.optimize, "linprog", forbid_linprog)

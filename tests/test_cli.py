@@ -151,7 +151,7 @@ class TestCovariance:
         result = runner.invoke(cli, ["covariance", "--sigma", sigma])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("diag, rs", [([1.0, -1.0, 1.0, -1.0], [True, True]),
+    @pytest.mark.parametrize("diag, rs", [([1.0, -1.0, 1.0, -1.0], [True, False]),
                                           ([1.0, 0.0, 1.0, 1.0], [True, False])],
                              ids=["indefinite", "singular"])
     def test_not_positive_definite_exit_two(self, runner, tmp_path, diag, rs):
@@ -219,6 +219,19 @@ class TestHardy:
         b = write_json(tmp_path / "b.json", {"matrix": [[1.0]]})
         result = runner.invoke(cli, ["hardy", "--a", a, "--b", b, "--format", "structured"])
         assert json.loads(result.output)["classification"] == "hermite_subcritical"
+
+    @pytest.mark.parametrize("n, scale", [(1, 0.3), (1, 1.7), (3, 0.5), (3, 2.0)])
+    def test_pair_is_the_induced_pair(self, runner, tmp_path, rng, n, scale):
+        a = scale * spd_with_condition(n, 10.0, rng)
+        b = scale * spd_with_condition(n, 10.0, rng)
+        paths = [write_json(tmp_path / f"{k}.json", {"matrix": m.tolist()}) for k, m in (("a", a), ("b", b))]
+        result = runner.invoke(cli, ["hardy", "--a", paths[0], "--b", paths[1], "--hbar", "0.7",
+                                     "--format", "structured"])
+        pair = qpolar.is_quantum_pair(*qpolar.hardy_check(qpolar.HardyInput(a, b), 0.7).pair, 0.7)
+        doc = json.loads(result.output)["pair"]
+        assert doc["is_pair"] is pair.is_pair
+        assert result.exit_code == (0 if pair.is_pair else 2)
+        assert doc["lambda_max"] == pytest.approx(pair.lambda_max, rel=1e-12, abs=0.0)
 
 
 class TestCloudCommands:
@@ -316,6 +329,36 @@ assert q.hardy_check(q.HardyInput(np.eye(2), np.eye(2))).classification == "herm
 q.disk_demo(2.0, 1.0, 2000, 0)
 for fit in ("ball", "mvee", "interval-box"):
     q.cloud_analyze(q.cloud_generate_disk(2.0, 1.0, 2000, 0), fit=fit, trim=0.01)
+"""
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_ball_box_cross_work_loads_no_scipy():
+    # Boxes are parallelotopes and cross-polytopes their polars: both have closed
+    # forms, so no Qhull and no LP, here under random maps (X, P) -> (L X, L^-T P).
+    code = """
+import numpy as np
+import qpolar as q
+
+def shapes(n, seed):
+    l = np.random.default_rng(seed).standard_normal((n, n)) + 3 * np.eye(n)
+    x = [q.Ellipsoid.ball(n, 1.3), q.HPolytope.box(np.full(n, 0.7)), q.VPolytope(1.9 * np.eye(n))]
+    return [q.linear_image(b, l) for b in x], [q.linear_image(b, np.linalg.inv(l).T) for b in x]
+
+for n in (2, 6):
+    xs, ps = shapes(n, n)
+    for x in xs:
+        q.support(x, np.eye(n))
+        for p in ps:
+            q.is_quantum_pair(x, p)
+            q.product_capacity(x, p)
+            q.contains(x, p)
+# The pairings decided at n = 9: P a ball or a box, and X not a cross-polytope under a ball.
+(ball, box, cross), (pball, pbox, _) = shapes(9, 9)
+for x, p in ((ball, pball), (box, pball), (ball, pbox), (box, pbox), (cross, pbox)):
+    q.is_quantum_pair(x, p)
+    q.product_capacity(x, p)
+    q.contains(x, q.polar_dual(p))
 """
     assert _scipy_modules_after(code) == "[]"
 

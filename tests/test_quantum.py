@@ -150,6 +150,12 @@ class TestRSCheck:
     def test_boundary_counts_as_valid(self):
         assert rs_check(0.5 * np.eye(2), hbar=1.0) == [True]
 
+    def test_negative_variances_fail(self):
+        # (Dx)^2 (Dp)^2 = (-1)(-1) = 1 is no uncertainty product: the variances are not positive.
+        assert rs_check(-np.eye(2), hbar=1.0) == [False]
+        assert rs_check(np.diag([1.0, -1.0, 1.0, -1.0]), hbar=1.0) == [True, False]
+        assert rs_check(np.diag([-1.0, 1.0]), hbar=1.0) == [False]
+
     def test_covariance_term(self):
         # (Dx)^2 (Dp)^2 = 1, Delta(x,p)^2 = 0.81: 1 >= 0.81 + 0.25 fails.
         s = np.array([[1.0, 0.9], [0.9, 1.0]])
