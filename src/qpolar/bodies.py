@@ -19,7 +19,8 @@ Boxes and cross-polytopes, and their linear images, have closed forms chosen by 
 row count: an H-polytope with n rows A (a parallelotope) has the vertices A^-1 s over
 the 2^n sign vectors s, and a V-polytope with n vertices V (a cross-polytope image)
 has the gauge ||V^-T x||_1 at every dimension. Qhull runs only for an H-polytope with
-more than n rows, and HiGHS only for a V-polytope with more than n vertices.
+more than n rows, and HiGHS only for a V-polytope with more than n vertices. No
+enumeration starts whose vertex count bound exceeds ``VERTEX_BUDGET``.
 
 Containment, the quantum-pair verdict and the product capacity all reduce to
 one inclusion scale, max{lambda : lambda * inner subset of outer}, computed by
@@ -46,10 +47,10 @@ from .errors import (
 )
 from .symplectic import _pencil_eigenvalues, _spd_cholesky, require_symmetric
 
-# Inclusion scales and V-polytope gauges enumerate H-polytope vertices up to
-# this dimension; beyond it an inclusion scale that needs the vertices is
-# undecided and a V-polytope gauge solves LPs. Sections enumerate at any dimension.
-ENUMERATION_MAX_DIM = 8
+# H-polytope vertex enumeration is refused when the count bound (2^n for n rows,
+# McMullen's for more) exceeds this budget: an inclusion scale or a section that
+# needs the vertices is then undecided, and a V-polytope gauge solves LPs.
+VERTEX_BUDGET = 2**20
 
 # Where Qhull fails on nearly coincident rows, a row that agrees (up to sign)
 # with a longer row to within this factor of its own norm is dropped and the
@@ -162,6 +163,15 @@ def _max_facets(vertices: int, n: int) -> int:
     return vertices * comb(vertices - k, k) // (vertices - k)
 
 
+def _max_abs_dot(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """max_j |x_i . a_j| for each row x_i, in row blocks of about 2^22 products."""
+    out = np.empty(x.shape[0])
+    step = max(1, 2**22 // a.shape[0])
+    for i in range(0, x.shape[0], step):
+        out[i:i + step] = np.max(np.abs(x[i:i + step] @ a.T), axis=1)
+    return out
+
+
 def gauge(body: ConvexBody, x) -> float | np.ndarray:
     """Minkowski gauge ||x||_body = inf{t > 0 : x/t in body}; 0 at the origin.
 
@@ -169,15 +179,15 @@ def gauge(body: ConvexBody, x) -> float | np.ndarray:
     k gauges). Closed forms for ellipsoids, H-polytopes and V-polytopes with n
     vertices, ||V^-T x||_1. Any other V-polytope's gauge is max|w . x| over the
     vertices w of its unit polar (||.||_K = h_{K°}), its facet normals, when
-    they are few enough; otherwise, and always above ``ENUMERATION_MAX_DIM``,
-    it solves one HiGHS LP per nonzero row. Raises ``UndecidedError`` where
-    ``hpolytope_vertices`` does.
+    their count bound is within ``VERTEX_BUDGET`` and small enough per row;
+    otherwise it solves one HiGHS LP per nonzero row. Raises ``UndecidedError``
+    where Qhull fails twice (``hpolytope_vertices``).
     """
     rows, single = _check_rows(body, x)
     if isinstance(body, Ellipsoid):
         g = np.sqrt(np.sum((rows @ body.matrix) * rows, axis=1))
     elif isinstance(body, HPolytope):
-        g = np.max(np.abs(rows @ body.rows.T), axis=1)
+        g = _max_abs_dot(rows, body.rows)
     elif body.vertices.shape[0] == body.dim:
         # A linear image of the cross-polytope: x = V^T c has the one solution
         # c = V^-T x, so the least ||c||_1 over x's representations is its own.
@@ -185,11 +195,10 @@ def gauge(body: ConvexBody, x) -> float | np.ndarray:
     else:
         m, n = body.vertices.shape
         nonzero = np.flatnonzero(np.any(rows, axis=1))
-        # Enumerate the facets when their bound is at most, per LP replaced, the
-        # bound for a linear image of the cross-polytope (m = n), whose 2^n
-        # facets enumerate faster than one LP up to the cap.
-        if n <= ENUMERATION_MAX_DIM and _max_facets(2 * m, n) <= _max_facets(2 * n, n) * nonzero.size:
-            g = np.max(np.abs(rows @ hpolytope_vertices(polar_dual(body)).T), axis=1)
+        # Enumerate the facets within the budget when their bound is at most, per
+        # LP replaced, the bound for a linear image of the cross-polytope (m = n).
+        if _max_facets(2 * m, n) <= min(VERTEX_BUDGET, _max_facets(2 * n, n) * nonzero.size):
+            g = _max_abs_dot(rows, hpolytope_vertices(polar_dual(body)))
         else:
             from scipy.optimize import linprog
 
@@ -296,12 +305,16 @@ def _merge_close_rows(rows: np.ndarray) -> np.ndarray:
 def hpolytope_vertices(body: HPolytope) -> np.ndarray:
     """All vertices of an H-polytope (both sign classes).
 
-    In closed form for dim 1 and for n rows A (a parallelotope): A^-1 s over the
-    2^n sign vectors s. Otherwise by Qhull; where it fails, nearly coincident
-    rows are merged (``ROW_MERGE_RTOL``) and Qhull runs once more;
-    ``UndecidedError`` if it fails again.
+    ``UndecidedError`` before any work when their count bound (2^n for n rows,
+    McMullen's for more) exceeds ``VERTEX_BUDGET``. In closed form for dim 1 and
+    for n rows A (a parallelotope): A^-1 s over the 2^n sign vectors s. Otherwise
+    by Qhull; where it fails, nearly coincident rows are merged (``ROW_MERGE_RTOL``)
+    and Qhull runs once more; ``UndecidedError`` if it fails again.
     """
     n = body.dim
+    bound = 2**n if body.rows.shape[0] == n else _max_facets(2 * body.rows.shape[0], n)
+    if bound > VERTEX_BUDGET:
+        raise UndecidedError(f"undecided: up to {bound} vertices exceed the enumeration budget {VERTEX_BUDGET}")
     if n == 1:
         a = 1.0 / np.max(np.abs(body.rows))
         return np.array([[a], [-a]])
@@ -330,14 +343,7 @@ def _fit_scale(inner: ConvexBody, outer: ConvexBody) -> float:
         # By unit polarity lambda * E in K iff lambda * K° in E°.
         return _fit_scale(polar_dual(outer), polar_dual(inner))
 
-    if isinstance(inner, VPolytope):
-        pts = inner.vertices
-    elif inner.dim > ENUMERATION_MAX_DIM:
-        raise UndecidedError(
-            f"undecided: vertex enumeration not attempted for dim {inner.dim} > {ENUMERATION_MAX_DIM}"
-        )
-    else:
-        pts = hpolytope_vertices(inner)
+    pts = inner.vertices if isinstance(inner, VPolytope) else hpolytope_vertices(inner)
     return float(1.0 / np.max(gauge(outer, pts)))
 
 
@@ -362,8 +368,8 @@ def contains(outer: ConvexBody, inner: ConvexBody, tol: float = DEFAULT_TOL) -> 
     accepted when it is at least 1/(1 + tol), the same rule as the
     quantum-pair verdict and the 4*hbar capacity bound. Exact for every
     pairing of the three representations; an H-polytope source (or an
-    ellipsoid in a V-polytope, which flips to one) beyond the vertex
-    enumeration cap raises ``UndecidedError``.
+    ellipsoid in a V-polytope, which flips to one) whose vertex count bound
+    exceeds ``VERTEX_BUDGET`` raises ``UndecidedError``.
     """
     if outer.dim != inner.dim:
         raise DimensionError(f"dimension mismatch: outer {outer.dim}, inner {inner.dim}")

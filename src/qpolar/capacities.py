@@ -17,7 +17,7 @@ import numpy as np
 
 from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, _accepts, support
 from .errors import DimensionError
-from .polarity import inclusion_scale
+from .polarity import PairVerdict, is_quantum_pair
 from .symplectic import symplectic_eigenvalues
 
 
@@ -56,19 +56,21 @@ def product_capacity(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,
                      tol: float = DEFAULT_TOL) -> CapacityReport:
     """Capacity of the Lagrangian product X x P: 4 * hbar * lambda_max.
 
-    lambda_max is the polar inclusion scale max{lambda : lambda P^hbar in X},
-    so the report is consistent with the quantum-pair verdict on (X, P) by
-    construction: the 4*hbar lower bound holds iff the pair does, both
-    accepting lambda_max >= 1/(1 + tol); the equality case also accepts 1/lambda_max.
-    Raises ``UndecidedError`` where ``inclusion_scale`` does.
+    A view of the quantum-pair verdict on (X, P): lambda_max is its inclusion
+    scale, the 4*hbar lower bound holds iff the pair does, and the equality case
+    also accepts 1/lambda_max. Raises ``UndecidedError`` where ``is_quantum_pair`` does.
     """
-    lam = inclusion_scale(x, p, hbar)
-    value = 4.0 * hbar * lam
+    return _capacity_of(is_quantum_pair(x, p, hbar, tol), hbar, tol)
+
+
+def _capacity_of(pair: PairVerdict, hbar: float, tol: float) -> CapacityReport:
+    """The product capacity report read off a decided quantum-pair verdict."""
+    lam = pair.lambda_max
     return CapacityReport(
-        value=value,
+        value=4.0 * hbar * lam,
         kind="product",
-        lower_bound_4hbar_met=_accepts(lam, tol),
-        equality_case=_accepts(lam, tol) and _accepts(1.0 / lam, tol),
+        lower_bound_4hbar_met=pair.is_pair,
+        equality_case=pair.is_pair and _accepts(1.0 / lam, tol),
         lambda_max=lam,
     )
 

@@ -14,7 +14,7 @@ from dataclasses import asdict
 import click
 import numpy as np
 
-from . import io as qio
+from . import __version__, io as qio
 from .bodies import DEFAULT_TOL, Ellipsoid, polar_dual
 from .capacities import ellipsoid_capacity, product_capacity
 from .cloud import FIT_MODES, body_to_dict, cloud_analyze, cloud_generate_disk, disk_demo
@@ -67,12 +67,8 @@ def _fmt_value(v):
 
 
 def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
@@ -93,7 +89,7 @@ class _Cli(click.Group):
 
 
 @click.group(cls=_Cli)
-@click.version_option(package_name="qpolar")
+@click.version_option(version=__version__)
 def cli():
     """Polar duality, symplectic capacities, and quantum covariance analysis."""
 

@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, HPolytope, VPolytope, _check_hbar, enclosing_ellipsoid, gauge
-from .capacities import CapacityReport, product_capacity
+from .capacities import CapacityReport, _capacity_of
 from .errors import DegenerateBodyError, DimensionError, QPolarError
 from .polarity import PairVerdict, is_quantum_pair
 from .quantum import (
@@ -56,8 +56,8 @@ class AnalysisReport:
     """Everything cloud_analyze derives from a measurement cloud.
 
     The internal consistency identity pair.lambda_max * 4 * hbar ==
-    capacity.value holds on every run because both come from the same
-    inclusion-scale computation.
+    capacity.value holds on every run because the capacity is read off the
+    pair verdict, one inclusion-scale computation.
     """
 
     x_center: np.ndarray
@@ -191,7 +191,7 @@ def cloud_analyze(cloud: MeasurementCloud, hbar: float = 1.0, fit: str = "ball",
     body_p = _fit_body(ps_kept, fit)
 
     pair = is_quantum_pair(body_x, body_p, hbar, tol)
-    capacity = product_capacity(body_x, body_p, hbar, tol)
+    capacity = _capacity_of(pair, hbar, tol)
 
     notes = []
     rs = sigpos = crit = spectrum = cov = None

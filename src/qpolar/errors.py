@@ -30,7 +30,7 @@ class ConvergenceError(QPolarError, RuntimeError):
 
 
 class UndecidedError(QPolarError, RuntimeError):
-    """A verdict cannot be decided exactly (e.g. vertex enumeration above its dimension cap)."""
+    """A verdict cannot be decided exactly (e.g. vertex enumeration beyond its budget)."""
 
 
 class GridError(QPolarError, ValueError):

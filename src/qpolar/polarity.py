@@ -44,9 +44,10 @@ def inclusion_scale(x: ConvexBody, p: ConvexBody, hbar: float = 1.0) -> float:
     """lambda_max = max{lambda > 0 : lambda * P^hbar subset of X}.
 
     Exact for every pairing of the three representations. When the
-    computation needs the vertices of an H-polytope beyond the enumeration
-    dimension cap (P a V-polytope, or X a V-polytope with P an ellipsoid) it
-    raises ``UndecidedError``. Symmetric in its body arguments.
+    computation needs the vertices of an H-polytope (P a V-polytope, or X a
+    V-polytope with P an ellipsoid) whose count bound exceeds
+    ``bodies.VERTEX_BUDGET``, it raises ``UndecidedError``. Symmetric in its
+    body arguments.
     """
     if x.dim != p.dim:
         raise DimensionError(f"dimension mismatch: X is {x.dim}-dim, P is {p.dim}-dim")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -122,7 +124,7 @@ class TestGauge:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_vpolytope_cross_image_closed_form(self, n, rng, monkeypatch):
         # conv{+-m_i} over the rows of an invertible M has gauge ||M^-T x||_1 at
-        # every dimension, above the enumeration cap too, with no Qhull and no LP.
+        # every dimension, with no Qhull and no LP.
         import scipy.optimize
         import scipy.spatial
 
@@ -184,6 +186,41 @@ class TestGauge:
         body = VPolytope(BADLY_SCALED)
         assert gauge(body, [0.3, 0.2, 1e-13]) == pytest.approx(0.4, rel=1e-9)
         assert gauge(body, [0.3, -0.2, 1e-13]) == pytest.approx(0.6, rel=1e-9)
+
+    def test_facet_product_in_row_blocks(self, rng, monkeypatch):
+        # 2^17 rows against 270 facet normals: one product would hold 35M entries
+        # (283 MB, twice with its absolute value); blocks of about 2^22 keep the
+        # peak under three blocks' worth.
+        import tracemalloc
+
+        import scipy.optimize
+
+        body = random_vpolytope(6, np.random.default_rng(7), extra_vertices=6)
+        x = rng.standard_normal((2**17, 6))
+        monkeypatch.setattr(scipy.optimize, "linprog", forbid_linprog)
+        tracemalloc.start()
+        try:
+            got = gauge(body, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**22 * 8
+        assert np.allclose(got[:5], [vgauge_lp_oracle(body, r) for r in x[:5]], rtol=1e-9, atol=0.0)
+
+    def test_facets_above_the_budget_solve_lps(self, rng, monkeypatch):
+        # 14 rows enumerate the facets of m = 12 vertex pairs at n = 6 (at most
+        # 1520); with the budget below that bound the same rows solve LPs.
+        import qpolar.bodies
+        import scipy.optimize
+
+        body = random_vpolytope(6, rng, extra_vertices=6)
+        x = rng.standard_normal((14, 6))
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.optimize, "linprog", forbid_linprog)
+            expected = gauge(body, x)
+        monkeypatch.setattr(qpolar.bodies, "VERTEX_BUDGET", 1519)
+        monkeypatch.setattr(qpolar.bodies, "hpolytope_vertices", None)
+        assert np.allclose(gauge(body, x), expected, rtol=1e-9, atol=0.0)
 
     def test_failed_enumeration_is_undecided(self, monkeypatch):
         import scipy.spatial
@@ -384,24 +421,35 @@ class TestContains:
         assert contains(VPolytope(BADLY_SCALED), scale(inner, 0.875))
 
     def test_undecided_above_enumeration_cap(self):
-        # X = B(2.95), P = conv{+-e_i}: P's dual is the unit box, whose corners
-        # sit at |x| = sqrt(n), so lambda_max = 2.95 / sqrt(n). At n = 9 that is
-        # 0.983 (not a pair) and needs the box's vertices, beyond the cap.
+        # X = B(2.95), P = conv{+-e_i}: P's dual is the unit box, whose 2^n corners
+        # sit at |x| = sqrt(n), so lambda_max = 2.95 / sqrt(n): 0.983 at n = 9 (not
+        # a pair). At n = 21 the 2^21 corners exceed the vertex budget, and every
+        # verdict is undecided before any enumeration starts.
+        import tracemalloc
+
         def shapes(n):
             return Ellipsoid.ball(n, 2.95), VPolytope(np.eye(n))
 
-        x, p = shapes(9)
+        x, p = shapes(21)
         for verdict in (is_quantum_pair, inclusion_scale, product_capacity,
                         lambda a, b: contains(a, polar_dual(b))):
-            with pytest.raises(UndecidedError):
-                verdict(x, p)
+            tracemalloc.start()
+            try:
+                with pytest.raises(UndecidedError, match="budget"):
+                    verdict(x, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20  # the 2^21 x 21 sign array alone would take 352 MB
 
-        x, p = shapes(8)
-        lam = 2.95 / np.sqrt(8)
-        assert inclusion_scale(x, p) == pytest.approx(lam, rel=1e-12)
-        assert is_quantum_pair(x, p).lambda_max == pytest.approx(lam, rel=1e-12)
-        assert product_capacity(x, p).value == pytest.approx(4 * lam, rel=1e-12)
-        assert contains(x, polar_dual(p)) and not contains(scale(x, 0.95), polar_dual(p))
+        for n in (8, 9, 12):
+            x, p = shapes(n)
+            lam = 2.95 / np.sqrt(n)
+            assert inclusion_scale(x, p) == pytest.approx(lam, rel=1e-12)
+            assert is_quantum_pair(x, p).lambda_max == pytest.approx(lam, rel=1e-12)
+            assert product_capacity(x, p).value == pytest.approx(4 * lam, rel=1e-12)
+            assert contains(scale(x, 1 / lam), polar_dual(p))
+            assert not contains(scale(x, 0.99 / lam), polar_dual(p))
 
 
 @pytest.mark.parametrize("n", [2, 8])
@@ -420,6 +468,25 @@ def test_no_lp_up_to_the_enumeration_cap(n, monkeypatch):
             is_quantum_pair(x, p)
             product_capacity(x, p)
             contains(x, polar_dual(p))
+
+
+@pytest.mark.parametrize("n", [9, 12, 16])
+def test_ball_box_cross_pairings_decide_above_dimension_8(n, monkeypatch):
+    # The unit ball, box and cross-polytope, with hbar = 1: P's dual is the ball,
+    # the cross-polytope or the box, and the largest dilate of it inside X is 1,
+    # 1/sqrt(n) (ball in cross, box in ball) or 1/n (box in cross).
+    import scipy.optimize
+    import scipy.spatial
+
+    monkeypatch.setattr(scipy.optimize, "linprog", forbid_linprog)
+    monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection", forbid_qhull)
+    shapes = {"ball": Ellipsoid.ball(n), "box": HPolytope.box(np.ones(n)), "cross": VPolytope(np.eye(n))}
+    expected = {("ball", "cross"): n**-0.5, ("cross", "ball"): n**-0.5, ("cross", "cross"): 1 / n}
+    for (xk, x), (pk, p) in itertools.product(shapes.items(), repeat=2):
+        lam = expected.get((xk, pk), 1.0)
+        assert inclusion_scale(x, p) == pytest.approx(lam, rel=1e-12, abs=0.0), (xk, pk)
+        assert product_capacity(x, p).value == pytest.approx(4 * lam, rel=1e-12, abs=0.0)
+        assert is_quantum_pair(x, p).is_pair == (lam == 1.0)
 
 
 class TestEnclosingEllipsoid:

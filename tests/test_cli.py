@@ -88,16 +88,26 @@ class TestPairCheck:
         # A matrix that is not positive definite.
         ({"type": "ellipsoid", "matrix": [[1.0, 0], [0, -1.0]]},
          {"type": "ellipsoid", "matrix": [[1.0, 0], [0, 1.0]]}),
-        # Undecided: the box dual of conv{+-e_i} needs vertex enumeration at n = 9.
-        ({"type": "ellipsoid", "matrix": (np.eye(9) / 2.95**2).tolist()},
-         {"type": "vpoly", "vertices": np.eye(9).tolist()}),
-    ], ids=["not-positive-definite", "undecided-n9"])
+        # Undecided: the box dual of conv{+-e_i} has 2^21 vertices, above the budget.
+        ({"type": "ellipsoid", "matrix": (np.eye(21) / 2.95**2).tolist()},
+         {"type": "vpoly", "vertices": np.eye(21).tolist()}),
+    ], ids=["not-positive-definite", "undecided-n21"])
     def test_bad_file_exit_one(self, runner, tmp_path, x_doc, p_doc):
         x = write_json(tmp_path / "x.json", x_doc)
         p = write_json(tmp_path / "p.json", p_doc)
         result = runner.invoke(cli, ["pair-check", "-x", x, "-p", p])
         assert result.exit_code == 1
         assert "is_pair" not in result.stdout
+
+    def test_box_corners_decided_at_n9(self, runner, tmp_path):
+        # B(2.95) and conv{+-e_i}: the dual box's 512 corners give lambda_max = 2.95 / 3.
+        x = write_json(tmp_path / "x.json", {"type": "ellipsoid", "matrix": (np.eye(9) / 2.95**2).tolist()})
+        p = write_json(tmp_path / "p.json", {"type": "vpoly", "vertices": np.eye(9).tolist()})
+        result = runner.invoke(cli, ["pair-check", "-x", x, "-p", p, "--format", "structured"])
+        assert result.exit_code == 2
+        doc = json.loads(result.output)
+        assert doc["is_pair"] is False
+        assert doc["lambda_max"] == pytest.approx(2.95 / 3, rel=1e-12)
 
 
 class TestCapacity:
@@ -300,6 +310,19 @@ class TestPlotSection:
         assert float(area_line.split(":")[1]) == pytest.approx(2 * np.pi, rel=1e-3)
 
 
+def test_version_from_a_source_checkout(runner):
+    # Reported from the package itself, which need not be installed, and kept
+    # equal to the version the project metadata declares (tomllib needs 3.11).
+    import re
+
+    pyproject = Path(qpolar.__file__).resolve().parents[2] / "pyproject.toml"
+    declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.M).group(1)
+    assert qpolar.__version__ == declared
+    result = runner.invoke(cli, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert result.output.strip().endswith(f"version {declared}")
+
+
 def _scipy_modules_after(code):
     """The scipy modules loaded in a fresh interpreter that runs code."""
     env = {**os.environ, "PYTHONPATH": str(Path(qpolar.__file__).resolve().parents[1])}
@@ -337,6 +360,7 @@ def test_ball_box_cross_work_loads_no_scipy():
     # Boxes are parallelotopes and cross-polytopes their polars: both have closed
     # forms, so no Qhull and no LP, here under random maps (X, P) -> (L X, L^-T P).
     code = """
+import itertools
 import numpy as np
 import qpolar as q
 
@@ -353,9 +377,8 @@ for n in (2, 6):
             q.is_quantum_pair(x, p)
             q.product_capacity(x, p)
             q.contains(x, p)
-# The pairings decided at n = 9: P a ball or a box, and X not a cross-polytope under a ball.
-(ball, box, cross), (pball, pbox, _) = shapes(9, 9)
-for x, p in ((ball, pball), (box, pball), (ball, pbox), (box, pbox), (cross, pbox)):
+xs, ps = shapes(9, 9)
+for x, p in itertools.product(xs, ps):
     q.is_quantum_pair(x, p)
     q.product_capacity(x, p)
     q.contains(x, q.polar_dual(p))

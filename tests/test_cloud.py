@@ -122,6 +122,22 @@ class TestCloudAnalyze:
         assert len(calls) <= 2
         assert report.kept_x < 10_000 and report.kept_p < 10_000
 
+    @pytest.mark.parametrize("fit", ["ball", "mvee", "interval-box"])
+    def test_inclusion_scale_computed_once(self, fit, monkeypatch):
+        # The capacity is read off the pair verdict, not computed a second time.
+        from qpolar.bodies import _fit_scale
+
+        calls = []
+
+        def counted(inner, outer):
+            calls.append(1)
+            return _fit_scale(inner, outer)
+
+        monkeypatch.setattr("qpolar.polarity._fit_scale", counted)
+        report = cloud_analyze(cloud_generate_disk(1.2, 0.9, 2_000, seed=24), fit=fit, trim=0.01)
+        assert len(calls) == 1
+        assert report.capacity.value == 4.0 * report.pair.lambda_max
+
     def test_unexpected_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("bug in a covariance verdict")
@@ -220,14 +236,26 @@ class TestSections:
             assert emit_section_plot(VPolytope(corners), plane) == emit_section_plot(box, plane)
 
     def test_vpolytope_sections_above_enumeration_cap(self):
-        # Sections enumerate at any dimension: the 9-D cross-polytope's section
-        # is the unit diamond, in a single body and in a momentum plane of X x P.
+        # The 9-D cross-polytope's unit polar is the box, 512 vertices within the
+        # budget: its section is the unit diamond, in a single body and in a
+        # momentum plane of X x P.
         from qpolar.bodies import VPolytope
 
         cross = VPolytope(np.eye(9))
         diamond = "# area: 2\n# points: 4\n0 -1\n1 0\n0 1\n-1 0\n0 -1\n"
         assert emit_section_plot(cross, (0, 3)) == "# section: section\n# plane: 0 3\n" + diamond
         assert emit_section_plot((cross, cross), (9, 12)) == "# section: section\n# plane: 9 12\n" + diamond
+
+    def test_cube_from_vertices_above_the_budget_is_undecided(self):
+        # The 9-cube given by its 512 vertices: its unit polar has 512 rows, with
+        # McMullen's bound far above the vertex budget, so the section is refused
+        # before Qhull starts (an enumeration that ran for over a minute).
+        from qpolar.bodies import VPolytope
+        from qpolar.errors import UndecidedError
+
+        corners = VPolytope(np.array(list(itertools.product([-1.0, 1.0], repeat=9))))
+        with pytest.raises(UndecidedError, match="budget"):
+            section_polygon(corners, (0, 1))
 
     def test_invalid_plane(self):
         with pytest.raises(IndexError):
