@@ -47,10 +47,16 @@ from .errors import (
 )
 from .symplectic import _pencil_eigenvalues, _spd_cholesky, require_symmetric
 
-# H-polytope vertex enumeration is refused when the count bound (2^n for n rows,
-# McMullen's for more) exceeds this budget: an inclusion scale or a section that
-# needs the vertices is then undecided, and a V-polytope gauge solves LPs.
+# H-polytope vertex enumeration is refused when its count bound (``_vertex_bound``)
+# exceeds this budget: an inclusion scale or a section that needs the vertices is
+# then undecided, and a V-polytope gauge solves LPs.
 VERTEX_BUDGET = 2**20
+
+# One HiGHS LP of a V-polytope gauge costs about as much as Qhull enumerating this
+# many facets of McMullen's bound (the bound of the 8-dim cross-polytope image).
+# Measured at n = 9-14 with n + 1 to 2n vertex pairs: 2-3 ms per LP, 1.6-4.7 us
+# per bound facet. Below n = 8 the cross-polytope image's own bound is used.
+LP_COST_FACETS = 660
 
 # Where Qhull fails on nearly coincident rows, a row that agrees (up to sign)
 # with a longer row to within this factor of its own norm is dropped and the
@@ -163,6 +169,11 @@ def _max_facets(vertices: int, n: int) -> int:
     return vertices * comb(vertices - k, k) // (vertices - k)
 
 
+def _vertex_bound(rows: int, n: int) -> int:
+    """Vertex count bound of an n-dim H-polytope: 2^n for n rows, else McMullen's."""
+    return 2**n if rows == n else _max_facets(2 * rows, n)
+
+
 def _max_abs_dot(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """max_j |x_i . a_j| for each row x_i, in row blocks of about 2^22 products."""
     out = np.empty(x.shape[0])
@@ -179,9 +190,9 @@ def gauge(body: ConvexBody, x) -> float | np.ndarray:
     k gauges). Closed forms for ellipsoids, H-polytopes and V-polytopes with n
     vertices, ||V^-T x||_1. Any other V-polytope's gauge is max|w . x| over the
     vertices w of its unit polar (||.||_K = h_{K°}), its facet normals, when
-    their count bound is within ``VERTEX_BUDGET`` and small enough per row;
-    otherwise it solves one HiGHS LP per nonzero row. Raises ``UndecidedError``
-    where Qhull fails twice (``hpolytope_vertices``).
+    their count bound is within ``VERTEX_BUDGET`` and at most ``LP_COST_FACETS``
+    per row; otherwise it solves one HiGHS LP per nonzero row. Raises
+    ``UndecidedError`` where Qhull fails twice (``hpolytope_vertices``).
     """
     rows, single = _check_rows(body, x)
     if isinstance(body, Ellipsoid):
@@ -196,8 +207,9 @@ def gauge(body: ConvexBody, x) -> float | np.ndarray:
         m, n = body.vertices.shape
         nonzero = np.flatnonzero(np.any(rows, axis=1))
         # Enumerate the facets within the budget when their bound is at most, per
-        # LP replaced, the bound for a linear image of the cross-polytope (m = n).
-        if _max_facets(2 * m, n) <= min(VERTEX_BUDGET, _max_facets(2 * n, n) * nonzero.size):
+        # LP replaced, what one LP costs: the bound for m = n, at most LP_COST_FACETS.
+        per_lp = min(_max_facets(2 * n, n), LP_COST_FACETS)
+        if _vertex_bound(m, n) <= min(VERTEX_BUDGET, per_lp * nonzero.size):
             g = _max_abs_dot(rows, hpolytope_vertices(polar_dual(body)))
         else:
             from scipy.optimize import linprog
@@ -306,15 +318,21 @@ def hpolytope_vertices(body: HPolytope) -> np.ndarray:
     """All vertices of an H-polytope (both sign classes).
 
     ``UndecidedError`` before any work when their count bound (2^n for n rows,
-    McMullen's for more) exceeds ``VERTEX_BUDGET``. In closed form for dim 1 and
-    for n rows A (a parallelotope): A^-1 s over the 2^n sign vectors s. Otherwise
-    by Qhull; where it fails, nearly coincident rows are merged (``ROW_MERGE_RTOL``)
-    and Qhull runs once more; ``UndecidedError`` if it fails again.
+    McMullen's for more) exceeds ``VERTEX_BUDGET``; otherwise ``_enumerate_vertices``.
     """
-    n = body.dim
-    bound = 2**n if body.rows.shape[0] == n else _max_facets(2 * body.rows.shape[0], n)
+    bound = _vertex_bound(*body.rows.shape)
     if bound > VERTEX_BUDGET:
         raise UndecidedError(f"undecided: up to {bound} vertices exceed the enumeration budget {VERTEX_BUDGET}")
+    return _enumerate_vertices(body)
+
+
+def _enumerate_vertices(body: HPolytope) -> np.ndarray:
+    """The vertices with no budget. In closed form for dim 1 and for n rows A (a
+    parallelotope): A^-1 s over the 2^n sign vectors s. Otherwise by Qhull; where it
+    fails, nearly coincident rows are merged (``ROW_MERGE_RTOL``) and Qhull runs once
+    more; ``UndecidedError`` if it fails again.
+    """
+    n = body.dim
     if n == 1:
         a = 1.0 / np.max(np.abs(body.rows))
         return np.array([[a], [-a]])

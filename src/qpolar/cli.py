@@ -67,8 +67,12 @@ def _fmt_value(v):
 
 
 def _jsonify(obj):
-    if isinstance(obj, (np.ndarray, np.generic)):
+    if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 

@@ -190,4 +190,5 @@ def random_quantum_covariance(n: int, seed: int, hbar: float = 1.0,
         raise ValueError(f"slack must be nonnegative, got {slack}")
     _check_hbar(hbar)
     m = random_symplectic(n, np.random.default_rng(seed))
-    return CovarianceMatrix((1.0 + slack) * 0.5 * hbar * (m @ m.T))
+    sigma = (1.0 + slack) * 0.5 * hbar * (m @ m.T)
+    return CovarianceMatrix(0.5 * (sigma + sigma.T))

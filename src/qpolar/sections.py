@@ -19,7 +19,8 @@ the polygonal (shoelace) area of what is drawn.
 from __future__ import annotations
 
 import numpy as np
-from .bodies import ConvexBody, Ellipsoid, HPolytope, VPolytope, gauge, hpolytope_vertices, polar_dual
+from .bodies import (ConvexBody, Ellipsoid, HPolytope, VPolytope, _enumerate_vertices, gauge,
+                     hpolytope_vertices, polar_dual)
 from .errors import DegenerateBodyError, DimensionError
 
 CURVE_POINTS = 256
@@ -65,7 +66,8 @@ def section_polygon(body: ConvexBody, plane: tuple[int, int]) -> np.ndarray:
     restricted = restricted[np.linalg.norm(restricted, axis=1) > 1e-14 * max(1.0, np.abs(rows).max())]
     if restricted.size == 0 or np.linalg.matrix_rank(restricted) < 2:
         raise DegenerateBodyError("section is unbounded on the requested plane")
-    verts = hpolytope_vertices(HPolytope(restricted))
+    # A polygon has at most one vertex per row: only the n-dim enumeration is budgeted.
+    verts = _enumerate_vertices(HPolytope(restricted))
     return _order_by_angle(verts)
 
 

@@ -222,6 +222,31 @@ class TestGauge:
         monkeypatch.setattr(qpolar.bodies, "hpolytope_vertices", None)
         assert np.allclose(gauge(body, x), expected, rtol=1e-9, atol=0.0)
 
+    def test_lp_cost_above_dimension_8(self, monkeypatch):
+        # Above n = 8 one LP is worth LP_COST_FACETS = 660 bound facets, not the
+        # cross-polytope image's own bound. m = 10 vertex pairs at n = 9 (at most
+        # 2730 facets): 4 rows solve LPs, 5 enumerate the facets. m = 13 at n = 12
+        # (at most 50388): the 26 rows of a V/V pair's vertices solve LPs.
+        import scipy.optimize
+        import scipy.spatial
+
+        rng = np.random.default_rng(910)
+        body = random_vpolytope(9, rng, extra_vertices=1)
+        x = rng.standard_normal((5, 9))
+        expected = [vgauge_lp_oracle(body, r) for r in x]
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.spatial, "HalfspaceIntersection", forbid_qhull)
+            assert np.allclose(gauge(body, x[:4]), expected[:4], rtol=1e-9, atol=0.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.optimize, "linprog", forbid_linprog)
+            assert np.allclose(gauge(body, x), expected, rtol=1e-9, atol=0.0)
+
+        body = random_vpolytope(12, rng, extra_vertices=1)
+        x = np.vstack([body.vertices, -body.vertices]) * rng.uniform(0.5, 2.0, size=(26, 1))
+        expected = [vgauge_lp_oracle(body, r) for r in x]
+        monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection", forbid_qhull)
+        assert np.allclose(gauge(body, x), expected, rtol=1e-9, atol=0.0)
+
     def test_failed_enumeration_is_undecided(self, monkeypatch):
         import scipy.spatial
 
@@ -419,6 +444,23 @@ class TestContains:
         inner = VPolytope(np.vstack([x / 0.35, 0.1 * BADLY_SCALED]))
         assert not contains(VPolytope(BADLY_SCALED), inner)
         assert contains(VPolytope(BADLY_SCALED), scale(inner, 0.875))
+
+    def test_budget_edge_in_rows_at_n8(self):
+        # lambda P subset of the unit cube for P = {|A x| <= 1}, the polar of
+        # conv{+-a_i}: 1 / max_i h_P(e_i), each support an LP. 37 rows at n = 8
+        # bound the vertices by 969289 <= 2^20 and decide; 38 rows (1085945) are
+        # undecided before Qhull starts.
+        import scipy.optimize
+
+        rng = np.random.default_rng(837)
+        rows = rng.standard_normal((38, 8))
+        cube = HPolytope.box(np.ones(8))
+        a = np.vstack([rows[:37], -rows[:37]])
+        h = [-scipy.optimize.linprog(-e, A_ub=a, b_ub=np.ones(74), bounds=(None, None), method="highs").fun
+             for e in np.eye(8)]
+        assert inclusion_scale(cube, VPolytope(rows[:37])) == pytest.approx(1.0 / max(h), rel=1e-9)
+        with pytest.raises(UndecidedError, match="1085945"):
+            inclusion_scale(cube, VPolytope(rows))
 
     def test_undecided_above_enumeration_cap(self):
         # X = B(2.95), P = conv{+-e_i}: P's dual is the unit box, whose 2^n corners

@@ -257,6 +257,19 @@ class TestSections:
         with pytest.raises(UndecidedError, match="budget"):
             section_polygon(corners, (0, 1))
 
+    def test_polygon_is_not_charged_against_the_budget(self, monkeypatch):
+        # Only the n-dim enumeration is budgeted: with a budget of 12, the polar
+        # of conv{+-v_j} (4 rows at n = 3, at most 12 vertices) is enumerated,
+        # and the polygon of its 8 restricted rows (bound 16 > 12) is not refused.
+        import qpolar.bodies
+        from qpolar.bodies import VPolytope, polar_dual
+
+        body = VPolytope(np.random.default_rng(316).standard_normal((4, 3)))
+        expected = section_polygon(body, (0, 2))
+        monkeypatch.setattr(qpolar.bodies, "VERTEX_BUDGET", 12)
+        assert len(qpolar.bodies.hpolytope_vertices(polar_dual(body))) == 8
+        assert np.array_equal(section_polygon(body, (0, 2)), expected)
+
     def test_invalid_plane(self):
         with pytest.raises(IndexError):
             section_polygon(Ellipsoid.ball(2), (0, 0))

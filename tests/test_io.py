@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from qpolar.bodies import Ellipsoid, HPolytope, VPolytope
-from qpolar.cloud import body_to_dict
 from qpolar.io import (
     body_from_dict,
+    dump_body,
     dump_samples,
     load_body,
     load_cloud,
@@ -25,7 +25,7 @@ class TestBodyDocuments:
         ]
         for k, body in enumerate(bodies):
             path = tmp_path / f"b{k}.json"
-            path.write_text(json.dumps(body_to_dict(body)))
+            dump_body(body, path)
             again = load_body(path)
             assert type(again) is type(body)
 
