@@ -2,17 +2,18 @@
 
 All bodies are origin-centered (body = -body by construction):
 
-* ``Ellipsoid(matrix=Q)``      is {x : x^T Q x <= 1} with Q symmetric positive definite;
+* ``Ellipsoid(matrix=Q)``      is {x : x^T Q x <= 1} with Q = F F^T symmetric positive definite;
 * ``HPolytope(rows=A)``        is {x : |a_i^T x| <= 1 for every row a_i};
 * ``VPolytope(vertices=V)``    is conv{+-v_j} over the listed vertices.
 
-Operations are pure functions over these immutable values, and each derived body has
-one construction: every inverted ellipsoid (a polar, the MVEE) is ``_inverse_ellipsoid``,
-which symmetrizes the computed inverse; both polytopes validate in ``_polytope_array``;
-``scale`` is a ``linear_image``. The Minkowski gauge is the one body kernel and a closed
-form for every representation; a V-polytope's facet normals come from
-``hpolytope_vertices``, the one polytope conversion, unless there may be so many
-that one HiGHS LP per row costs less. The support function is the gauge of the unit
+Operations are pure functions over these immutable values. An ellipsoid carries a
+factor F of its matrix, and a derived one is built from a factor, not checked again:
+F^-T / hbar for a polar, L^-T F for a linear image (``scale`` is one), C^-T for (d M)^-1
+with d M = C C^T (``_inverse_ellipsoid``). Errors are of order cond(F) eps, so
+``linear_image`` decides up to its cond(L) <= 1e12 guard. The Minkowski gauge is the one
+body kernel and a closed form for every representation; a V-polytope's facet normals
+come from ``hpolytope_vertices``, the one polytope conversion, unless there may be so
+many that one HiGHS LP per row costs less. The support function is the gauge of the unit
 polar, h_K = ||.||_{K°}, and ``polar_dual`` maps each representation to its polar's.
 
 Boxes and cross-polytopes, and their linear images, have closed forms chosen by the
@@ -25,13 +26,12 @@ enumeration starts whose vertex count bound exceeds ``VERTEX_BUDGET``.
 Containment, the quantum-pair verdict and the product capacity all reduce to
 one inclusion scale, max{lambda : lambda * inner subset of outer}, computed by
 ``_fit_scale`` and accepted by ``_accepts``, the one rule of every verdict.
-For ellipsoids it is 1 / sqrt(mu_max), mu_max the largest eigenvalue of the outer
-matrix relative to the inner one by the inner's Cholesky factor (``_pencil_eigenvalues``).
+For ellipsoids it is 1 / sigma_max(F_in^-1 F_out), from the two factors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Union
 
@@ -41,11 +41,10 @@ from .errors import (
     ConvergenceError,
     DegenerateBodyError,
     DimensionError,
-    NotPositiveDefiniteError,
     SingularMatrixError,
     UndecidedError,
 )
-from .symplectic import _pencil_eigenvalues, _spd_cholesky, require_symmetric
+from .symplectic import _spd_cholesky, require_symmetric
 
 # H-polytope vertex enumeration is refused when its count bound (``_vertex_bound``)
 # exceeds this budget: an inclusion scale or a section that needs the vertices is
@@ -89,14 +88,22 @@ def _polytope_array(arr, kind: str, what: str, spans: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Ellipsoid:
-    """The ellipsoid {x : x^T Q x <= 1} for a symmetric positive definite Q."""
+    """The ellipsoid {x : x^T Q x <= 1} for a symmetric positive definite Q = F F^T (``factor``)."""
 
     matrix: np.ndarray
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = require_symmetric(self.matrix)
-        _spd_cholesky(q, "ellipsoid matrix")
+        object.__setattr__(self, "factor", _freeze(_spd_cholesky(q, "ellipsoid matrix")))
         object.__setattr__(self, "matrix", _freeze(q))
+
+    @classmethod
+    def _from_factor(cls, f: np.ndarray) -> "Ellipsoid":
+        """The ellipsoid with matrix F F^T for an invertible F, not checked again."""
+        ell = object.__new__(cls)
+        ell.__dict__.update(factor=_freeze(f), matrix=_freeze(f @ f.T))
+        return ell
 
     @property
     def dim(self) -> int:
@@ -196,7 +203,7 @@ def gauge(body: ConvexBody, x) -> float | np.ndarray:
     """
     rows, single = _check_rows(body, x)
     if isinstance(body, Ellipsoid):
-        g = np.sqrt(np.sum((rows @ body.matrix) * rows, axis=1))
+        g = np.linalg.norm(rows @ body.factor, axis=1)
     elif isinstance(body, HPolytope):
         g = _max_abs_dot(rows, body.rows)
     elif body.vertices.shape[0] == body.dim:
@@ -234,13 +241,9 @@ def support(body: ConvexBody, u) -> float | np.ndarray:
     return gauge(polar_dual(body), u)
 
 
-def _inverse_ellipsoid(m: np.ndarray, d: float, what: str) -> Ellipsoid:
-    """The ellipsoid with matrix M^{-1} / d, the computed inverse symmetrized."""
-    try:
-        inv = np.linalg.inv(m) / d
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(f"{what} is singular") from None
-    return Ellipsoid(0.5 * (inv + inv.T))
+def _inverse_ellipsoid(m: np.ndarray, d: float) -> Ellipsoid:
+    """The ellipsoid with matrix (d M)^-1 for SPD M: the factor C^-T of d M = C C^T."""
+    return Ellipsoid._from_factor(np.linalg.inv(_spd_cholesky(d * m, "ellipsoid matrix")).T)
 
 
 def polar_dual(body: ConvexBody, hbar: float = 1.0) -> ConvexBody:
@@ -253,7 +256,7 @@ def polar_dual(body: ConvexBody, hbar: float = 1.0) -> ConvexBody:
     """
     _check_hbar(hbar)
     if isinstance(body, Ellipsoid):
-        return _inverse_ellipsoid(body.matrix, hbar**2, "ellipsoid matrix")
+        return Ellipsoid._from_factor(np.linalg.inv(body.factor).T / hbar)
     if isinstance(body, HPolytope):
         return VPolytope(hbar * body.rows)
     return HPolytope(body.vertices / hbar)
@@ -268,8 +271,7 @@ def linear_image(body: ConvexBody, l: np.ndarray) -> ConvexBody:
     if svals[-1] <= 1e-12 * svals[0]:
         raise SingularMatrixError("linear image requires an invertible matrix")
     if isinstance(body, Ellipsoid):
-        l_inv = np.linalg.inv(l)
-        return Ellipsoid(l_inv.T @ body.matrix @ l_inv)
+        return Ellipsoid._from_factor(np.linalg.solve(l.T, body.factor))
     if isinstance(body, VPolytope):
         return VPolytope(body.vertices @ l.T)
     return HPolytope(np.linalg.solve(l.T, body.rows.T).T)
@@ -356,8 +358,7 @@ def _fit_scale(inner: ConvexBody, outer: ConvexBody) -> float:
     """max{lambda > 0 : lambda * inner subset of outer}, exact or UndecidedError."""
     if isinstance(inner, Ellipsoid):
         if isinstance(outer, Ellipsoid):
-            mu_max = _pencil_eigenvalues(outer.matrix, inner.matrix)[-1]
-            return float(1.0 / np.sqrt(mu_max))
+            return float(1.0 / np.linalg.norm(np.linalg.solve(inner.factor, outer.factor), 2))
         # By unit polarity lambda * E in K iff lambda * K° in E°.
         return _fit_scale(polar_dual(outer), polar_dual(inner))
 
@@ -435,4 +436,4 @@ def enclosing_ellipsoid(points, mode: str = "ball") -> Ellipsoid:
             f"in {MVEE_MAX_ITER} iterations"
         )
     # Scale by the worst gauge so containment of every input point is exact.
-    return _inverse_ellipsoid(mat, np.max(g), "moment matrix")
+    return _inverse_ellipsoid(mat, np.max(g))

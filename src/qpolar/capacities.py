@@ -18,7 +18,7 @@ import numpy as np
 from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, _accepts, support
 from .errors import DimensionError
 from .polarity import PairVerdict, is_quantum_pair
-from .symplectic import symplectic_eigenvalues
+from .symplectic import _factor_symplectic_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,13 @@ class CapacityReport:
 def ellipsoid_capacity(ell: Ellipsoid) -> float:
     """Symplectic capacity of a phase-space ellipsoid {z : z^T Q z <= 1}.
 
-    Returns pi / mu_max, mu_max the largest Williamson eigenvalue of Q.
+    Returns pi / mu_max, mu_max the largest Williamson eigenvalue of Q (from its factor).
     Monotone, conformal of degree 2, and invariant under linear symplectic
     images. The value does not depend on hbar.
     """
     if ell.dim % 2:
         raise DimensionError(f"phase-space ellipsoids have even dimension, got {ell.dim}")
-    mu = symplectic_eigenvalues(ell.matrix)
+    mu = _factor_symplectic_eigenvalues(ell.factor)
     return float(np.pi / mu[-1])
 
 

@@ -67,12 +67,8 @@ def _fmt_value(v):
 
 
 def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 

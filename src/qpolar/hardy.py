@@ -199,7 +199,7 @@ def hardy_check(inp: HardyInput, hbar: float = 1.0, tol: float = DEFAULT_TOL) ->
         kind = "gaussian_boundary"
     else:
         kind = "hermite_subcritical"
-    pair = (_inverse_ellipsoid(inp.a, 2.0, "A"), _inverse_ellipsoid(inp.b, 2.0, "B"))
+    pair = (_inverse_ellipsoid(inp.a, 2.0), _inverse_ellipsoid(inp.b, 2.0))
     return HardyVerdict(eigenvalues=eigs, classification=kind, pair=pair)
 
 

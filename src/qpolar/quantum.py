@@ -107,7 +107,7 @@ def rs_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> list[bool]:
 
 def covariance_ellipsoid(s) -> Ellipsoid:
     """The phase-space region {z : z^T Sigma^{-1} z / 2 <= 1} as an Ellipsoid."""
-    return _inverse_ellipsoid(_as_cov(s).sigma, 2.0, "covariance matrix")
+    return _inverse_ellipsoid(_as_cov(s).sigma, 2.0)
 
 
 def capacity_criterion(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> bool:
@@ -140,8 +140,7 @@ def project_xp(s) -> tuple[Ellipsoid, Ellipsoid]:
     off-diagonal block does not enter.
     """
     cov = _as_cov(s)
-    what = "a diagonal block of the covariance matrix"
-    return _inverse_ellipsoid(cov.dxx, 2.0, what), _inverse_ellipsoid(cov.dpp, 2.0, what)
+    return _inverse_ellipsoid(cov.dxx, 2.0), _inverse_ellipsoid(cov.dpp, 2.0)
 
 
 def theorem2_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> PairVerdict:
@@ -191,4 +190,4 @@ def random_quantum_covariance(n: int, seed: int, hbar: float = 1.0,
     _check_hbar(hbar)
     m = random_symplectic(n, np.random.default_rng(seed))
     sigma = (1.0 + slack) * 0.5 * hbar * (m @ m.T)
-    return CovarianceMatrix(0.5 * (sigma + sigma.T))
+    return CovarianceMatrix(sigma)

@@ -57,7 +57,7 @@ def require_symmetric(s: np.ndarray) -> np.ndarray:
     """Validate approximate symmetry and return the symmetrized matrix (S + S^T)/2.
 
     Accepts S when ||S - S^T||_max <= SYMMETRY_RTOL * ||S||_max, a guard for round-off in
-    input files (computed inverses are symmetrized first); worse raises NotSymmetricError.
+    input files (derived ellipsoids come from factors, unchecked); worse raises NotSymmetricError.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -91,8 +91,12 @@ def symplectic_eigenvalues(s: np.ndarray) -> np.ndarray:
     s = require_symmetric(s)
     if s.shape[0] % 2:
         raise DimensionError(f"phase-space matrices have even dimension, got {s.shape[0]}")
-    c = _spd_cholesky(s)
-    j = standard_symplectic_matrix(s.shape[0] // 2)
+    return _factor_symplectic_eigenvalues(_spd_cholesky(s))
+
+
+def _factor_symplectic_eigenvalues(c: np.ndarray) -> np.ndarray:
+    """Williamson eigenvalues of C C^T for any invertible 2n x 2n factor C, ascending."""
+    j = standard_symplectic_matrix(c.shape[0] // 2)
     svals = np.linalg.svd(c.T @ j @ c, compute_uv=False)[::-1]  # ascending, paired
     return 0.5 * (svals[0::2] + svals[1::2])
 

@@ -1,5 +1,7 @@
 import itertools
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,7 +20,8 @@ from qpolar.bodies import (
     scale,
     support,
 )
-from qpolar.capacities import product_capacity
+from qpolar.capacities import ellipsoid_capacity, product_capacity
+from qpolar.cloud import MeasurementCloud, cloud_analyze
 from qpolar.errors import (
     DegenerateBodyError,
     DimensionError,
@@ -28,11 +31,12 @@ from qpolar.errors import (
 )
 from qpolar.hardy import HardyInput, hardy_check
 from qpolar.polarity import inclusion_scale, is_quantum_pair, polar_dual
-from qpolar.quantum import covariance_ellipsoid, project_xp
+from qpolar.quantum import covariance_ellipsoid, project_xp, random_quantum_covariance, theorem2_check
 from qpolar.sections import section_polygon
 
 from conftest import (
     random_body,
+    random_spd,
     random_ellipsoid,
     random_hpolytope,
     random_vpolytope,
@@ -607,3 +611,78 @@ def test_maps_of_valid_ellipsoids_build_or_are_undecided(n, log_cond, seed):
     covariance_ellipsoid(sigma)
     project_xp(sigma)
     hardy_check(HardyInput(q, spd_with_condition(n, cond, rng)))
+
+
+# Bodies built from factors lose accuracy like n cond(L) eps, not cond(L)^2: each
+# check below allows FACTOR_ERR_C times that (the worst seen over 300 seeds is 3.2).
+FACTOR_ERR_C = 10.0
+EPS = np.finfo(float).eps
+
+
+def _orthosymplectic(n, rng):
+    """[[Re U, -Im U], [Im U, Re U]] for a random unitary U: orthogonal and symplectic."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+
+@given(n=st.sampled_from([2, 3, 6, 9]), log_cond=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_linear_images_lose_accuracy_like_the_condition_number(n, log_cond, seed):
+    rng = np.random.default_rng(seed)
+    cond = min(10.0**log_cond, 0.99e12)  # just inside linear_image's 1e12 guard
+    bound = FACTOR_ERR_C * n * cond * EPS
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.geomspace(1.0, cond, n)
+    l, l_inv_t = (q1 * s) @ q2.T, (q1 / s) @ q2.T
+    ball = Ellipsoid.ball(n)
+    # (L B, L^-T B) is a minimal pair: lambda = 1.
+    lam = inclusion_scale(linear_image(ball, l), linear_image(ball, l_inv_t))
+    assert abs(lam - 1.0) <= bound
+    if n <= 3:
+        # For these float inputs lambda = sigma_min(M^T L) with M = l_inv_t, in 60 digits.
+        mpmath.mp.dps = 60
+        a = mpmath.matrix(l_inv_t.T.tolist()) * mpmath.matrix(l.tolist())
+        exact = min(mpmath.svd_r(a, compute_uv=False))
+        assert abs(lam - exact) <= bound * exact
+
+    # A symplectic map with singular values d and 1/d, d up to sqrt(cond), keeps
+    # the unit ball's capacity pi.
+    d = np.geomspace(1.0, np.sqrt(cond), n)
+    sym = (_orthosymplectic(n, rng) * np.concatenate([d, 1.0 / d])) @ _orthosymplectic(n, rng)
+    cap = ellipsoid_capacity(linear_image(Ellipsoid.ball(2 * n), sym))
+    assert abs(cap - np.pi) <= FACTOR_ERR_C * 2 * n * cond * EPS * np.pi
+
+
+def test_symmetry_is_checked_on_inputs_only(monkeypatch, rng):
+    # Polars, projections, covariance ellipsoids and MVEE fits are built from
+    # factors, so require_symmetric sees only the matrices a caller passes in.
+    seen = []
+    check = sys.modules["qpolar.symplectic"].require_symmetric
+
+    def recording(s):
+        seen.append(np.asarray(s, dtype=float))
+        return check(s)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qpolar") and getattr(module, "require_symmetric", None) is check:
+            monkeypatch.setattr(module, "require_symmetric", recording)
+
+    def inputs_only(*expected):
+        assert len(seen) == len(expected)
+        for got, want in zip(seen, expected):
+            assert got.shape == want.shape and np.allclose(got, want, rtol=1e-14, atol=0.0)
+        seen.clear()
+
+    a, b = random_spd(3, rng), random_spd(3, rng)
+    is_quantum_pair(Ellipsoid(a), Ellipsoid(b))
+    inputs_only(a, b)
+
+    sigma = random_quantum_covariance(2, seed=5, slack=0.5).sigma
+    seen.clear()
+    theorem2_check(sigma)
+    inputs_only(sigma)
+
+    # The sample covariance is checked by CovarianceMatrix and symplectic_eigenvalues.
+    report = cloud_analyze(MeasurementCloud(rng.standard_normal((200, 2)), rng.standard_normal((200, 2))),
+                           fit="mvee", trim=0.1)
+    inputs_only(report.sample_covariance.sigma, report.sample_covariance.sigma)

@@ -417,3 +417,12 @@ def test_malformed_document_exits_one(runner, tmp_path, doc, args, key):
     result = runner.invoke(cli, [path if a == "{doc}" else a for a in args])
     assert result.exit_code == 1
     assert "Error:" in result.output and key in result.output
+
+
+@pytest.mark.parametrize("args", [[], ["-j", "1"]], ids=["capacity", "section-area"])
+def test_singular_sigma_reads_as_not_positive_definite(runner, tmp_path, args):
+    # A singular Sigma fails the covariance ellipsoid's Cholesky step, as an indefinite one does.
+    sigma = write_json(tmp_path / "sigma.json", {"sigma": np.diag([1.0, 0.0, 1.0, 1.0]).tolist()})
+    result = runner.invoke(cli, ["capacity", "--sigma", sigma, *args])
+    assert result.exit_code == 1
+    assert "Error: ellipsoid matrix is not positive definite" in result.output
