@@ -10,7 +10,9 @@ Operations are pure functions over these immutable values. An ellipsoid carries 
 factor F of its matrix, and a derived one is built from a factor, not checked again:
 F^-T / hbar for a polar, L^-T F for a linear image (``scale`` is one), C^-T for (d M)^-1
 with d M = C C^T (``_inverse_ellipsoid``). Errors are of order cond(F) eps, so
-``linear_image`` decides up to its cond(L) <= 1e12 guard. The Minkowski gauge is the one
+``linear_image`` decides up to its cond(L) <= 1e12 guard. ``polar_dual`` builds a polytope
+from a validated array scaled by hbar with only the finiteness and nonzero-row checks (no
+rank SVD); ``linear_image`` validates a polytope in full. The Minkowski gauge is the one
 body kernel and a closed form for every representation; a V-polytope's facet normals
 come from ``hpolytope_vertices``, the one polytope conversion, unless there may be so
 many that one HiGHS LP per row costs less. The support function is the gauge of the unit
@@ -74,15 +76,19 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _polytope_array(arr, kind: str, what: str, spans: str) -> np.ndarray:
-    """The one polytope validator: arr as frozen finite nonzero rows spanning the space."""
+def _polytope_array(arr, kind: str, what: str, spans: str, rank: bool = True) -> np.ndarray:
+    """The one polytope validator: arr as frozen finite nonzero rows spanning the space
+    (matrix_rank's test, sigma_n > sigma_1 max(m, n) eps). rank=False skips the span test
+    for an array scaled by c > 0 from a validated one: scaling keeps the rank."""
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"polytope {what} must be finite")
-    if arr.shape[0] == 0 or np.any(np.linalg.norm(arr, axis=1) == 0):
+    if arr.shape[0] == 0 or not np.einsum("ij,ij->i", arr, arr).all():
         raise DegenerateBodyError(f"{kind}-polytope {what} must be non-empty and nonzero")
-    if np.linalg.matrix_rank(arr) < arr.shape[1]:
-        raise DegenerateBodyError(f"{kind}-polytope {what} must span the space ({spans})")
+    if rank:
+        svals = np.linalg.svd(arr, compute_uv=False)
+        if len(arr) < arr.shape[1] or svals[-1] <= svals[0] * max(arr.shape) * np.finfo(float).eps:
+            raise DegenerateBodyError(f"{kind}-polytope {what} must span the space ({spans})")
     return _freeze(arr)
 
 
@@ -126,6 +132,13 @@ class HPolytope:
     def __post_init__(self):
         object.__setattr__(self, "rows", _polytope_array(self.rows, "H", "rows", "bounded body"))
 
+    @classmethod
+    def _scaled(cls, rows: np.ndarray) -> "HPolytope":
+        """The H-polytope on rows scaled by c > 0 from a validated polytope's: rank not tested again."""
+        poly = object.__new__(cls)
+        poly.__dict__["rows"] = _polytope_array(rows, "H", "rows", "bounded body", rank=False)
+        return poly
+
     @property
     def dim(self) -> int:
         return self.rows.shape[1]
@@ -147,6 +160,13 @@ class VPolytope:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", _polytope_array(self.vertices, "V", "vertices", "full-dimensional body"))
+
+    @classmethod
+    def _scaled(cls, vertices: np.ndarray) -> "VPolytope":
+        """The V-polytope on vertices scaled by c > 0 from a validated polytope's: rank not tested again."""
+        poly = object.__new__(cls)
+        poly.__dict__["vertices"] = _polytope_array(vertices, "V", "vertices", "full-dimensional body", rank=False)
+        return poly
 
     @property
     def dim(self) -> int:
@@ -258,8 +278,8 @@ def polar_dual(body: ConvexBody, hbar: float = 1.0) -> ConvexBody:
     if isinstance(body, Ellipsoid):
         return Ellipsoid._from_factor(np.linalg.inv(body.factor).T / hbar)
     if isinstance(body, HPolytope):
-        return VPolytope(hbar * body.rows)
-    return HPolytope(body.vertices / hbar)
+        return VPolytope._scaled(hbar * body.rows)
+    return HPolytope._scaled(body.vertices / hbar)
 
 
 def linear_image(body: ConvexBody, l: np.ndarray) -> ConvexBody:

@@ -85,6 +85,5 @@ def product_projection_area(x: ConvexBody, p: ConvexBody, j: int) -> float:
         raise DimensionError(f"dimension mismatch: X is {x.dim}-dim, P is {p.dim}-dim")
     if not 1 <= j <= x.dim:
         raise IndexError(f"mode index must satisfy 1 <= j <= {x.dim}, got {j}")
-    e = np.zeros(x.dim)
-    e[j - 1] = 1.0
+    e = np.eye(x.dim)[j - 1]
     return 4.0 * support(x, e) * support(p, e)

@@ -92,12 +92,9 @@ def product_section_rectangle(x_body: ConvexBody, p_body: ConvexBody,
     if i >= n:
         return section_polygon(p_body, (i - n, j - n))
     # Conjugate-plane rectangle from the axis sections 1/gauge(e_k).
-    ex = np.zeros(n)
-    ex[i] = 1.0
-    ep = np.zeros(n)
-    ep[j - n] = 1.0
-    alpha = 1.0 / gauge(x_body, ex)
-    beta = 1.0 / gauge(p_body, ep)
+    axes = np.eye(n)
+    alpha = 1.0 / gauge(x_body, axes[i])
+    beta = 1.0 / gauge(p_body, axes[j - n])
     return _order_by_angle(
         np.array([[alpha, beta], [-alpha, beta], [-alpha, -beta], [alpha, -beta]])
     )

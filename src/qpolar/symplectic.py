@@ -25,9 +25,7 @@ def standard_symplectic_matrix(n: int) -> np.ndarray:
     """
     if n < 1:
         raise DimensionError(f"need n >= 1 modes, got n={n}")
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    return np.block([[zero, eye], [-eye, zero]])
+    return np.eye(2 * n, k=n) - np.eye(2 * n, k=-n)
 
 
 def symplectic_form(z: np.ndarray, zp: np.ndarray) -> float:

@@ -1,10 +1,12 @@
+import contextlib
 import itertools
 import sys
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qpolar.bodies import (
@@ -12,6 +14,7 @@ from qpolar.bodies import (
     HPolytope,
     VPolytope,
     _halfspace_vertices,
+    _polytope_array,
     contains,
     enclosing_ellipsoid,
     gauge,
@@ -686,3 +689,123 @@ def test_symmetry_is_checked_on_inputs_only(monkeypatch, rng):
     report = cloud_analyze(MeasurementCloud(rng.standard_normal((200, 2)), rng.standard_normal((200, 2))),
                            fit="mvee", trim=0.1)
     inputs_only(report.sample_covariance.sigma, report.sample_covariance.sigma)
+
+
+@contextlib.contextmanager
+def full_polytope_checks():
+    """Record every array that goes through the full polytope validator, rank SVD included."""
+    seen = []
+    bodies = sys.modules["qpolar.bodies"]
+    check = bodies._polytope_array
+
+    def recording(arr, *args, **kwargs):
+        if kwargs.get("rank", True):
+            seen.append(np.array(arr, dtype=float))
+        return check(arr, *args, **kwargs)
+
+    with mock.patch.object(bodies, "_polytope_array", recording):
+        yield seen
+
+
+def test_polytopes_are_validated_once_on_construction(rng):
+    # polar_dual scales a validated polytope and keeps its rank, so the full
+    # validator sees only the polytopes a caller constructs (linear_image is one).
+    n = 3
+    with full_polytope_checks() as seen:
+        l = rng.standard_normal((n, n)) + 3 * np.eye(n)
+        box = linear_image(HPolytope.box(np.full(n, 2.0)), l)
+        cross = linear_image(VPolytope(np.eye(n)), np.linalg.inv(l).T)
+        shapes = {"ball": Ellipsoid.ball(n), "box": box, "cross": cross}
+        assert len(seen) == 4
+        seen.clear()
+        for x, p in itertools.product(shapes.values(), repeat=2):
+            is_quantum_pair(x, p, hbar=0.7)
+        product_capacity(box, cross, hbar=2.0)
+        contains(box, polar_dual(cross))
+        assert seen == []
+
+
+def polar_matches_the_validator(body, hbar):
+    """polar_dual(body, hbar) builds exactly what the full validator builds from the
+    scaled array, or raises its exception, without running the full validator."""
+    def built(construct, *args):
+        try:
+            with np.errstate(over="ignore"):
+                return construct(*args)
+        except ValueError as exc:
+            return exc
+
+    if isinstance(body, HPolytope):
+        want = built(lambda: VPolytope(hbar * body.rows))  # the public, fully checked constructor
+    else:
+        want = built(lambda: HPolytope(body.vertices / hbar))
+    with full_polytope_checks() as seen:
+        got = built(polar_dual, body, hbar)
+    assert seen == []
+    assert type(got) is type(want)
+    if isinstance(want, ValueError):
+        assert str(got) == str(want)
+    else:
+        arr, want_arr = (got.rows, want.rows) if isinstance(want, HPolytope) else (got.vertices, want.vertices)
+        assert arr.shape == want_arr.shape and arr.tobytes() == want_arr.tobytes()
+        assert not arr.flags.writeable
+
+
+@given(kind=st.sampled_from([HPolytope, VPolytope]), n=st.sampled_from([1, 2, 3, 6, 9]),
+       data=st.data(), log_scale=st.floats(-150, 150), log_hbar=st.floats(-150, 150),
+       seed=st.integers(0, 2**32 - 1))
+def test_polars_of_checked_polytopes_match_the_validator(kind, n, data, log_scale, log_hbar, seed):
+    # n spanning rows at a scale in 10^+-150, then up to 2n extra rows each at a
+    # smaller scale down to 10^-150. A row whose squares underflow counts as zero,
+    # so for some hbar in 10^+-150 the scaled rows do.
+    rng = np.random.default_rng(seed)
+    m = n + data.draw(st.integers(0, 2 * n), label="extra rows")
+    rows = rng.standard_normal((m, n)) * 10.0**log_scale
+    rows[n:] = rng.standard_normal((m - n, n)) * 10.0 ** rng.uniform(-150.0, log_scale, size=(m - n, 1))
+    try:
+        body = kind(rows)
+    except DegenerateBodyError:
+        assume(False)
+    polar_matches_the_validator(body, 10.0**log_hbar)
+
+
+@pytest.mark.parametrize("kind, rows, hbar", [
+    # Overflow: hbar * 1e300 is infinite, a ValueError for finiteness.
+    (HPolytope, 1e300 * np.eye(3), 1e10),
+    (VPolytope, 1e300 * np.eye(3), 1e-10),
+    # A short third row's squares underflow: DegenerateBodyError for a zero row.
+    (HPolytope, [[1.0, 0.0], [0.0, 1.0], [1e-150, 1e-150]], 1e-20),
+    (VPolytope, [[1.0, 0.0], [0.0, 1.0], [1e-150, 1e-150]], 1e20),
+    # Rows near the underflow edge still build, with their rank kept.
+    (HPolytope, [[1e-140, 0.0], [0.0, 1e-140]], 1e-20),
+])
+def test_polar_edges_match_the_validator(kind, rows, hbar):
+    polar_matches_the_validator(kind(rows), hbar)
+
+
+def test_rank_test_is_matrix_rank():
+    # The validator rejects exactly the arrays with a zero row or numerical rank
+    # below n (matrix_rank's tolerance): tall, wide and near-singular arrays.
+    rng = np.random.default_rng(13)
+    rejected = 0
+    for trial in range(3000):
+        m, n = rng.integers(1, 10, size=2)
+        r = rng.integers(1, min(m, n) + 1)
+        a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+        a += 10.0 ** -rng.uniform(10, 17) * np.abs(a).max() * rng.standard_normal((m, n))
+        if trial % 7 == 0:
+            a[rng.integers(m)] = 0.0
+        if trial % 5 == 0:
+            a *= 10.0 ** rng.uniform(-2, 2, size=(m, 1))
+        a *= 10.0 ** rng.uniform(-100, 100)
+        if trial % 300 == 0:
+            a[rng.integers(m)] *= 1e-70  # squares underflow: a zero row, as for the norm
+        degenerate = np.any(np.linalg.norm(a, axis=1) == 0) or np.linalg.matrix_rank(a) < n
+        try:
+            _polytope_array(a, "H", "rows", "bounded body")
+        except DegenerateBodyError:
+            rejected += 1
+            assert degenerate, a
+        else:
+            assert not degenerate, a
+    assert 500 < rejected < 2500
