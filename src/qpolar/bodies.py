@@ -65,7 +65,7 @@ LP_COST_FACETS = 660
 ROW_MERGE_RTOL = 1e-10
 
 # The MVEE fit stops within this volume factor (1 + MVEE_VOL_TOL) of optimal,
-# or raises ConvergenceError after MVEE_MAX_ITER iterations.
+# or raises ConvergenceError after MVEE_MAX_ITER steps.
 MVEE_VOL_TOL = 0.01
 MVEE_MAX_ITER = 100_000
 
@@ -421,11 +421,15 @@ def enclosing_ellipsoid(points, mode: str = "ball") -> Ellipsoid:
     mode="ball" gives the smallest origin-centered Euclidean ball.
     mode="mvee" gives a minimum-volume enclosing ellipsoid of {+-p_i}, within
     a (1 + MVEE_VOL_TOL) volume factor of optimal, by Frank-Wolfe ascent on the
-    determinant (the symmetric Khachiyan iteration).
+    determinant over a working set: a Kumar-Yildirim core set to start, Todd-Yildirim
+    away and drop steps, and a scan of all m points only to certify the factor or
+    to add the worst violators.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise DegenerateBodyError("empty point set")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     n = pts.shape[1]
     if np.linalg.matrix_rank(pts) < n:
         raise DegenerateBodyError("points do not span the space; enclosing body is degenerate")
@@ -436,24 +440,43 @@ def enclosing_ellipsoid(points, mode: str = "ball") -> Ellipsoid:
     if mode != "mvee":
         raise ValueError(f"unknown mode {mode!r}; expected 'ball' or 'mvee'")
 
-    m = pts.shape[0]
-    u = np.full(m, 1.0 / m)
-    # (1 + eps)^(n/2) <= 1 + MVEE_VOL_TOL  maps the volume gap to the duality gap.
-    eps = (1.0 + MVEE_VOL_TOL) ** (2.0 / n) - 1.0
-    for _ in range(MVEE_MAX_ITER):
-        mat = pts.T @ (pts * u[:, None])
-        g = np.einsum("ij,ij->i", pts @ np.linalg.inv(mat), pts)
-        j = int(np.argmax(g))
-        kappa = g[j]
-        if kappa <= n * (1.0 + eps):
-            break
-        step = (kappa - n) / (n * (kappa - 1.0))
-        u *= 1.0 - step
-        u[j] += step
-    else:
-        raise ConvergenceError(
-            f"enclosing ellipsoid did not reach the {MVEE_VOL_TOL:.0%} volume gap "
-            f"in {MVEE_MAX_ITER} iterations"
-        )
+    # Kumar-Yildirim core set: the farthest point, then the farthest along a direction
+    # orthogonal to the earlier picks, n in all; then along the picks' n dual directions.
+    picks = [int(np.argmax(np.einsum("ij,ij->i", pts, pts)))]
+    for _ in range(n - 1):
+        picks.append(int(np.argmax(np.abs(pts @ np.linalg.svd(pts[picks])[2][-1]))))
+    picks += [int(np.argmax(np.abs(pts @ w))) for w in np.linalg.inv(pts[picks]).T]
+    work = np.unique(picks)
+    p, u, steps = pts[work], np.full(work.size, 1.0 / work.size), 0
+    # n (1 + eps) with (1 + eps)^(n/2) = 1 + MVEE_VOL_TOL maps the volume gap to the duality gap.
+    bound = n * (1.0 + MVEE_VOL_TOL) ** (2.0 / n)
+    while True:
+        mat = p.T @ (p * u[:, None])
+        g = np.einsum("ij,ij->i", p @ np.linalg.inv(mat), p)
+        if g.max() <= bound:
+            # The working set is solved: certify on all m points, or add the worst violators.
+            g_all = np.einsum("ij,ij->i", pts @ np.linalg.inv(mat), pts)
+            worst = np.flatnonzero(g_all > bound)
+            if not worst.size:
+                break
+            new = np.setdiff1d(worst[np.argsort(g_all[worst])[-2 * n:]], work)
+            work, u = np.r_[work, new], np.r_[u, np.zeros(new.size)]
+            p, g = pts[work], g_all[work]
+        if steps == MVEE_MAX_ITER:
+            raise ConvergenceError(f"enclosing ellipsoid did not reach the {MVEE_VOL_TOL:.0%} volume gap "
+                                   f"in {MVEE_MAX_ITER} iterations")
+        steps += 1
+        # Toward the worst point, or away from the support point of least gauge,
+        # whichever is further from the optimum g = n; a drop step ends at u_k = 0.
+        j, k = int(np.argmax(g)), int(np.argmin(np.where(u > 0, g, np.inf)))
+        if g[j] - n >= n - g[k]:
+            step = (g[j] - n) / (n * (g[j] - 1.0))
+            u *= 1.0 - step
+            u[j] += step
+        else:
+            drop = u[k] / (1.0 - u[k])
+            step = min((n - g[k]) / (n * (g[k] - 1.0)), drop) if g[k] > 1.0 else drop
+            u *= 1.0 + step
+            u[k] = 0.0 if step == drop else u[k] - step
     # Scale by the worst gauge so containment of every input point is exact.
-    return _inverse_ellipsoid(mat, np.max(g))
+    return _inverse_ellipsoid(mat, np.max(g_all))

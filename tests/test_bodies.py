@@ -10,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qpolar.bodies import (
+    MVEE_VOL_TOL,
     Ellipsoid,
     HPolytope,
     VPolytope,
@@ -26,6 +27,7 @@ from qpolar.bodies import (
 from qpolar.capacities import ellipsoid_capacity, product_capacity
 from qpolar.cloud import MeasurementCloud, cloud_analyze
 from qpolar.errors import (
+    ConvergenceError,
     DegenerateBodyError,
     DimensionError,
     NotPositiveDefiniteError,
@@ -578,6 +580,89 @@ class TestEnclosingEllipsoid:
     def test_degenerate_points_rejected(self):
         with pytest.raises(DegenerateBodyError):
             enclosing_ellipsoid([[1.0, 0.0], [2.0, 0.0]], "ball")
+
+    @pytest.mark.parametrize("mode", ["ball", "mvee"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, mode, bad):
+        with pytest.raises(ValueError, match="points must be finite"):
+            enclosing_ellipsoid([[1.0, 0.0], [0.0, 1.0], [bad, 0.5]], mode)
+
+
+def cube_corners(n):
+    """The 2^n corners {+-1}^n, and the matrix I / n of their MVEE, the ball of radius sqrt(n)."""
+    signs = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+    return signs, np.eye(n) / n
+
+
+def regular_polygon(k, phase=0.3):
+    """The regular 2k-gon (k >= 2) on the unit circle, and the matrix of its MVEE: the
+    unit disk, the only ellipse that the rotation by pi / k maps onto itself."""
+    t = np.pi * (np.arange(2 * k) + phase) / k
+    return np.column_stack([np.cos(t), np.sin(t)]), np.eye(2)
+
+
+def image_oracle(points, q, l):
+    """The points L p and the MVEE matrix L^-T Q L^-1 of their fit: the MVEE commutes with L."""
+    l_inv = np.linalg.inv(l)
+    return points @ l.T, l_inv.T @ q @ l_inv
+
+
+def assert_mvee_guarantee(points, q_opt):
+    """The MVEE fit contains every point, touches one, and is at most (1 + MVEE_VOL_TOL)
+    times the volume of the optimum Q_opt (and, containing the points, no smaller)."""
+    out = enclosing_ellipsoid(points, "mvee")
+    g = gauge(out, points)
+    assert g.max() <= 1 + 1e-12 and g.max() >= 1 - 1e-12
+    vol_ratio = np.exp(0.5 * (np.linalg.slogdet(q_opt)[1] - np.linalg.slogdet(out.matrix)[1]))
+    assert 1 - 1e-10 <= vol_ratio <= 1 + MVEE_VOL_TOL
+    return out
+
+
+class TestMveeGuarantee:
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_cube_corners_and_their_images(self, n, rng):
+        assert_mvee_guarantee(*cube_corners(n))
+        for _ in range(3):
+            assert_mvee_guarantee(*image_oracle(*cube_corners(n), rng.standard_normal((n, n)) + 2 * np.eye(n)))
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 64, 5000])
+    def test_regular_polygons(self, k, rng):
+        # k = 5000, a 10^4-gon: every point lies on the optimal boundary (g_i = n for all i).
+        assert_mvee_guarantee(*regular_polygon(k))
+        assert_mvee_guarantee(*image_oracle(*regular_polygon(k), rng.standard_normal((2, 2)) + 2 * np.eye(2)))
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_heavily_duplicated_points(self, n, rng):
+        pts, q = image_oracle(*cube_corners(n), rng.standard_normal((n, n)) + 2 * np.eye(n))
+        assert_mvee_guarantee(np.repeat(pts, 1000 // n, axis=0), q)
+        assert_mvee_guarantee(np.tile(pts, (1000 // n, 1)), q)
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_zero_rows_and_n_spanning_points(self, n, rng):
+        # The MVEE of +-v_i over the rows of an invertible V is {x : x^T (V^T V)^-1 x <= 1}.
+        v = rng.standard_normal((n, n)) + 2 * np.eye(n)
+        pts = np.vstack([np.zeros((10_000, n)), v, np.zeros((10, n))])
+        assert_mvee_guarantee(pts, np.linalg.inv(v.T @ v))
+
+    def test_fits_are_deterministic(self, rng):
+        # The same cloud, also as a copy at another address, gives the same bytes.
+        pts = rng.standard_normal((20_000, 6)) * np.geomspace(1.0, 1e3, 6)
+        first = enclosing_ellipsoid(pts, "mvee").matrix
+        assert enclosing_ellipsoid(pts, "mvee").matrix.tobytes() == first.tobytes()
+        assert enclosing_ellipsoid(pts.copy(), "mvee").matrix.tobytes() == first.tobytes()
+
+    def test_step_cap(self, monkeypatch):
+        # Work without timing: a 1e5-point disk fits within 40 ascent steps (the plain
+        # Frank-Wolfe loop needs about 100), and a 6-dim Gaussian cloud needs more than one.
+        gen = np.random.default_rng(11)
+        r, t = np.sqrt(gen.uniform(size=100_000)), gen.uniform(0.0, 2 * np.pi, size=100_000)
+        disk = np.column_stack([r * np.cos(t), r * np.sin(t)])
+        monkeypatch.setattr("qpolar.bodies.MVEE_MAX_ITER", 40)
+        out = enclosing_ellipsoid(disk, "mvee")
+        assert gauge(out, disk).max() <= 1 + 1e-12
+        monkeypatch.setattr("qpolar.bodies.MVEE_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match=r"^enclosing ellipsoid did not reach the 1% volume gap in 1 iterations$"):
+            enclosing_ellipsoid(gen.standard_normal((10_000, 6)), "mvee")
 
 
 def decided_or_undecided(f, *args):
