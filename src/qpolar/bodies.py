@@ -34,7 +34,7 @@ For ellipsoids it is 1 / sigma_max(F_in^-1 F_out), from the two factors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, frexp, isfinite
 from typing import Union
 
 import numpy as np
@@ -83,7 +83,7 @@ def _polytope_array(arr, kind: str, what: str, spans: str, rank: bool = True) ->
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
     if not np.isfinite(arr).all():
         raise ValueError(f"polytope {what} must be finite")
-    if arr.shape[0] == 0 or not np.einsum("ij,ij->i", arr, arr).all():
+    if arr.shape[0] == 0 or not (arr != 0).any(axis=1).all():
         raise DegenerateBodyError(f"{kind}-polytope {what} must be non-empty and nonzero")
     if rank:
         svals = np.linalg.svd(arr, compute_uv=False)
@@ -424,12 +424,31 @@ def enclosing_ellipsoid(points, mode: str = "ball") -> Ellipsoid:
     determinant over a working set: a Kumar-Yildirim core set to start, Todd-Yildirim
     away and drop steps, and a scan of all m points only to certify the factor or
     to add the worst violators.
+
+    Both fits run on the points scaled by 2^-e into max |entry| in [0.5, 1), which
+    is exact, and the result's factor is scaled back by 2^-e; where its matrix then
+    leaves the normal float range, DegenerateBodyError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise DegenerateBodyError("empty point set")
-    if not np.isfinite(pts).all():
+    top = np.abs(pts).max()
+    if not isfinite(top):  # NaN or inf exactly when an entry is not finite
         raise ValueError("points must be finite")
+    e = frexp(top)[1]
+    fit = _unit_scale_fit(np.ldexp(pts, -e), mode)
+    # Scaled back, the matrix is the fit's times 2^-2e: the binary exponents of its
+    # diagonal, the largest entries of each row, must stay in the normal range.
+    diag = fit.matrix.diagonal()
+    lo, hi = (frexp(d)[1] - 2 * e for d in (diag.min(), diag.max()))
+    if not (np.finfo(float).minexp < lo and hi <= np.finfo(float).maxexp):
+        raise DegenerateBodyError(f"the enclosing ellipsoid of points of magnitude 2^{e} "
+                                  "has a matrix outside the float range")
+    return Ellipsoid._from_factor(np.ldexp(fit.factor, -e))
+
+
+def _unit_scale_fit(pts: np.ndarray, mode: str) -> Ellipsoid:
+    """``enclosing_ellipsoid`` of points with max |entry| in [0.5, 1)."""
     n = pts.shape[1]
     if np.linalg.matrix_rank(pts) < n:
         raise DegenerateBodyError("points do not span the space; enclosing body is degenerate")

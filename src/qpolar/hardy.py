@@ -19,6 +19,7 @@ round-off noise would dominate the ratio and poison boundary cases.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Literal
@@ -35,19 +36,53 @@ RELATIVE_FLOOR = 1e-12
 ENVELOPE_C_FACTOR = 10.0
 
 
-def _check_grid(grid: np.ndarray) -> tuple[float, float]:
-    """Validate uniform power-of-two grid; return (x0, dx)."""
+def _checked_samples(samples, grid, hbar: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(psi, |psi|, grid, dx) for samples on a uniform power-of-two grid, the transform's
+    preconditions: GridError for a bad grid, ValueError for non-finite samples, and a
+    BoundaryDecayWarning where |psi| does not decay below 1e-12 (relative) at the edges.
+    """
+    _check_hbar(hbar)
+    psi = np.asarray(samples, dtype=complex)
     grid = np.asarray(grid, dtype=float)
+    if psi.shape != grid.shape:
+        raise GridError(f"samples shape {psi.shape} does not match grid shape {grid.shape}")
     if grid.ndim != 1 or grid.size < 2:
         raise GridError("grid must be a one-dimensional array with at least two points")
     n = grid.size
     if n & (n - 1):
         raise GridError(f"grid length must be a power of two, got {n}")
-    steps = np.diff(grid)
-    dx = steps[0]
-    if dx <= 0 or np.max(np.abs(steps - dx)) > 1e-9 * abs(dx):
+    if not np.isfinite(grid).all():
+        raise GridError("grid points must be finite")
+    steps = grid[1:] - grid[:-1]
+    dx = float(steps[0])
+    if dx <= 0 or np.abs(steps - dx).max() > 1e-9 * dx:
         raise GridError("grid must be uniformly increasing")
-    return float(grid[0]), float(dx)
+    mags = np.abs(psi)
+    peak = mags.max()
+    if not math.isfinite(peak):
+        raise ValueError("samples must be finite")
+    if peak > 0 and max(mags[0], mags[-1]) > RELATIVE_FLOOR * peak:
+        warnings.warn(
+            "samples do not decay to 1e-12 (relative) at the grid edges; "
+            "the discrete transform will carry truncation artifacts",
+            BoundaryDecayWarning,
+            stacklevel=3,
+        )
+    return psi, mags, grid, dx
+
+
+def _fft_core(psi: np.ndarray, dx: float, hbar: float, sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p_grid, frequencies f_j, core): the transform is dx / sqrt(2 pi hbar) * exp(sign 2 pi i f_j x0) * core."""
+    n = psi.size
+    k = np.arange(n)
+    freqs = (k - n / 2) / (n * dx)
+    alternate = np.ones(n)
+    alternate[1::2] = -1.0
+    if sign == -1:
+        core = np.fft.fft(alternate * psi)
+    else:
+        core = n * np.fft.ifft(alternate * psi)
+    return 2.0 * np.pi * hbar * freqs, freqs, core
 
 
 def hbar_fourier_1d(samples, grid, hbar: float = 1.0,
@@ -68,61 +103,44 @@ def hbar_fourier_1d(samples, grid, hbar: float = 1.0,
     and dp weights) agree exactly.
 
     Samples that fail to decay below 1e-12 (relative) at the grid edges
-    trigger a BoundaryDecayWarning; the transform still runs.
+    trigger a BoundaryDecayWarning; the transform still runs. Non-finite
+    samples raise ValueError, a non-finite grid GridError.
     """
-    _check_hbar(hbar)
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
-    psi = np.asarray(samples, dtype=complex)
-    grid = np.asarray(grid, dtype=float)
-    if psi.shape != grid.shape:
-        raise GridError(f"samples shape {psi.shape} does not match grid shape {grid.shape}")
-    x0, dx = _check_grid(grid)
-    n = grid.size
-
-    peak = np.max(np.abs(psi))
-    if peak > 0 and max(abs(psi[0]), abs(psi[-1])) > RELATIVE_FLOOR * peak:
-        warnings.warn(
-            "samples do not decay to 1e-12 (relative) at the grid edges; "
-            "the discrete transform will carry truncation artifacts",
-            BoundaryDecayWarning,
-            stacklevel=2,
-        )
-
-    k = np.arange(n)
-    freqs = (k - n / 2) / (n * dx)
-    p_grid = 2.0 * np.pi * hbar * freqs
-    alternate = np.where(k % 2 == 0, 1.0, -1.0)
-    if sign == -1:
-        core = np.fft.fft(alternate * psi)
-    else:
-        core = n * np.fft.ifft(alternate * psi)
-    phase = np.exp(sign * 2.0j * np.pi * freqs * x0)
+    psi, _, grid, dx = _checked_samples(samples, grid, hbar)
+    p_grid, freqs, core = _fft_core(psi, dx, hbar, sign)
+    phase = np.exp(sign * 2.0j * np.pi * freqs * float(grid[0]))
     transformed = dx / np.sqrt(2.0 * np.pi * hbar) * phase * core
     return p_grid, transformed
 
 
-def _log_envelope_constant(values: np.ndarray, exponent: np.ndarray) -> float:
-    """log of the smallest C with |values| <= C exp(-exponent), above the noise floor."""
-    mags = np.abs(values)
+def _transform_magnitudes(psi: np.ndarray, dx: float, hbar: float) -> tuple[np.ndarray, np.ndarray]:
+    """(p_grid, |hbar_fourier_1d(psi)|) for checked samples: |core| dx / sqrt(2 pi hbar), no phase."""
+    p_grid, _, core = _fft_core(psi, dx, hbar, -1)
+    return p_grid, np.abs(core) * (dx / np.sqrt(2.0 * np.pi * hbar))
+
+
+def _log_envelope_constant(mags: np.ndarray, exponent: np.ndarray) -> float:
+    """log of the smallest C with mags <= C exp(-exponent), above the noise floor."""
     peak = mags.max()
     if peak == 0:
         return -np.inf
     mask = mags >= RELATIVE_FLOOR * peak
-    return float(np.max(np.log(mags[mask]) + exponent[mask]))
+    return float((np.log(mags[mask]) + exponent[mask]).max())
 
 
 def _envelope_fit(samples, grid, hbar: float, x_exponent, p_exponent) -> tuple[bool, bool, float]:
     """Verdicts |psi| <= C exp(-x_exponent(x)), |psi^| <= C exp(-p_exponent(p)) on the grid.
 
     C is ENVELOPE_C_FACTOR * max|psi|; also returns the log of the least C serving both.
+    Only magnitudes enter, so psi^ is taken without its unit-modulus phase.
     """
-    psi = np.asarray(samples, dtype=complex)
-    grid = np.asarray(grid, dtype=float)
-    p_grid, psi_hat = hbar_fourier_1d(psi, grid, hbar)
-    log_cx = _log_envelope_constant(psi, x_exponent(grid))
-    log_cp = _log_envelope_constant(psi_hat, p_exponent(p_grid))
-    peak = float(np.max(np.abs(psi)))
+    psi, mags, grid, dx = _checked_samples(samples, grid, hbar)
+    p_grid, hat_mags = _transform_magnitudes(psi, dx, hbar)
+    log_cx = _log_envelope_constant(mags, x_exponent(grid))
+    log_cp = _log_envelope_constant(hat_mags, p_exponent(p_grid))
+    peak = float(mags.max())
     bound = np.log(ENVELOPE_C_FACTOR * peak) if peak > 0 else np.inf
     return bool(log_cx <= bound), bool(log_cp <= bound), max(log_cx, log_cp)
 
@@ -138,8 +156,8 @@ def hardy_envelope_verify(samples, grid, sigma_x: float, sigma_p: float,
     the uncertainty bound forbids the configuration, so a
     HardyInconsistencyWarning is emitted.
     """
-    if sigma_x <= 0 or sigma_p <= 0:
-        raise ValueError("envelope widths must be positive")
+    if not (sigma_x > 0 and sigma_p > 0):  # NaN widths fail too
+        raise ValueError(f"envelope widths must be positive, got {sigma_x}, {sigma_p}")
     pos_ok, mom_ok, log_c = _envelope_fit(samples, grid, hbar,
                                           lambda x: x**2 / (4.0 * sigma_x**2),
                                           lambda p: p**2 / (4.0 * sigma_p**2))
@@ -192,7 +210,7 @@ class HardyVerdict:
 
 def hardy_check(inp: HardyInput, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> HardyVerdict:
     """Classify a Hardy envelope pair on the ratios r_j = 2 sqrt(eig_j(A B)) / hbar, ascending."""
-    eigs, scales = _mode_scales(inp.a, inp.b, hbar)
+    eigs, scales = _mode_scales(inp.a, inp.b, hbar)  # symmetrized by HardyInput
     if not _accepts(scales[0], tol):
         kind: HardyClass = "violates"
     elif _accepts(1.0 / scales[-1], tol):

@@ -22,7 +22,7 @@ Robertson-Schrodinger mode and 2 sqrt(eig_j(A B)) / hbar per eigenvalue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .bodies import DEFAULT_TOL, Ellipsoid, _accepts, _check_hbar, _freeze, _inv
 from .capacities import ellipsoid_capacity
 from .errors import DimensionError, InvalidCovarianceError, NotPositiveDefiniteError
 from .polarity import PairVerdict, is_quantum_pair
-from .symplectic import (_pencil_eigenvalues, _spd_pair, random_symplectic, require_symmetric,
-                         standard_symplectic_matrix)
+from .symplectic import (_factor_pencil_eigenvalues, _spd_cholesky, _spd_pair, _symplectic_j,
+                         random_symplectic, require_symmetric)
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,22 @@ class CovarianceMatrix:
     n x n blocks Delta(x,x), Delta(x,p), Delta(p,p). Construction only
     enforces symmetry and even dimension; quantum validity is a separate
     check (is_quantum_covariance), so invalid candidates are representable.
+    ``factor`` is the Cholesky factor C of Sigma = C C^T, or None when Sigma is
+    not positive definite; it takes no part in equality or repr.
     """
 
     sigma: np.ndarray
+    factor: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = require_symmetric(self.sigma)
         if s.shape[0] % 2:
             raise DimensionError(f"covariance matrices have even dimension, got {s.shape[0]}")
+        try:
+            c = _freeze(_spd_cholesky(s))
+        except NotPositiveDefiniteError:
+            c = None
+        object.__setattr__(self, "factor", c)
         object.__setattr__(self, "sigma", _freeze(s))
 
     @property
@@ -76,18 +84,17 @@ def _as_cov(s) -> CovarianceMatrix:
 def is_quantum_covariance(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> bool:
     """True iff Sigma + (i hbar / 2) J is positive semidefinite (within tol).
 
-    With Sigma = C C^T (Cholesky), the Hermitian C^{-1} (i hbar / 2) J C^{-T}
-    has eigenvalues +-hbar / (2 nu_j), so the ratio is 2 nu_min / hbar
-    = -1 / (smallest of them). Boundary states count as valid, a Sigma that is
-    not positive definite (no Cholesky factor) as invalid. Agrees with the
-    Williamson threshold and the capacity criterion on every SPD input.
+    With Sigma = C C^T (Cholesky, ``CovarianceMatrix.factor``), the Hermitian
+    C^{-1} (i hbar / 2) J C^{-T} has eigenvalues +-hbar / (2 nu_j), so the ratio
+    is 2 nu_min / hbar = -1 / (smallest of them). Boundary states count as valid,
+    a Sigma that is not positive definite (no Cholesky factor) as invalid. Agrees
+    with the Williamson threshold and the capacity criterion on every SPD input.
     """
     _check_hbar(hbar)
     cov = _as_cov(s)
-    try:
-        smallest = _pencil_eigenvalues(0.5j * hbar * standard_symplectic_matrix(cov.n), cov.sigma)[0]
-    except NotPositiveDefiniteError:
+    if cov.factor is None:
         return False
+    smallest = _factor_pencil_eigenvalues(0.5j * hbar * _symplectic_j(cov.n), cov.factor)[0]
     return _accepts(-1.0 / smallest, tol)
 
 
@@ -157,10 +164,11 @@ def theorem2_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> PairVerdic
     return is_quantum_pair(x, p, hbar, tol)
 
 
-def _mode_scales(a, b, hbar: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues eig_j of A B for SPD A, B, ascending, and their ratios 2 sqrt(eig_j) / hbar."""
+def _mode_scales(a: np.ndarray, b: np.ndarray, hbar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues eig_j of A B for symmetrized SPD A, B, ascending, and their ratios
+    2 sqrt(eig_j) / hbar."""
     _check_hbar(hbar)
-    s = _spd_pair(require_symmetric(a), require_symmetric(b))[1]
+    s = _spd_pair(a, b)[1]
     return s**2, 2.0 * s / hbar
 
 
@@ -171,7 +179,7 @@ def heisenberg_eigen_check(a, b, hbar: float = 1.0, tol: float = DEFAULT_TOL) ->
     ellipsoid pair {x A^{-1} x / 2 <= 1}, {p B^{-1} p / 2 <= 1}: the first
     ratio 2 sqrt(eig_1) / hbar is that pair's inclusion scale.
     """
-    return [_accepts(r, tol) for r in _mode_scales(a, b, hbar)[1]]
+    return [_accepts(r, tol) for r in _mode_scales(require_symmetric(a), require_symmetric(b), hbar)[1]]
 
 
 def random_quantum_covariance(n: int, seed: int, hbar: float = 1.0,

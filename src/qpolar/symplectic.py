@@ -6,6 +6,9 @@ convention sigma(e1, e2) = -1 and sigma(Jz, z) = -|z|^2 for every z.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import (
@@ -21,11 +24,19 @@ SYMMETRY_RTOL = 1e-10
 def standard_symplectic_matrix(n: int) -> np.ndarray:
     """Return the 2n x 2n block matrix J = [[0, I], [-I, 0]].
 
-    Satisfies J^2 = -I and J^T = -J.
+    Satisfies J^2 = -I and J^T = -J. A fresh, writable array on every call.
     """
+    return _symplectic_j(n).copy()
+
+
+@lru_cache(maxsize=16)
+def _symplectic_j(n: int) -> np.ndarray:
+    """J for n modes, cached and read-only: the one the package computes with."""
     if n < 1:
         raise DimensionError(f"need n >= 1 modes, got n={n}")
-    return np.eye(2 * n, k=n) - np.eye(2 * n, k=-n)
+    j = np.eye(2 * n, k=n) - np.eye(2 * n, k=-n)
+    j.setflags(write=False)
+    return j
 
 
 def symplectic_form(z: np.ndarray, zp: np.ndarray) -> float:
@@ -36,7 +47,7 @@ def symplectic_form(z: np.ndarray, zp: np.ndarray) -> float:
         raise DimensionError(f"vector shapes differ: {z.shape} vs {zp.shape}")
     if z.size == 0 or z.size % 2:
         raise DimensionError(f"phase-space vectors must have even positive length, got {z.size}")
-    j = standard_symplectic_matrix(z.size // 2)
+    j = _symplectic_j(z.size // 2)
     return float(zp @ (j @ z))
 
 
@@ -47,7 +58,7 @@ def is_symplectic(m: np.ndarray, tol: float = 1e-9) -> bool:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] % 2:
         raise DimensionError(f"symplectic matrices have even dimension, got {m.shape[0]}")
-    j = standard_symplectic_matrix(m.shape[0] // 2)
+    j = _symplectic_j(m.shape[0] // 2)
     return bool(np.max(np.abs(m.T @ j @ m - j)) <= tol)
 
 
@@ -56,14 +67,15 @@ def require_symmetric(s: np.ndarray) -> np.ndarray:
 
     Accepts S when ||S - S^T||_max <= SYMMETRY_RTOL * ||S||_max, a guard for round-off in
     input files (derived ellipsoids come from factors, unchecked); worse raises NotSymmetricError.
+    Two reductions: ||S||_max is NaN or inf exactly when an entry is not finite.
     """
     s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or not s.size:
+        raise DimensionError(f"expected a non-empty square matrix, got shape {s.shape}")
+    scale = np.abs(s).max()
+    if not math.isfinite(scale):
         raise ValueError("matrix entries must be finite")
-    scale = np.max(np.abs(s))
-    if scale > 0 and np.max(np.abs(s - s.T)) > SYMMETRY_RTOL * scale:
+    if scale > 0 and np.abs(s - s.T).max() > SYMMETRY_RTOL * scale:
         raise NotSymmetricError("matrix is not symmetric within tolerance")
     return 0.5 * (s + s.T)
 
@@ -94,7 +106,7 @@ def symplectic_eigenvalues(s: np.ndarray) -> np.ndarray:
 
 def _factor_symplectic_eigenvalues(c: np.ndarray) -> np.ndarray:
     """Williamson eigenvalues of C C^T for any invertible 2n x 2n factor C, ascending."""
-    j = standard_symplectic_matrix(c.shape[0] // 2)
+    j = _symplectic_j(c.shape[0] // 2)
     svals = np.linalg.svd(c.T @ j @ c, compute_uv=False)[::-1]  # ascending, paired
     return 0.5 * (svals[0::2] + svals[1::2])
 
@@ -115,7 +127,12 @@ def _spd_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 def _pencil_eigenvalues(m: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Eigenvalues of M v = mu S v (M Hermitian, S SPD), ascending: those of C^{-1} M C^{-H}
     for S = C C^T, the Cholesky reduction LAPACK's generalized solver makes."""
-    c_inv = np.linalg.inv(_spd_cholesky(s))
+    return _factor_pencil_eigenvalues(m, _spd_cholesky(s))
+
+
+def _factor_pencil_eigenvalues(m: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Eigenvalues of M v = mu C C^T v for a real invertible factor C, ascending."""
+    c_inv = np.linalg.inv(c)
     return np.linalg.eigvalsh(c_inv @ m @ c_inv.T)
 
 
@@ -163,7 +180,7 @@ def random_symplectic(n: int, rng: np.random.Generator | int | None = None) -> n
     rng = np.random.default_rng(rng)
     two_n = 2 * n
     eye = np.eye(two_n)
-    j = standard_symplectic_matrix(n)
+    j = _symplectic_j(n)
     m = eye
     for _ in range(3):
         q1, _ = np.linalg.qr(rng.standard_normal((n, n)))

@@ -587,6 +587,28 @@ class TestEnclosingEllipsoid:
         with pytest.raises(ValueError, match="points must be finite"):
             enclosing_ellipsoid([[1.0, 0.0], [0.0, 1.0], [bad, 0.5]], mode)
 
+    @pytest.mark.parametrize("mode", ["ball", "mvee"])
+    def test_power_of_two_scale_leaves_the_fit_unchanged(self, mode, rng):
+        # The fit runs on the points scaled into [0.5, 1) by a power of two, so
+        # 2^k p gives the factor 2^-k F and the matrix 2^-2k Q, bit for bit.
+        pts = rng.standard_normal((300, 3)) * [1.0, 5.0, 0.2]
+        base = enclosing_ellipsoid(pts, mode)
+        for k in (-300, -40, 7, 300):
+            out = enclosing_ellipsoid(np.ldexp(pts, k), mode)
+            assert out.factor.tobytes() == np.ldexp(base.factor, -k).tobytes()
+            assert out.matrix.tobytes() == np.ldexp(base.matrix, -2 * k).tobytes()
+
+    @pytest.mark.parametrize("mode", ["ball", "mvee"])
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_matrix_outside_the_float_range_is_refused(self, mode, scale, monkeypatch, rng):
+        # The matrix would be about 1e340 or 1e-320: refused after the fit on scaled
+        # points, which takes its usual few steps (at the parent the 1e160 cloud ran
+        # every step on NaN weights).
+        monkeypatch.setattr("qpolar.bodies.MVEE_MAX_ITER", 100)
+        pts = rng.standard_normal((300, 3)) * scale
+        with pytest.raises(DegenerateBodyError, match="outside the float range"):
+            enclosing_ellipsoid(pts, mode)
+
 
 def cube_corners(n):
     """The 2^n corners {+-1}^n, and the matrix I / n of their MVEE, the ball of radius sqrt(n)."""
@@ -841,8 +863,8 @@ def polar_matches_the_validator(body, hbar):
        seed=st.integers(0, 2**32 - 1))
 def test_polars_of_checked_polytopes_match_the_validator(kind, n, data, log_scale, log_hbar, seed):
     # n spanning rows at a scale in 10^+-150, then up to 2n extra rows each at a
-    # smaller scale down to 10^-150. A row whose squares underflow counts as zero,
-    # so for some hbar in 10^+-150 the scaled rows do.
+    # smaller scale down to 10^-150. For some hbar in 10^+-150 a scaled row's squares
+    # underflow (it is still nonzero) or its entries overflow.
     rng = np.random.default_rng(seed)
     m = n + data.draw(st.integers(0, 2 * n), label="extra rows")
     rows = rng.standard_normal((m, n)) * 10.0**log_scale
@@ -858,7 +880,7 @@ def test_polars_of_checked_polytopes_match_the_validator(kind, n, data, log_scal
     # Overflow: hbar * 1e300 is infinite, a ValueError for finiteness.
     (HPolytope, 1e300 * np.eye(3), 1e10),
     (VPolytope, 1e300 * np.eye(3), 1e-10),
-    # A short third row's squares underflow: DegenerateBodyError for a zero row.
+    # A short third row's squares underflow; the row is still nonzero, so both build.
     (HPolytope, [[1.0, 0.0], [0.0, 1.0], [1e-150, 1e-150]], 1e-20),
     (VPolytope, [[1.0, 0.0], [0.0, 1.0], [1e-150, 1e-150]], 1e20),
     # Rows near the underflow edge still build, with their rank kept.
@@ -866,6 +888,17 @@ def test_polars_of_checked_polytopes_match_the_validator(kind, n, data, log_scal
 ])
 def test_polar_edges_match_the_validator(kind, rows, hbar):
     polar_matches_the_validator(kind(rows), hbar)
+
+
+def test_rows_far_below_the_underflow_of_their_squares_are_nonzero():
+    # The zero-row test is exact: rows of 1e-170 build, and only all-zero rows are refused.
+    assert HPolytope.box([1e170]).rows.tobytes() == np.array([[1e-170]]).tobytes()
+    box = HPolytope.box([1e170, 2e170])
+    assert gauge(box, [1e170, 1e170]) == pytest.approx(1.0, rel=1e-15)
+    assert VPolytope([[1e-170, 0.0], [0.0, 1e-170]]).dim == 2
+    for kind, what in ((HPolytope, "rows"), (VPolytope, "vertices")):
+        with pytest.raises(DegenerateBodyError, match=f"^{kind.__name__[0]}-polytope {what} must be non-empty and nonzero$"):
+            kind([[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_rank_test_is_matrix_rank():
@@ -884,8 +917,8 @@ def test_rank_test_is_matrix_rank():
             a *= 10.0 ** rng.uniform(-2, 2, size=(m, 1))
         a *= 10.0 ** rng.uniform(-100, 100)
         if trial % 300 == 0:
-            a[rng.integers(m)] *= 1e-70  # squares underflow: a zero row, as for the norm
-        degenerate = np.any(np.linalg.norm(a, axis=1) == 0) or np.linalg.matrix_rank(a) < n
+            a[rng.integers(m)] *= 1e-70  # a row far below the others, whose squares may underflow
+        degenerate = not a.any(axis=1).all() or np.linalg.matrix_rank(a) < n
         try:
             _polytope_array(a, "H", "rows", "bounded body")
         except DegenerateBodyError:

@@ -2,10 +2,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qpolar.bodies import HPolytope, VPolytope
+from qpolar.bodies import DEFAULT_TOL, HPolytope, VPolytope
 from qpolar.errors import BoundaryDecayWarning, GridError, HardyInconsistencyWarning
 from qpolar.hardy import (
+    ENVELOPE_C_FACTOR,
+    RELATIVE_FLOOR,
+    _checked_samples,
+    _envelope_fit,
+    _transform_magnitudes,
     hardy_envelope_verify,
     hbar_fourier_1d,
     minkowski_envelope_experiment,
@@ -68,6 +75,17 @@ class TestTransform:
         with pytest.raises(GridError):
             hbar_fourier_1d(np.ones(1024), bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_or_grid_rejected(self, bad):
+        x = symmetric_grid(8.0, 64)
+        psi = np.exp(-x**2 / 4)
+        for f in (lambda s, g: hbar_fourier_1d(s, g), lambda s, g: hardy_envelope_verify(s, g, 1.0, 0.5)):
+            with pytest.raises(ValueError, match="^samples must be finite$"):
+                f(np.where(np.arange(64) == 5, bad, psi), x)
+            for i in (0, 7, 63):
+                with pytest.raises(GridError, match="^grid points must be finite$"):
+                    f(psi, np.where(np.arange(64) == i, bad, x))
+
     def test_insufficient_decay_flagged(self):
         x = symmetric_grid(4.0, 256)
         psi = np.exp(-x**2 / 4)  # ~ 2e-2 at the edges: no decay
@@ -102,14 +120,62 @@ class TestHardyEnvelope:
         assert ok
 
     def test_rejects_bad_widths(self):
-        with pytest.raises(ValueError):
-            hardy_envelope_verify(self.psi, self.x, -1.0, 0.5)
+        for sx, sp in ((-1.0, 0.5), (1.0, 0.0), (np.nan, 0.5), (1.0, np.nan)):
+            with pytest.raises(ValueError, match="^envelope widths must be positive"):
+                hardy_envelope_verify(self.psi, self.x, sx, sp)
 
     def test_zero_function_passes_without_alarm(self):
         # psi = 0 meets every envelope; the uncertainty bound says nothing about it.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert hardy_envelope_verify(np.zeros_like(self.x), self.x, 0.1, 0.1, hbar=1.0)
+
+
+def phased_envelope_fit(psi, x, hbar, sx, sp):
+    """The envelope verdicts and log constant read off |hbar_fourier_1d|, the phased transform."""
+    def log_constant(mags, exponent):
+        mask = mags >= RELATIVE_FLOOR * mags.max()
+        return np.max(np.log(mags[mask]) + exponent[mask])
+
+    p, psi_hat = hbar_fourier_1d(psi, x, hbar)
+    log_cx = log_constant(np.abs(psi), x**2 / (4 * sx**2))
+    log_cp = log_constant(np.abs(psi_hat), p**2 / (4 * sp**2))
+    bound = np.log(ENVELOPE_C_FACTOR * np.abs(psi).max())
+    return log_cx <= bound, log_cp <= bound, max(log_cx, log_cp)
+
+
+@given(log_hbar=st.floats(-3, 3), log_sx=st.floats(-1, 1), shift=st.floats(-2, 2), chirp=st.floats(-1, 1),
+       half_extent=st.floats(12, 30), log_n=st.integers(8, 11))
+def test_magnitude_path_matches_the_phased_transform(log_hbar, log_sx, shift, chirp, half_extent, log_n):
+    # The envelope check takes |psi^| as |FFT core| dx / sqrt(2 pi hbar), without the
+    # unit-modulus phase: equal to |hbar_fourier_1d| within 1e-14, entry by entry
+    # (within the least normal float below it, where entries are subnormal).
+    hbar, sx = 10.0**log_hbar, 10.0**log_sx
+    x = symmetric_grid(half_extent, 2**log_n) * sx + shift
+    psi = np.exp(-(x - shift) ** 2 / (4 * sx**2) + 1j * chirp * x / sx)
+    dx = _checked_samples(psi, x, hbar)[3]
+    p, mags = _transform_magnitudes(psi, dx, hbar)
+    p_ref, psi_hat = hbar_fourier_1d(psi, x, hbar)
+    assert np.array_equal(p, p_ref)
+    assert np.all(np.abs(mags - np.abs(psi_hat)) <= 1e-14 * np.abs(psi_hat) + np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("hbar", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("k", [2, 10, 1e3, 1e6])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_envelope_verdicts_agree_with_the_phased_transform_on_the_band(hbar, k, sign):
+    # Gaussians with sigma_x sigma_p = (hbar / 2)(1 + sign k tol) on a grid off the origin.
+    sx = 0.7 * np.sqrt(hbar)
+    sp = 0.5 * hbar * (1 + sign * k * DEFAULT_TOL) / sx
+    x = symmetric_grid(20.0 * sx, 1024) + 0.3 * sx
+    psi = np.exp(-x**2 / (4 * sx**2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HardyInconsistencyWarning)
+        verdict = hardy_envelope_verify(psi, x, sx, sp, hbar)
+    pos_ok, mom_ok, log_c = _envelope_fit(psi, x, hbar, lambda v: v**2 / (4 * sx**2), lambda v: v**2 / (4 * sp**2))
+    want = phased_envelope_fit(psi, x, hbar, sx, sp)
+    assert (pos_ok, mom_ok) == want[:2] and verdict == (pos_ok and mom_ok)
+    assert abs(log_c - want[2]) <= 1e-14 * max(abs(want[2]), 1.0)
 
 
 class TestMinkowskiExperiment:

@@ -1,4 +1,6 @@
+import dataclasses
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -65,6 +67,19 @@ class TestCovarianceMatrix:
         with pytest.raises(NotSymmetricError):
             CovarianceMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_carries_its_cholesky_factor(self, rng):
+        sigma = random_quantum_covariance(3, seed=4, slack=0.2).sigma
+        cov = CovarianceMatrix(sigma)
+        assert np.array_equal(cov.factor, np.linalg.cholesky(cov.sigma))
+        assert not cov.factor.flags.writeable
+        # The factor takes no part in equality or repr.
+        assert [f.name for f in dataclasses.fields(cov) if f.compare or f.repr] == ["sigma"]
+        assert "factor" not in repr(cov)
+
+    @pytest.mark.parametrize("diag", [[1.0, -1.0, 1.0, -1.0], [1.0, 0.0, 1.0, 1.0]])
+    def test_factor_is_none_without_positive_definiteness(self, diag):
+        assert CovarianceMatrix(np.diag(diag)).factor is None
+
 
 class TestIsQuantumCovariance:
     def test_identity_is_valid(self):
@@ -96,6 +111,63 @@ class TestIsQuantumCovariance:
         s = np.diag([0.4, 0.4])
         assert is_quantum_covariance(s, hbar=0.5)
         assert not is_quantum_covariance(s, hbar=1.0)
+
+
+def test_raw_array_and_covariance_matrix_give_one_verdict(rng):
+    samples = mixed_covariance_samples(60, rng) + [np.diag([1.0, -1.0]), np.diag([0.5, 0.0, 0.5, 0.5])]
+    for sigma in samples:
+        for hbar in (0.5, 1.0, 2.0):
+            assert is_quantum_covariance(sigma, hbar) == is_quantum_covariance(CovarianceMatrix(sigma), hbar)
+
+
+@pytest.mark.parametrize("diag", [[1.0, -1.0, 1.0, -1.0], [1.0, 0.0, 1.0, 1.0]])
+def test_not_positive_definite_stays_invalid_on_every_call(diag):
+    cov = CovarianceMatrix(np.diag(diag))
+    for _ in range(3):
+        assert not is_quantum_covariance(cov)
+        assert not capacity_criterion(cov)
+        with pytest.raises(InvalidCovarianceError):
+            theorem2_check(cov)
+
+
+def test_sigma_is_factored_once(monkeypatch):
+    # CovarianceMatrix factors Sigma; is_quantum_covariance and the validity gate of
+    # theorem2_check read that factor. The projections factor their own blocks.
+    sigma = random_quantum_covariance(2, seed=8, slack=0.3).sigma
+    seen = []
+    cholesky = np.linalg.cholesky
+
+    def recording(a):
+        seen.append(np.array(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    cov = CovarianceMatrix(sigma)
+    assert is_quantum_covariance(cov)
+    assert theorem2_check(cov).is_pair
+    assert [a.shape for a in seen] == [(4, 4), (2, 2), (2, 2)]
+    assert np.array_equal(seen[0], cov.sigma)
+
+
+def test_hardy_check_does_not_validate_its_input_again(monkeypatch):
+    # HardyInput symmetrizes its blocks once; hardy_check reads them as they are.
+    seen = []
+    check = sys.modules["qpolar.symplectic"].require_symmetric
+
+    def recording(s):
+        seen.append(s)
+        return check(s)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qpolar") and getattr(module, "require_symmetric", None) is check:
+            monkeypatch.setattr(module, "require_symmetric", recording)
+    inp = HardyInput(np.diag([0.5, 2.0]), np.diag([0.5, 1.0]))
+    assert len(seen) == 2
+    seen.clear()
+    assert hardy_check(inp).classification == "hermite_subcritical"
+    assert seen == []
+    heisenberg_eigen_check(inp.a, inp.b)
+    assert len(seen) == 2
 
 
 class TestToleranceBand:

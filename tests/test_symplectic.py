@@ -7,13 +7,15 @@ from qpolar.errors import (
     NotPositiveDefiniteError,
     NotSymmetricError,
 )
+from qpolar.bodies import Ellipsoid
 from qpolar.hardy import HardyInput, hardy_check
-from qpolar.quantum import heisenberg_eigen_check
+from qpolar.quantum import CovarianceMatrix, heisenberg_eigen_check
 from qpolar.symplectic import (
     _pencil_eigenvalues,
     block_diagonalize,
     is_symplectic,
     random_symplectic,
+    require_symmetric,
     standard_symplectic_matrix,
     symplectic_eigenvalues,
     symplectic_form,
@@ -41,6 +43,35 @@ class TestStandardForm:
     def test_rejects_n0(self):
         with pytest.raises(DimensionError):
             standard_symplectic_matrix(0)
+
+    def test_each_call_returns_a_fresh_writable_array(self):
+        # The package computes with one cached, read-only J; callers get their own copy.
+        j = standard_symplectic_matrix(2)
+        assert j.flags.writeable
+        j[0, 2] = 7.0
+        assert standard_symplectic_matrix(2)[0, 2] == 1.0
+        assert symplectic_form(np.eye(4)[0], np.eye(4)[2]) == -1.0
+
+
+class TestRequireSymmetric:
+    @pytest.mark.parametrize("make", [require_symmetric, CovarianceMatrix, Ellipsoid])
+    def test_empty_matrix_is_a_dimension_error(self, make):
+        with pytest.raises(DimensionError, match=r"expected a non-empty square matrix, got shape \(0, 0\)"):
+            make(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries(self, bad):
+        s = np.eye(3)
+        s[1, 2] = s[2, 1] = bad
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            require_symmetric(s)
+
+    def test_symmetrizes_within_tolerance_and_rejects_beyond(self):
+        s = np.array([[2.0, 1.0], [1.0 + 1e-11, 3.0]])
+        assert np.array_equal(require_symmetric(s), [[2.0, 1.0 + 5e-12], [1.0 + 5e-12, 3.0]])
+        with pytest.raises(NotSymmetricError, match="^matrix is not symmetric within tolerance$"):
+            require_symmetric(np.array([[2.0, 1.0], [1.0 + 1e-9, 3.0]]))
+        assert np.array_equal(require_symmetric(np.zeros((2, 2))), np.zeros((2, 2)))
 
 
 class TestSymplecticForm:
