@@ -1,5 +1,7 @@
 """qpolar: hbar-polar duality, symplectic capacities, and quantum covariance analysis."""
 
+from types import ModuleType as _ModuleType
+
 from .bodies import (
     ConvexBody,
     Ellipsoid,
@@ -75,65 +77,6 @@ from .symplectic import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisReport",
-    "BoundaryDecayWarning",
-    "CapacityReport",
-    "ConvergenceError",
-    "ConvexBody",
-    "CovarianceMatrix",
-    "DegenerateBodyError",
-    "DimensionError",
-    "DiskDemoReport",
-    "Ellipsoid",
-    "GridError",
-    "HPolytope",
-    "HardyInconsistencyWarning",
-    "HardyInput",
-    "HardyVerdict",
-    "InvalidCovarianceError",
-    "MeasurementCloud",
-    "MinkowskiExperiment",
-    "NotPositiveDefiniteError",
-    "NotSymmetricError",
-    "PairVerdict",
-    "QPolarError",
-    "SingularMatrixError",
-    "UndecidedError",
-    "VPolytope",
-    "block_diagonalize",
-    "capacity_criterion",
-    "cloud_analyze",
-    "cloud_generate_disk",
-    "contains",
-    "covariance_ellipsoid",
-    "disk_demo",
-    "ellipsoid_capacity",
-    "emit_section_plot",
-    "enclosing_ellipsoid",
-    "gauge",
-    "hardy_check",
-    "hardy_envelope_verify",
-    "hbar_fourier_1d",
-    "heisenberg_eigen_check",
-    "inclusion_scale",
-    "is_quantum_covariance",
-    "is_quantum_pair",
-    "is_symplectic",
-    "linear_image",
-    "minkowski_envelope_experiment",
-    "polar_dual",
-    "product_capacity",
-    "product_projection_area",
-    "project_xp",
-    "random_quantum_covariance",
-    "random_symplectic",
-    "rs_check",
-    "scale",
-    "section_area",
-    "standard_symplectic_matrix",
-    "support",
-    "symplectic_eigenvalues",
-    "symplectic_form",
-    "theorem2_check",
-]
+# The public names are the package's own non-underscore, non-module globals.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -6,17 +6,17 @@ All bodies are origin-centered (body = -body by construction):
 * ``HPolytope(rows=A)``        is {x : |a_i^T x| <= 1 for every row a_i};
 * ``VPolytope(vertices=V)``    is conv{+-v_j} over the listed vertices.
 
-Operations are pure functions over these immutable values. An ellipsoid carries a
-factor F of its matrix, and a derived one is built from a factor, not checked again:
-F^-T / hbar for a polar, L^-T F for a linear image (``scale`` is one), C^-T for (d M)^-1
-with d M = C C^T (``_inverse_ellipsoid``). Errors are of order cond(F) eps, so
+Operations are pure functions over these immutable values, which compare by identity. An
+ellipsoid carries a factor F of its matrix, and a derived one is built from a factor, not
+checked again: F^-T / hbar for a polar, L^-T F for a linear image (``scale`` is one), C^-T
+for (d M)^-1 with d M = C C^T (``_inverse_ellipsoid``). Errors are of order cond(F) eps, so
 ``linear_image`` decides up to its cond(L) <= 1e12 guard. ``polar_dual`` builds a polytope
 from a validated array scaled by hbar with only the finiteness and nonzero-row checks (no
 rank SVD); ``linear_image`` validates a polytope in full. The Minkowski gauge is the one
-body kernel and a closed form for every representation; a V-polytope's facet normals
-come from ``hpolytope_vertices``, the one polytope conversion, unless there may be so
-many that one HiGHS LP per row costs less. The support function is the gauge of the unit
-polar, h_K = ||.||_{K°}, and ``polar_dual`` maps each representation to its polar's.
+body kernel and a closed form for every representation; a V-polytope's facet normals come
+from ``hpolytope_vertices``, the one polytope conversion, unless there may be so many that
+one HiGHS LP per row costs less. The support function is the gauge of the unit polar,
+h_K = ||.||_{K°}, and ``polar_dual`` maps each representation to its polar's.
 
 Boxes and cross-polytopes, and their linear images, have closed forms chosen by the
 row count: an H-polytope with n rows A (a parallelotope) has the vertices A^-1 s over
@@ -76,10 +76,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _polytope_array(arr, kind: str, what: str, spans: str, rank: bool = True) -> np.ndarray:
+def _polytope_array(arr, kind: str, rank: bool = True) -> np.ndarray:
     """The one polytope validator: arr as frozen finite nonzero rows spanning the space
-    (matrix_rank's test, sigma_n > sigma_1 max(m, n) eps). rank=False skips the span test
-    for an array scaled by c > 0 from a validated one: scaling keeps the rank."""
+    (matrix_rank's test, sigma_n > sigma_1 max(m, n) eps), of an H- or V-polytope (kind).
+    rank=False skips the span test for an array scaled by c > 0 from a validated one:
+    scaling keeps the rank."""
+    what, spans = {"H": ("rows", "bounded body"), "V": ("vertices", "full-dimensional body")}[kind]
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
     if not np.isfinite(arr).all():
         raise ValueError(f"polytope {what} must be finite")
@@ -92,12 +94,20 @@ def _polytope_array(arr, kind: str, what: str, spans: str, rank: bool = True) ->
     return _freeze(arr)
 
 
-@dataclass(frozen=True)
+def _unchecked(cls, **fields):
+    """An instance of a frozen body class with these fields, derived from a validated
+    body and not checked again."""
+    body = object.__new__(cls)
+    body.__dict__.update(fields)
+    return body
+
+
+@dataclass(frozen=True, eq=False)
 class Ellipsoid:
     """The ellipsoid {x : x^T Q x <= 1} for a symmetric positive definite Q = F F^T (``factor``)."""
 
     matrix: np.ndarray
-    factor: np.ndarray = field(init=False, repr=False, compare=False)
+    factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         q = require_symmetric(self.matrix)
@@ -107,9 +117,7 @@ class Ellipsoid:
     @classmethod
     def _from_factor(cls, f: np.ndarray) -> "Ellipsoid":
         """The ellipsoid with matrix F F^T for an invertible F, not checked again."""
-        ell = object.__new__(cls)
-        ell.__dict__.update(factor=_freeze(f), matrix=_freeze(f @ f.T))
-        return ell
+        return _unchecked(cls, factor=_freeze(f), matrix=_freeze(f @ f.T))
 
     @property
     def dim(self) -> int:
@@ -123,21 +131,14 @@ class Ellipsoid:
         return cls(np.eye(dim) / radius**2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HPolytope:
     """The symmetric polytope {x : |a_i^T x| <= 1} over the rows a_i."""
 
     rows: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", _polytope_array(self.rows, "H", "rows", "bounded body"))
-
-    @classmethod
-    def _scaled(cls, rows: np.ndarray) -> "HPolytope":
-        """The H-polytope on rows scaled by c > 0 from a validated polytope's: rank not tested again."""
-        poly = object.__new__(cls)
-        poly.__dict__["rows"] = _polytope_array(rows, "H", "rows", "bounded body", rank=False)
-        return poly
+        object.__setattr__(self, "rows", _polytope_array(self.rows, "H"))
 
     @property
     def dim(self) -> int:
@@ -152,21 +153,14 @@ class HPolytope:
         return cls(np.diag(1.0 / h))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VPolytope:
     """The symmetric polytope conv{+-v_j} over the listed vertices v_j."""
 
     vertices: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", _polytope_array(self.vertices, "V", "vertices", "full-dimensional body"))
-
-    @classmethod
-    def _scaled(cls, vertices: np.ndarray) -> "VPolytope":
-        """The V-polytope on vertices scaled by c > 0 from a validated polytope's: rank not tested again."""
-        poly = object.__new__(cls)
-        poly.__dict__["vertices"] = _polytope_array(vertices, "V", "vertices", "full-dimensional body", rank=False)
-        return poly
+        object.__setattr__(self, "vertices", _polytope_array(self.vertices, "V"))
 
     @property
     def dim(self) -> int:
@@ -278,8 +272,8 @@ def polar_dual(body: ConvexBody, hbar: float = 1.0) -> ConvexBody:
     if isinstance(body, Ellipsoid):
         return Ellipsoid._from_factor(np.linalg.inv(body.factor).T / hbar)
     if isinstance(body, HPolytope):
-        return VPolytope._scaled(hbar * body.rows)
-    return HPolytope._scaled(body.vertices / hbar)
+        return _unchecked(VPolytope, vertices=_polytope_array(hbar * body.rows, "V", rank=False))
+    return _unchecked(HPolytope, rows=_polytope_array(body.vertices / hbar, "H", rank=False))
 
 
 def linear_image(body: ConvexBody, l: np.ndarray) -> ConvexBody:

@@ -18,7 +18,7 @@ from . import __version__, io as qio
 from .bodies import DEFAULT_TOL, Ellipsoid, polar_dual
 from .capacities import ellipsoid_capacity, product_capacity
 from .cloud import FIT_MODES, body_to_dict, cloud_analyze, cloud_generate_disk, disk_demo
-from .errors import NotPositiveDefiniteError, QPolarError
+from .errors import QPolarError
 from .hardy import HardyInput, hardy_check
 from .polarity import is_quantum_pair
 from .quantum import (
@@ -30,7 +30,7 @@ from .quantum import (
     section_area,
 )
 from .sections import emit_section_plot
-from .symplectic import symplectic_eigenvalues
+from .symplectic import _factor_symplectic_eigenvalues
 
 PASS, FAIL, ERROR = 0, 2, 1
 
@@ -144,6 +144,8 @@ def capacity(x_path, p_path, body_path, sigma_path, mode_index, hbar, tol, fmt):
               sigma_path is not None]
     if sum(chosen) != 1:
         raise click.UsageError("provide exactly one of (-x and -p), --body, or --sigma")
+    if mode_index is not None and sigma_path is None:
+        raise click.UsageError("-j needs --sigma")
     if body_path:
         ell = qio.load_body(body_path)
         if not isinstance(ell, Ellipsoid):
@@ -190,10 +192,7 @@ def covariance(sigma_path, hbar, tol, fmt):
     """Run every quantum-covariance verdict on a matrix; exit 2 if invalid."""
     cov = qio.load_covariance(sigma_path)
     valid = is_quantum_covariance(cov, hbar, tol)
-    try:
-        spectrum = symplectic_eigenvalues(cov.sigma)
-    except NotPositiveDefiniteError:
-        spectrum = None
+    spectrum = None if cov.factor is None else _factor_symplectic_eigenvalues(cov.factor)
     doc = {
         "quantum_covariance": valid,
         "rs_per_mode": rs_check(cov, hbar, tol),

@@ -24,7 +24,7 @@ FIT_MODES = ("ball", "mvee", "interval-box")
 DISK_VARIANCE_RTOL = 0.04
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementCloud:
     """Position and momentum sample sets (one sample per row, n columns each)."""
 
@@ -51,7 +51,7 @@ class MeasurementCloud:
         return self.x_samples.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalysisReport:
     """Everything cloud_analyze derives from a measurement cloud.
 
@@ -239,7 +239,7 @@ def cloud_analyze(cloud: MeasurementCloud, hbar: float = 1.0, fit: str = "ball",
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiskDemoReport:
     """Reproduction of the uniform-disk example with the variance cross-check.
 

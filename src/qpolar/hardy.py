@@ -173,7 +173,7 @@ def hardy_envelope_verify(samples, grid, sigma_x: float, sigma_p: float,
     return pos_ok and mom_ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HardyInput:
     """Gaussian envelope data |psi| <= C exp(-x A^{-1} x / 4), |psi^| <= C exp(-p B^{-1} p / 4).
 
@@ -191,7 +191,7 @@ class HardyInput:
 HardyClass = Literal["violates", "gaussian_boundary", "hermite_subcritical"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HardyVerdict:
     """Eigenvalue classification of a Hardy envelope pair.
 

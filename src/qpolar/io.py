@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bodies import ConvexBody, Ellipsoid, HPolytope, VPolytope
-from .cloud import MeasurementCloud, body_to_dict
+from .cloud import MeasurementCloud
 from .quantum import CovarianceMatrix
 
 
@@ -48,10 +48,6 @@ def body_from_dict(doc: dict) -> ConvexBody:
 def load_body(path) -> ConvexBody:
     with open(path, encoding="utf-8-sig") as fh:
         return body_from_dict(json.load(fh))
-
-
-def dump_body(body: ConvexBody, path) -> None:
-    Path(path).write_text(json.dumps(body_to_dict(body), indent=2) + "\n")
 
 
 def load_matrix(path) -> np.ndarray:

@@ -34,7 +34,7 @@ from .symplectic import (_factor_pencil_eigenvalues, _spd_cholesky, _spd_pair, _
                          random_symplectic, require_symmetric)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """A symmetric 2n x 2n covariance matrix with named blocks.
 
@@ -43,11 +43,11 @@ class CovarianceMatrix:
     enforces symmetry and even dimension; quantum validity is a separate
     check (is_quantum_covariance), so invalid candidates are representable.
     ``factor`` is the Cholesky factor C of Sigma = C C^T, or None when Sigma is
-    not positive definite; it takes no part in equality or repr.
+    not positive definite; it is not in the repr. Instances compare by identity.
     """
 
     sigma: np.ndarray
-    factor: np.ndarray | None = field(init=False, repr=False, compare=False)
+    factor: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         s = require_symmetric(self.sigma)

@@ -124,12 +124,6 @@ def _spd_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return c, s[::-1], u[:, ::-1]
 
 
-def _pencil_eigenvalues(m: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Eigenvalues of M v = mu S v (M Hermitian, S SPD), ascending: those of C^{-1} M C^{-H}
-    for S = C C^T, the Cholesky reduction LAPACK's generalized solver makes."""
-    return _factor_pencil_eigenvalues(m, _spd_cholesky(s))
-
-
 def _factor_pencil_eigenvalues(m: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Eigenvalues of M v = mu C C^T v for a real invertible factor C, ascending."""
     c_inv = np.linalg.inv(c)

@@ -920,7 +920,7 @@ def test_rank_test_is_matrix_rank():
             a[rng.integers(m)] *= 1e-70  # a row far below the others, whose squares may underflow
         degenerate = not a.any(axis=1).all() or np.linalg.matrix_rank(a) < n
         try:
-            _polytope_array(a, "H", "rows", "bounded body")
+            _polytope_array(a, "H")
         except DegenerateBodyError:
             rejected += 1
             assert degenerate, a

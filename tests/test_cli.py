@@ -141,6 +141,12 @@ class TestCapacity:
         result = runner.invoke(cli, ["capacity", "-x", small, "-p", disk_p])
         assert result.exit_code == 2
 
+    def test_mode_index_needs_sigma(self, runner, disk_x, disk_p):
+        for args in (["-x", disk_x, "-p", disk_p, "-j", "1"], ["--body", disk_p, "-j", "5"]):
+            result = runner.invoke(cli, ["capacity", *args])
+            assert result.exit_code == 2
+            assert "Error: -j needs --sigma" in result.output
+
     def test_mutually_exclusive_inputs(self, runner, disk_x, disk_p):
         result = runner.invoke(cli, ["capacity", "-x", disk_x])
         assert result.exit_code != 0

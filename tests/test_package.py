@@ -1,0 +1,80 @@
+import ast
+import inspect
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import qpolar
+from qpolar import (
+    CovarianceMatrix,
+    Ellipsoid,
+    HardyInput,
+    HPolytope,
+    MeasurementCloud,
+    VPolytope,
+    cloud_analyze,
+    cloud_generate_disk,
+    disk_demo,
+    hardy_check,
+)
+
+PACKAGE = Path(qpolar.__file__).parent
+
+
+def test_export_list():
+    names = qpolar.__all__
+    assert names == sorted(names)
+    exported = [getattr(qpolar, name) for name in names]  # every entry resolves
+    assert not [n for n, obj in zip(names, exported) if n.startswith("_") or inspect.ismodule(obj)]
+    # Only the package's own objects: an imported helper would leak in as a public name.
+    assert all(obj is qpolar.ConvexBody or obj.__module__.startswith("qpolar.") for obj in exported)
+    namespace = {}
+    exec("from qpolar import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == names
+
+
+# Builders of each frozen value type that holds arrays; two calls give equal values.
+VALUE_TYPES = {
+    "Ellipsoid": lambda: Ellipsoid(np.eye(2)),
+    "HPolytope": lambda: HPolytope.box([1.0, 2.0]),
+    "VPolytope": lambda: VPolytope(np.eye(2)),
+    "CovarianceMatrix": lambda: CovarianceMatrix(np.eye(2)),
+    "HardyInput": lambda: HardyInput(np.eye(2), np.eye(2)),
+    "HardyVerdict": lambda: hardy_check(HardyInput(np.eye(2), np.eye(2))),
+    "MeasurementCloud": lambda: MeasurementCloud(np.eye(2), np.eye(2)),
+    "AnalysisReport": lambda: cloud_analyze(cloud_generate_disk(1.0, 1.0, 50, 0)),
+    "DiskDemoReport": lambda: disk_demo(1.0, 1.0, 50, 0),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_compare_by_identity(name):
+    a, b = VALUE_TYPES[name](), VALUE_TYPES[name]()
+    assert type(a).__name__ == name
+    assert a == a and (a == b) is False and a != b
+    assert isinstance(hash(a), int)
+    assert len({a, b, a}) == 2
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports (``__future__`` aside) and never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_import_check_finds_one():
+    assert _unused_imports("import os\nimport sys.path\nfrom . import a, b as c\nsys.exit(c)") == ["a", "os"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
+def test_no_unused_imports(module):
+    assert _unused_imports((PACKAGE / module).read_text()) == []

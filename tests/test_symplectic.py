@@ -11,7 +11,8 @@ from qpolar.bodies import Ellipsoid
 from qpolar.hardy import HardyInput, hardy_check
 from qpolar.quantum import CovarianceMatrix, heisenberg_eigen_check
 from qpolar.symplectic import (
-    _pencil_eigenvalues,
+    _factor_pencil_eigenvalues,
+    _spd_cholesky,
     block_diagonalize,
     is_symplectic,
     random_symplectic,
@@ -223,6 +224,12 @@ class TestBlockDiagonalize:
                     check(np.eye(2), bad)
             with pytest.raises(DimensionError):
                 check(np.eye(2), np.eye(3))
+
+
+def _pencil_eigenvalues(m, s):
+    """Eigenvalues of M v = mu S v (M Hermitian, S SPD), ascending: those of C^{-1} M C^{-H}
+    for S = C C^T, the Cholesky reduction LAPACK's generalized solver makes."""
+    return _factor_pencil_eigenvalues(m, _spd_cholesky(s))
 
 
 class TestPencilEigenvalues:
