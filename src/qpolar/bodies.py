@@ -78,17 +78,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _polytope_array(arr, kind: str, rank: bool = True) -> np.ndarray:
     """The one polytope validator: arr as frozen finite nonzero rows spanning the space
-    (matrix_rank's test, sigma_n > sigma_1 max(m, n) eps), of an H- or V-polytope (kind).
-    rank=False skips the span test for an array scaled by c > 0 from a validated one:
-    scaling keeps the rank."""
+    (matrix_rank's test, sigma_n > sigma_1 max(m, n) eps, on rows scaled to max-abs 1),
+    of an H- or V-polytope (kind). rank=False skips the span test for an array scaled by
+    c > 0 from a validated one: scaling keeps the rank."""
     what, spans = {"H": ("rows", "bounded body"), "V": ("vertices", "full-dimensional body")}[kind]
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
     if not np.isfinite(arr).all():
         raise ValueError(f"polytope {what} must be finite")
-    if arr.shape[0] == 0 or not (arr != 0).any(axis=1).all():
+    row_max = np.abs(arr).max(axis=1, initial=0.0)
+    if arr.shape[0] == 0 or not row_max.all():
         raise DegenerateBodyError(f"{kind}-polytope {what} must be non-empty and nonzero")
     if rank:
-        svals = np.linalg.svd(arr, compute_uv=False)
+        svals = np.linalg.svd(arr / row_max[:, None], compute_uv=False)
         if len(arr) < arr.shape[1] or svals[-1] <= svals[0] * max(arr.shape) * np.finfo(float).eps:
             raise DegenerateBodyError(f"{kind}-polytope {what} must span the space ({spans})")
     return _freeze(arr)

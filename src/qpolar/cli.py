@@ -7,6 +7,7 @@ environment variables are read.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from dataclasses import asdict
@@ -383,6 +384,10 @@ def plot_section(body_path, x_path, p_path, sigma_path, plane, output):
 
 
 def main():
+    # A qpolar process runs one command: no collection pass during it, and the one at
+    # exit skips the frozen import-time heap. Library use keeps the collector as it is.
+    gc.freeze()
+    gc.disable()
     cli(prog_name="qpolar")
 
 

@@ -26,15 +26,16 @@ DISK_VARIANCE_RTOL = 0.04
 
 @dataclass(frozen=True, eq=False)
 class MeasurementCloud:
-    """Position and momentum sample sets (one sample per row, n columns each)."""
+    """Position and momentum sample sets (one sample per row, n columns each; a flat
+    sequence holds one-coordinate samples)."""
 
     x_samples: np.ndarray
     p_samples: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x_samples, dtype=float))
-        p = np.atleast_2d(np.asarray(self.p_samples, dtype=float))
+        x, p = (np.asarray(s, dtype=float) for s in (self.x_samples, self.p_samples))
+        x, p = (s[:, None] if s.ndim == 1 else np.atleast_2d(s) for s in (x, p))
         if x.size == 0 or p.size == 0:
             raise DegenerateBodyError("both sample sets must be non-empty")
         if x.shape[1] != p.shape[1]:

@@ -77,15 +77,23 @@ def _width(line: str) -> int:
 
 def _parse_sample_text(text: str) -> np.ndarray:
     lines = text.replace(",", " ").splitlines()
-    keep = [k for k, line in enumerate(lines) if line.strip() and not line.lstrip().startswith("#")]
-    if keep and not _width(lines[keep[0]]):
-        keep = keep[1:]  # the header line
-    if not keep:
+    kept = (k for k, line in enumerate(lines) if line.strip() and not line.lstrip().startswith("#"))
+    first = next(kept, None)
+    if first is not None and not _width(lines[first]):
+        first = next(kept, None)  # past the header line
+    if first is None:
         raise ValueError("no numeric rows found")
+    if text.count("#") == "".join(lines[:first]).count("#"):
+        # No comment from the first row on: loadtxt reads it all and skips the blank lines.
+        try:
+            return np.loadtxt(lines[first:], comments=None, ndmin=2)
+        except ValueError:
+            pass
+    keep = [first, *kept]
     try:
         return np.loadtxt([lines[k] for k in keep], comments=None, ndmin=2)
     except ValueError:
-        width = _width(lines[keep[0]])
+        width = _width(lines[first])
         bad = next(k for k in keep if not 0 < _width(lines[k]) == width)
         raise ValueError(f"cannot parse sample line {bad + 1}: {text.splitlines()[bad]!r}") from None
 
@@ -99,13 +107,23 @@ def dump_samples(samples: np.ndarray, path, header: str) -> None:
     np.savetxt(path, samples, header=header, comments="# ")
 
 
+def _cloud_samples(rows, key: str) -> np.ndarray:
+    """The float array of a cloud document's sample list, or ValueError naming ragged rows."""
+    try:
+        return np.asarray(rows, dtype=float)
+    except ValueError:
+        if isinstance(rows, list) and len({len(r) if isinstance(r, list) else None for r in rows}) > 1:
+            raise ValueError(f"cloud document {key!r} rows must all hold the same number of coordinates") from None
+        raise
+
+
 def load_cloud(path=None, x_path=None, p_path=None) -> MeasurementCloud:
     """Load a cloud from a structured JSON file or a pair of sample files."""
     if path is not None:
         with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
-        return MeasurementCloud(_field(doc, "x", "cloud document"), _field(doc, "p", "cloud document"),
-                                doc.get("label", ""))
+        x, p = (_field(doc, key, "cloud document") for key in ("x", "p"))
+        return MeasurementCloud(_cloud_samples(x, "x"), _cloud_samples(p, "p"), doc.get("label", ""))
     if x_path is None or p_path is None:
         raise ValueError("provide either a structured cloud file or both sample files")
     return MeasurementCloud(load_samples(x_path), load_samples(p_path))

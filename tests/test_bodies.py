@@ -901,9 +901,21 @@ def test_rows_far_below_the_underflow_of_their_squares_are_nonzero():
             kind([[1.0, 0.0], [0.0, 0.0]])
 
 
+def test_rank_test_does_not_depend_on_row_scale():
+    # Rows whose scales differ by 1e16 or more span the space; both bodies have closed forms.
+    box = HPolytope.box([1.0, 1e16])
+    assert gauge(box, [1.0, 1e16]) == pytest.approx(1.0, rel=1e-15)
+    assert is_quantum_pair(box, polar_dual(box, 2.0), 2.0).lambda_max == pytest.approx(1.0, rel=1e-12)
+    assert gauge(VPolytope([[1.0, 0.0], [0.0, 1e-17]]), [0.5, 0.5e-17]) == pytest.approx(1.0, rel=1e-15)
+    for rows in ([[1.0, 2.0], [2.0, 4.0]], [[1e-20, 2e-20], [2e20, 4e20]]):
+        with pytest.raises(DegenerateBodyError, match=r"^H-polytope rows must span the space \(bounded body\)$"):
+            HPolytope(rows)
+
+
 def test_rank_test_is_matrix_rank():
     # The validator rejects exactly the arrays with a zero row or numerical rank
-    # below n (matrix_rank's tolerance): tall, wide and near-singular arrays.
+    # below n (matrix_rank's tolerance) once each row is scaled by its max-abs
+    # entry: tall, wide and near-singular arrays.
     rng = np.random.default_rng(13)
     rejected = 0
     for trial in range(3000):
@@ -918,7 +930,7 @@ def test_rank_test_is_matrix_rank():
         a *= 10.0 ** rng.uniform(-100, 100)
         if trial % 300 == 0:
             a[rng.integers(m)] *= 1e-70  # a row far below the others, whose squares may underflow
-        degenerate = not a.any(axis=1).all() or np.linalg.matrix_rank(a) < n
+        degenerate = not a.any(axis=1).all() or np.linalg.matrix_rank(a / np.abs(a).max(axis=1, keepdims=True)) < n
         try:
             _polytope_array(a, "H")
         except DegenerateBodyError:

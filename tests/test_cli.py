@@ -274,6 +274,21 @@ class TestCloudCommands:
         ana = runner.invoke(cli, ["cloud", "analyze", "-x", str(x_file), "-p", str(p_file)])
         assert ana.exit_code == 2  # 0.4 * 1.0 < hbar
 
+    def test_flat_json_cloud_matches_its_text_twin(self, runner, tmp_path):
+        # A flat sample list holds one-coordinate samples, as a one-column sample file does.
+        x, p = [0.1, -0.2, 0.3, -0.4], [1.0, -2.0, 0.5, 2.5]
+        cloud = write_json(tmp_path / "c.json", {"x": x, "p": p})
+        for name, values in (("x", x), ("p", p)):
+            (tmp_path / f"{name}.txt").write_text("".join(f"{v!r}\n" for v in values))
+        s = ["--format", "structured"]
+        from_json = runner.invoke(cli, ["cloud", "analyze", "--cloud", cloud, *s])
+        from_text = runner.invoke(cli, ["cloud", "analyze", "-x", str(tmp_path / "x.txt"),
+                                        "-p", str(tmp_path / "p.txt"), *s])
+        assert from_json.exit_code == from_text.exit_code == 2, from_json.output
+        assert from_json.stdout == from_text.stdout
+        # Four 1-D samples: the ball about their mean -0.05 has radius 0.35.
+        assert json.loads(from_json.stdout)["body_x"]["matrix"] == [[pytest.approx(1.0 / 0.35**2)]]
+
     def test_generate_without_output_draws_nothing(self, runner, monkeypatch):
         def draw(*args):
             raise AssertionError("samples drawn before the output check")
@@ -329,11 +344,17 @@ def test_version_from_a_source_checkout(runner):
     assert result.output.strip().endswith(f"version {declared}")
 
 
+def _python(*args):
+    """A fresh interpreter on this package's source, run with args."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qpolar.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def _scipy_modules_after(code):
     """The scipy modules loaded in a fresh interpreter that runs code."""
-    env = {**os.environ, "PYTHONPATH": str(Path(qpolar.__file__).resolve().parents[1])}
     code += "\nimport sys; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = _python("-c", code)
+    assert out.returncode == 0, out.stderr
     return out.stdout.strip().splitlines()[-1]
 
 
@@ -341,6 +362,52 @@ def test_import_leaves_scipy_stats_unloaded():
     # Nor any other scipy module: the LP solver and Qhull load on first use.
     assert _scipy_modules_after("import qpolar") == "[]"
     assert _scipy_modules_after("import qpolar.cli") == "[]"
+
+
+def test_import_leaves_the_collector_alone():
+    out = _python("-c", "import gc, qpolar, qpolar.cli; print(gc.isenabled(), gc.get_freeze_count())")
+    assert out.stdout.split() == ["True", "0"], out.stderr
+
+
+def test_entry_runs_its_command_with_the_collector_off_and_the_heap_frozen():
+    code = """
+import gc, qpolar.cli
+qpolar.cli.cli = lambda **kw: print(gc.isenabled(), gc.get_freeze_count() > 0, kw)
+qpolar.cli.main()
+"""
+    out = _python("-c", code)
+    assert out.stdout.strip() == "False True {'prog_name': 'qpolar'}", out.stderr
+
+
+def test_entry_matches_the_click_runner(runner, tmp_path, disk_x, disk_p):
+    # The benchmark's seven command kinds, through `python -m qpolar.cli` (which calls
+    # main()) and through CliRunner (which does not): same stdout, exit code and files.
+    path = lambda name: str(tmp_path / name)  # noqa: E731
+    write_json(tmp_path / "xh.json", {"type": "hpoly", "rows": [[2.0, 0.0], [0.0, 0.5]]})
+    write_json(tmp_path / "pv.json", {"type": "vpoly", "vertices": [[0.6, 0.0], [0.0, 2.5]]})
+    (tmp_path / "sigma.txt").write_text("1 0.1 0 0\n0.1 2 0 0\n0 0 0.5 0\n0 0 0 0.3\n")
+    cloud = qpolar.cloud_generate_disk(1.5, 0.8, 2000, 5)
+    qpolar.io.dump_cloud(cloud, path("cloud.json"))
+    qpolar.io.dump_samples(cloud.x_samples, path("x.txt"), "x1 x2")
+    qpolar.io.dump_samples(cloud.p_samples, path("p.txt"), "p1 p2")
+    h, s = ["--hbar", "0.7"], ["--format", "structured"]
+    commands = [
+        ["pair-check", "-x", disk_x, "-p", disk_p, *h, *s],
+        ["capacity", "-x", path("xh.json"), "-p", path("pv.json"), *h, *s],
+        ["covariance", "--sigma", path("sigma.txt"), *h, *s],
+        ["hardy", "--sigma-x", "1.0", "--sigma-p", "0.3", *h, *s],
+        ["cloud", "generate", "--rx", "1.2", "--rp", "0.9", "-n", "2000", "--seed", "7", "-o", "{out}"],
+        ["cloud", "analyze", "--cloud", path("cloud.json"), "--trim", "0.01", *h, *s],
+        ["cloud", "analyze", "-x", path("x.txt"), "-p", path("p.txt"), "--fit", "mvee", *h, *s],
+    ]
+    codes = set()
+    for args in commands:
+        got = _python("-m", "qpolar.cli", *(path("entry.json") if a == "{out}" else a for a in args))
+        want = runner.invoke(cli, [path("runner.json") if a == "{out}" else a for a in args])
+        assert (got.returncode, got.stdout) == (want.exit_code, want.stdout), (args, got.stderr)
+        codes.add(got.returncode)
+    assert (tmp_path / "entry.json").read_bytes() == (tmp_path / "runner.json").read_bytes()
+    assert codes == {0, 2}
 
 
 def test_ellipsoid_and_covariance_work_loads_no_scipy():
@@ -416,8 +483,10 @@ def test_bad_hbar_exits_one(runner, tmp_path, disk_x, disk_p, command, hbar):
     ([[1.0, 0.0], [0.0, 1.0]], ["covariance", "--sigma", "{doc}"], "JSON object"),
     ({"x": [[0.0, 1.0], [1.0, 0.0]]}, ["cloud", "analyze", "--cloud", "{doc}"], "'p'"),
     ({"p": [[0.0, 1.0], [1.0, 0.0]]}, ["cloud", "analyze", "--cloud", "{doc}"], "'x'"),
+    ({"x": [[1.0, 2.0], [3.0]], "p": [[0.0, 1.0], [1.0, 0.0]]}, ["cloud", "analyze", "--cloud", "{doc}"],
+     "cloud document 'x' rows must all hold the same number of coordinates"),
 ], ids=["body-no-matrix", "body-list", "vpoly-no-vertices", "sigma-no-matrix", "sigma-list",
-     "cloud-no-p", "cloud-no-x"])
+     "cloud-no-p", "cloud-no-x", "cloud-ragged"])
 def test_malformed_document_exits_one(runner, tmp_path, doc, args, key):
     path = write_json(tmp_path / "doc.json", doc)
     result = runner.invoke(cli, [path if a == "{doc}" else a for a in args])

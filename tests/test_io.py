@@ -64,7 +64,9 @@ class TestSampleText:
         ("p1,p2\r\n# c\r\n1.5,-2.5\r\n\r\n-3e-300 4E+300\r\n", [[1.5, -2.5], [-3e-300, 4e300]]),
         ("1 2,\n3 4 \n5, 6,\n", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
         ("  0.1\n\t-0.2\n", [[0.1], [-0.2]]),
-    ], ids=["comments-then-header", "mixed-separators", "crlf", "trailing-separators", "one-column"])
+        ("x y\n\n1 2\n \t\n3 4\n\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ], ids=["comments-then-header", "mixed-separators", "crlf", "trailing-separators", "one-column",
+            "blank-lines"])
     def test_accepted_grammar(self, tmp_path, text, expected):
         path = tmp_path / "x.txt"
         path.write_bytes(text.encode())
