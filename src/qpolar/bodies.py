@@ -385,7 +385,10 @@ DEFAULT_TOL = 1e-9
 
 
 def _accepts(r: float, tol: float) -> bool:
-    """The one acceptance rule: a ratio r (>= 1 iff the bound holds) passes when r >= 1/(1 + tol)."""
+    """The one acceptance rule: a ratio r (>= 1 iff the bound holds) passes when r >= 1/(1 + tol),
+    for a finite tol >= 0 (ValueError otherwise)."""
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     return bool(r >= 1.0 / (1.0 + tol))
 
 

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit status: 0 on pass verdicts, 2 on fail verdicts, 1 on errors, so the
-commands compose in shell scripts. All configuration is via flags; no
-environment variables are read.
+Exit status: 0 on pass verdicts, 2 on fail verdicts, 1 on errors, usage
+errors included, so the commands compose in shell scripts. All configuration
+is via flags; no environment variables are read.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ import click
 import numpy as np
 
 from . import __version__, io as qio
-from .bodies import DEFAULT_TOL, Ellipsoid, polar_dual
+from .bodies import DEFAULT_TOL, Ellipsoid, _check_hbar, polar_dual
 from .capacities import ellipsoid_capacity, product_capacity
 from .cloud import FIT_MODES, body_to_dict, cloud_analyze, cloud_generate_disk, disk_demo
 from .errors import QPolarError
-from .hardy import HardyInput, hardy_check
+from .hardy import HardyInput, _check_widths, hardy_check
 from .polarity import is_quantum_pair
 from .quantum import (
     capacity_criterion,
@@ -81,10 +81,23 @@ def _write_out(text: str, output) -> None:
             fh.write(text)
 
 
+def _check_one_input(*groups: dict) -> None:
+    """The one input rule: exactly one group of flags (flag -> value, None when absent) is
+    given, in full. Else a usage error names the groups; the command branches on its own."""
+    given = [g for g in groups if any(v is not None for v in g.values())]
+    if len(given) != 1 or None in given[0].values():
+        *rest, last = (f"({' and '.join(g)})" if len(g) > 1 else next(iter(g)) for g in groups)
+        listed = ", ".join(rest) + ("," if len(rest) > 1 else "")
+        raise click.UsageError(f"provide exactly one of {listed} or {last}")
+
+
 class _Cli(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = ERROR
+            raise
         except (QPolarError, ValueError, IndexError) as exc:
             raise click.ClickException(str(exc)) from exc
 
@@ -141,10 +154,8 @@ def capacity(x_path, p_path, body_path, sigma_path, mode_index, hbar, tol, fmt):
 
     For products, exit 2 when the 4*hbar quantum-pair lower bound fails.
     """
-    chosen = [x_path is not None and p_path is not None, body_path is not None,
-              sigma_path is not None]
-    if sum(chosen) != 1:
-        raise click.UsageError("provide exactly one of (-x and -p), --body, or --sigma")
+    _check_hbar(hbar)
+    _check_one_input({"-x": x_path, "-p": p_path}, {"--body": body_path}, {"--sigma": sigma_path})
     if mode_index is not None and sigma_path is None:
         raise click.UsageError("-j needs --sigma")
     if body_path:
@@ -223,14 +234,12 @@ def covariance(sigma_path, hbar, tol, fmt):
 @format_option
 def hardy(a_path, b_path, sigma_x, sigma_p, hbar, tol, fmt):
     """Classify a Hardy envelope pair; exit 2 when the bound is violated."""
-    if (a_path is None) != (b_path is None):
-        raise click.UsageError("--a and --b go together")
+    _check_one_input({"--a": a_path, "--b": b_path}, {"--sigma-x": sigma_x, "--sigma-p": sigma_p})
     if a_path is not None:
         inp = HardyInput(qio.load_matrix(a_path), qio.load_matrix(b_path))
-    elif sigma_x is not None and sigma_p is not None:
-        inp = HardyInput(np.array([[sigma_x**2]]), np.array([[sigma_p**2]]))
     else:
-        raise click.UsageError("provide --a/--b matrices or --sigma-x/--sigma-p scalars")
+        _check_widths(sigma_x, sigma_p)
+        inp = HardyInput(np.array([[sigma_x**2]]), np.array([[sigma_p**2]]))
     verdict = hardy_check(inp, hbar, tol)
     # The induced pair's inclusion scale is the first ratio, 2 sqrt(eig_1(A B)) / hbar,
     # and it is a pair exactly when that ratio is accepted, i.e. unless "violates".
@@ -290,6 +299,7 @@ def cloud_generate(rx, rp, n_samples, seed, output, x_out, p_out):
 @format_option
 def cloud_analyze_cmd(cloud_path, x_path, p_path, fit, trim, hbar, tol, fmt):
     """Fit bodies to a cloud and report pair, capacity, and covariance verdicts."""
+    _check_one_input({"--cloud": cloud_path}, {"-x": x_path, "-p": p_path})
     made = qio.load_cloud(cloud_path, x_path, p_path)
     report = cloud_analyze(made, hbar=hbar, fit=fit, trim=trim, tol=tol)
     doc = report.to_dict()
@@ -367,10 +377,7 @@ def plot_section(body_path, x_path, p_path, sigma_path, plane, output):
         i, j = (int(s) for s in plane.split(","))
     except ValueError:
         raise click.UsageError(f"cannot parse plane {plane!r}; expected i,j") from None
-    chosen = [body_path is not None, x_path is not None and p_path is not None,
-              sigma_path is not None]
-    if sum(chosen) != 1:
-        raise click.UsageError("provide exactly one of --body, (-x and -p), or --sigma")
+    _check_one_input({"--body": body_path}, {"-x": x_path, "-p": p_path}, {"--sigma": sigma_path})
     if body_path:
         text = emit_section_plot(qio.load_body(body_path), (i, j))
     elif sigma_path:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, HPolytope, VPolytope, _check_hbar, enclosing_ellipsoid, gauge
 from .capacities import CapacityReport, _capacity_of
-from .errors import DegenerateBodyError, DimensionError, QPolarError
+from .errors import DegenerateBodyError, DimensionError
 from .polarity import PairVerdict, is_quantum_pair
 from .quantum import (
     CovarianceMatrix,
@@ -17,7 +17,7 @@ from .quantum import (
     is_quantum_covariance,
     rs_check,
 )
-from .symplectic import symplectic_eigenvalues
+from .symplectic import _factor_symplectic_eigenvalues
 
 FIT_MODES = ("ball", "mvee", "interval-box")
 # The disk demo's measured variance matches a figure within this relative band.
@@ -74,16 +74,17 @@ class AnalysisReport:
     trim: float
     kept_x: int
     kept_p: int
-    rs_per_mode: Optional[list] = None
-    sigpos_ok: Optional[bool] = None
-    capacity_criterion_ok: Optional[bool] = None
-    symplectic_spectrum: Optional[np.ndarray] = None
-    sample_covariance: Optional[CovarianceMatrix] = None
+    rs_per_mode: list
+    sigpos_ok: bool
+    capacity_criterion_ok: bool
+    symplectic_spectrum: Optional[np.ndarray]
+    sample_covariance: CovarianceMatrix
     notes: tuple = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
         """JSON-ready dictionary with stable field names."""
-        out = {
+        spectrum = self.symplectic_spectrum
+        return {
             "x_center": self.x_center.tolist(),
             "p_center": self.p_center.tolist(),
             "body_x": body_to_dict(self.body_x),
@@ -98,16 +99,14 @@ class AnalysisReport:
             "kept_x": self.kept_x,
             "kept_p": self.kept_p,
             "notes": list(self.notes),
-        }
-        if self.sample_covariance is not None:
-            out["covariance"] = {
+            "covariance": {
                 "sigma": self.sample_covariance.sigma.tolist(),
                 "rs_per_mode": self.rs_per_mode,
                 "sigpos_ok": self.sigpos_ok,
                 "capacity_criterion_ok": self.capacity_criterion_ok,
-                "symplectic_spectrum": self.symplectic_spectrum.tolist(),
-            }
-        return out
+                "symplectic_spectrum": None if spectrum is None else spectrum.tolist(),
+            },
+        }
 
 
 def body_to_dict(body: ConvexBody) -> dict:
@@ -174,6 +173,8 @@ def cloud_analyze(cloud: MeasurementCloud, hbar: float = 1.0, fit: str = "ball",
     sample sets are paired (equal counts) the joint 2n x 2n sample covariance
     and its quantum verdicts are included; otherwise the cross block is not
     estimable and the covariance section is built block-diagonal with a note.
+    The verdicts are those of `qpolar covariance`: a singular sample covariance
+    is invalid and has no symplectic spectrum (None).
     """
     if fit not in FIT_MODES:
         raise ValueError(f"unknown fit mode {fit!r}; expected one of {FIT_MODES}")
@@ -195,7 +196,6 @@ def cloud_analyze(cloud: MeasurementCloud, hbar: float = 1.0, fit: str = "ball",
     capacity = _capacity_of(pair, hbar, tol)
 
     notes = []
-    rs = sigpos = crit = spectrum = cov = None
     n = cloud.dim
     if xs.shape[0] == ps.shape[0]:
         joint = np.hstack([xs, ps])
@@ -207,15 +207,7 @@ def cloud_analyze(cloud: MeasurementCloud, hbar: float = 1.0, fit: str = "ball",
         sigma = np.zeros((2 * n, 2 * n))
         sigma[:n, :n] = (xs.T @ xs) / xs.shape[0]
         sigma[n:, n:] = (ps.T @ ps) / ps.shape[0]
-    try:
-        cov = CovarianceMatrix(sigma)
-        rs = rs_check(cov, hbar, tol)
-        sigpos = is_quantum_covariance(cov, hbar, tol)
-        spectrum = symplectic_eigenvalues(cov.sigma)
-        crit = capacity_criterion(cov, hbar, tol)
-    except (QPolarError, np.linalg.LinAlgError) as exc:  # degenerate sample covariance
-        notes.append(f"covariance verdicts unavailable: {exc}")
-        cov = rs = sigpos = crit = spectrum = None
+    cov = CovarianceMatrix(sigma)
 
     return AnalysisReport(
         x_center=x_center,
@@ -231,10 +223,10 @@ def cloud_analyze(cloud: MeasurementCloud, hbar: float = 1.0, fit: str = "ball",
         trim=trim,
         kept_x=xs_kept.shape[0],
         kept_p=ps_kept.shape[0],
-        rs_per_mode=rs,
-        sigpos_ok=sigpos,
-        capacity_criterion_ok=crit,
-        symplectic_spectrum=spectrum,
+        rs_per_mode=rs_check(cov, hbar, tol),
+        sigpos_ok=is_quantum_covariance(cov, hbar, tol),
+        capacity_criterion_ok=capacity_criterion(cov, hbar, tol),
+        symplectic_spectrum=None if cov.factor is None else _factor_symplectic_eigenvalues(cov.factor),
         sample_covariance=cov,
         notes=tuple(notes),
     )

@@ -145,6 +145,12 @@ def _envelope_fit(samples, grid, hbar: float, x_exponent, p_exponent) -> tuple[b
     return bool(log_cx <= bound), bool(log_cp <= bound), max(log_cx, log_cp)
 
 
+def _check_widths(sigma_x: float, sigma_p: float) -> None:
+    """The one envelope-width check: ValueError unless both widths are positive (NaN fails)."""
+    if not (sigma_x > 0 and sigma_p > 0):
+        raise ValueError(f"envelope widths must be positive, got {sigma_x}, {sigma_p}")
+
+
 def hardy_envelope_verify(samples, grid, sigma_x: float, sigma_p: float,
                           hbar: float = 1.0) -> bool:
     """Check Gaussian envelope bounds on a grid function and its transform.
@@ -156,8 +162,7 @@ def hardy_envelope_verify(samples, grid, sigma_x: float, sigma_p: float,
     the uncertainty bound forbids the configuration, so a
     HardyInconsistencyWarning is emitted.
     """
-    if not (sigma_x > 0 and sigma_p > 0):  # NaN widths fail too
-        raise ValueError(f"envelope widths must be positive, got {sigma_x}, {sigma_p}")
+    _check_widths(sigma_x, sigma_p)
     pos_ok, mom_ok, log_c = _envelope_fit(samples, grid, hbar,
                                           lambda x: x**2 / (4.0 * sigma_x**2),
                                           lambda p: p**2 / (4.0 * sigma_p**2))

@@ -144,7 +144,7 @@ class TestCapacity:
     def test_mode_index_needs_sigma(self, runner, disk_x, disk_p):
         for args in (["-x", disk_x, "-p", disk_p, "-j", "1"], ["--body", disk_p, "-j", "5"]):
             result = runner.invoke(cli, ["capacity", *args])
-            assert result.exit_code == 2
+            assert result.exit_code == 1
             assert "Error: -j needs --sigma" in result.output
 
     def test_mutually_exclusive_inputs(self, runner, disk_x, disk_p):
@@ -236,6 +236,13 @@ class TestHardy:
         result = runner.invoke(cli, ["hardy", "--a", a, "--b", b, "--format", "structured"])
         assert json.loads(result.output)["classification"] == "hermite_subcritical"
 
+    @pytest.mark.parametrize("sx, sp", [("-1", "-1"), ("0", "1"), ("1", "-0.5"), ("nan", "1")])
+    def test_widths_must_be_positive(self, runner, sx, sp):
+        # Squared, -1 and -1 would read as widths 1 and 1.
+        result = runner.invoke(cli, ["hardy", "--sigma-x", sx, "--sigma-p", sp])
+        assert result.exit_code == 1 and result.stdout == ""
+        assert f"Error: envelope widths must be positive, got {float(sx)}, {float(sp)}" in result.output
+
     @pytest.mark.parametrize("n, scale", [(1, 0.3), (1, 1.7), (3, 0.5), (3, 2.0)])
     def test_pair_is_the_induced_pair(self, runner, tmp_path, rng, n, scale):
         a = scale * spd_with_condition(n, 10.0, rng)
@@ -289,13 +296,43 @@ class TestCloudCommands:
         # Four 1-D samples: the ball about their mean -0.05 has radius 0.35.
         assert json.loads(from_json.stdout)["body_x"]["matrix"] == [[pytest.approx(1.0 / 0.35**2)]]
 
+    @pytest.mark.parametrize("state", ["valid", "invalid", "band-above", "band-below", "singular"])
+    def test_report_covariance_is_the_covariance_command(self, runner, tmp_path, state):
+        # The report's covariance verdicts are those `qpolar covariance` gives on the report's
+        # own sample covariance: far from the threshold, in the band nu_min = (hbar/2)(1 +- 2 tol)
+        # and, for p = x, singular.
+        rng = np.random.default_rng(17)
+        z = rng.standard_normal((400, 4))
+        if state == "singular":
+            cloud = qpolar.MeasurementCloud(z[:, :2], z[:, :2])
+        else:
+            nu_min = {"valid": 0.8, "invalid": 0.3, "band-above": 0.5 * (1 + 2e-9),
+                      "band-below": 0.5 * (1 - 2e-9)}[state]
+            s = qpolar.random_symplectic(2, rng)
+            target = s @ np.diag([nu_min, 1.3, nu_min, 1.3]) @ s.T
+            # Whiten the centered samples, then colour them: their sample covariance is target.
+            z -= z.mean(axis=0)
+            z = np.linalg.solve(np.linalg.cholesky(z.T @ z / len(z)), z.T).T @ np.linalg.cholesky(target).T
+            cloud = qpolar.MeasurementCloud(z[:, :2], z[:, 2:])
+        report = qpolar.cloud_analyze(cloud)
+        assert report.sigpos_ok is (state in ("valid", "band-above"))
+        sigma = write_json(tmp_path / "sigma.json", {"sigma": report.sample_covariance.sigma.tolist()})
+        result = runner.invoke(cli, ["covariance", "--sigma", sigma, "--format", "structured"])
+        assert result.exit_code == (0 if report.sigpos_ok else 2)
+        doc, cov = json.loads(result.stdout), report.to_dict()["covariance"]
+        assert doc["quantum_covariance"] is cov["sigpos_ok"]
+        assert doc["capacity_criterion"] is cov["capacity_criterion_ok"]
+        assert doc["rs_per_mode"] == cov["rs_per_mode"]
+        assert doc["symplectic_spectrum"] == cov["symplectic_spectrum"]
+        assert (cov["symplectic_spectrum"] is None) is (state == "singular")
+
     def test_generate_without_output_draws_nothing(self, runner, monkeypatch):
         def draw(*args):
             raise AssertionError("samples drawn before the output check")
 
         monkeypatch.setattr("qpolar.cli.cloud_generate_disk", draw)
         result = runner.invoke(cli, ["cloud", "generate", "--rx", "1", "--rp", "1"])
-        assert result.exit_code == 2
+        assert result.exit_code == 1
         assert "provide -o or --x-out/--p-out" in result.output
 
     def test_demo_disk_example(self, runner):
@@ -463,16 +500,70 @@ for x, p in itertools.product(xs, ps):
 @pytest.mark.parametrize("command", ["polar", "pair-check", "capacity", "covariance", "hardy"])
 def test_bad_hbar_exits_one(runner, tmp_path, disk_x, disk_p, command, hbar):
     sigma = write_json(tmp_path / "s.json", {"sigma": np.eye(2).tolist()})
-    args = {
-        "polar": ["--body", disk_x],
-        "pair-check": ["-x", disk_x, "-p", disk_p],
-        "capacity": ["-x", disk_x, "-p", disk_p],
-        "covariance": ["--sigma", sigma],
-        "hardy": ["--sigma-x", "1", "--sigma-p", "1"],
+    inputs = {
+        "polar": [["--body", disk_x]],
+        "pair-check": [["-x", disk_x, "-p", disk_p]],
+        "capacity": [["-x", disk_x, "-p", disk_p], ["--body", disk_x], ["--sigma", sigma],
+                     ["--sigma", sigma, "-j", "1"]],
+        "covariance": [["--sigma", sigma]],
+        "hardy": [["--sigma-x", "1", "--sigma-p", "1"]],
     }[command]
-    result = runner.invoke(cli, [command, *args, "--hbar", hbar])
-    assert result.exit_code == 1
-    assert "Error: hbar must be positive and finite" in result.output
+    for args in inputs:
+        result = runner.invoke(cli, [command, *args, "--hbar", hbar])
+        assert result.exit_code == 1, args
+        assert "Error: hbar must be positive and finite" in result.output
+
+
+@pytest.mark.parametrize("case", ["none", "part", "extra", "two"])
+@pytest.mark.parametrize("command, groups", [
+    ("capacity", "(-x and -p), --body, or --sigma"),
+    ("plot section", "--body, (-x and -p), or --sigma"),
+    ("hardy", "(--a and --b) or (--sigma-x and --sigma-p)"),
+    ("cloud analyze", "--cloud or (-x and -p)"),
+], ids=["capacity", "plot-section", "hardy", "cloud-analyze"])
+def test_exactly_one_input_group(runner, tmp_path, disk_x, disk_p, command, groups, case):
+    # Each command reads exactly one input group, given in full. The "extra" cases (a
+    # group plus part of another) once ran on the full group and ignored the rest.
+    sigma = write_json(tmp_path / "s.json", {"sigma": np.eye(2).tolist()})
+    a = write_json(tmp_path / "a.json", {"matrix": [[1.0]]})
+    made = qpolar.cloud_generate_disk(1.0, 1.0, 50, 0)
+    qpolar.io.dump_cloud(made, tmp_path / "cloud.json")
+    qpolar.io.dump_samples(made.x_samples, tmp_path / "x.txt", "x1 x2")
+    cloud, xs = str(tmp_path / "cloud.json"), str(tmp_path / "x.txt")
+    args = {
+        "capacity": {"none": [], "part": ["-x", disk_x], "extra": ["--body", disk_x, "-x", disk_x],
+                     "two": ["--body", disk_x, "--sigma", sigma]},
+        "plot section": {"none": [], "part": ["-p", disk_p], "extra": ["--sigma", sigma, "-p", disk_p],
+                         "two": ["--body", disk_x, "-x", disk_x, "-p", disk_p]},
+        "hardy": {"none": [], "part": ["--sigma-x", "1"], "extra": ["--a", a, "--b", a, "--sigma-x", "0.1"],
+                  "two": ["--a", a, "--b", a, "--sigma-x", "0.1", "--sigma-p", "0.1"]},
+        "cloud analyze": {"none": [], "part": ["-x", xs], "extra": ["--cloud", cloud, "-p", xs],
+                          "two": ["--cloud", cloud, "-x", xs, "-p", xs]},
+    }[command][case]
+    result = runner.invoke(cli, [*command.split(), *args])
+    assert result.exit_code == 1 and result.stdout == ""
+    assert result.output.endswith(f"Error: provide exactly one of {groups}\n")
+
+
+@pytest.mark.parametrize("tol", [-1.0, -2.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("check", ["contains", "is_quantum_pair", "is_quantum_covariance", "rs_check", "cli"])
+def test_bad_tol_is_an_error(runner, disk_x, disk_p, check, tol):
+    # -1 divided by zero, -2 accepted every ratio, inf accepted 0.01 I as a valid state.
+    message = f"tol must be finite and non-negative, got {tol}"
+    if check == "cli":
+        result = runner.invoke(cli, ["pair-check", "-x", disk_x, "-p", disk_p, "--tol", str(tol)])
+        assert result.exit_code == 1 and result.stdout == ""
+        assert f"Error: {message}" in result.output
+        return
+    x, p = qpolar.Ellipsoid(0.25 * np.eye(2)), qpolar.Ellipsoid(np.eye(2))
+    call = {
+        "contains": lambda: qpolar.contains(x, p, tol),
+        "is_quantum_pair": lambda: qpolar.is_quantum_pair(x, p, 1.0, tol),
+        "is_quantum_covariance": lambda: qpolar.is_quantum_covariance(0.01 * np.eye(2), 1.0, tol),
+        "rs_check": lambda: qpolar.rs_check(np.eye(2), 1.0, tol),
+    }[check]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("doc, args, key", [

@@ -100,12 +100,14 @@ class TestCloudAnalyze:
         assert np.allclose(report.sample_covariance.dxp, 0.0)
 
     def test_degenerate_covariance_noted(self):
-        # p = x makes the joint sample covariance singular: the covariance
-        # verdicts are unavailable and say so, the pair verdict still stands.
+        # p = x makes the joint sample covariance singular: as in `qpolar covariance`
+        # it is invalid with no spectrum, and the pair verdict still stands.
         x = np.random.default_rng(43).normal(size=(500, 2))
         report = cloud_analyze(MeasurementCloud(x, x))
-        assert any("covariance verdicts unavailable" in note for note in report.notes)
-        assert report.sample_covariance is None and report.sigpos_ok is None
+        assert report.sample_covariance.factor is None and report.notes == ()
+        assert report.sigpos_ok is False and report.capacity_criterion_ok is False
+        assert report.symplectic_spectrum is None
+        assert report.to_dict()["covariance"]["symplectic_spectrum"] is None
         assert report.pair.lambda_max > 0
 
     @pytest.mark.parametrize("fit", ["ball", "mvee", "interval-box"])
