@@ -386,10 +386,15 @@ DEFAULT_TOL = 1e-9
 
 def _accepts(r: float, tol: float) -> bool:
     """The one acceptance rule: a ratio r (>= 1 iff the bound holds) passes when r >= 1/(1 + tol),
-    for a finite tol >= 0 (ValueError otherwise)."""
+    for a finite tol >= 0 (``_check_tol``)."""
+    _check_tol(tol)
+    return bool(r >= 1.0 / (1.0 + tol))
+
+
+def _check_tol(tol: float) -> None:
+    """The one tol check: ValueError unless tol is finite and non-negative."""
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
-    return bool(r >= 1.0 / (1.0 + tol))
 
 
 def _check_hbar(hbar: float) -> None:

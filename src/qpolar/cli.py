@@ -16,17 +16,17 @@ import click
 import numpy as np
 
 from . import __version__, io as qio
-from .bodies import DEFAULT_TOL, Ellipsoid, _check_hbar, polar_dual
+from .bodies import DEFAULT_TOL, Ellipsoid, _check_hbar, _check_tol, polar_dual
 from .capacities import ellipsoid_capacity, product_capacity
 from .cloud import FIT_MODES, body_to_dict, cloud_analyze, cloud_generate_disk, disk_demo
 from .errors import QPolarError
 from .hardy import HardyInput, _check_widths, hardy_check
 from .polarity import is_quantum_pair
 from .quantum import (
+    _projection_pair,
     capacity_criterion,
     covariance_ellipsoid,
     is_quantum_covariance,
-    project_xp,
     rs_check,
     section_area,
 )
@@ -92,9 +92,16 @@ def _check_one_input(*groups: dict) -> None:
 
 
 class _Cli(click.Group):
+    def make_context(self, *args, **kwargs):
+        return self._exit_one(super().make_context, *args, **kwargs)
+
     def invoke(self, ctx):
+        return self._exit_one(super().invoke, ctx)
+
+    @staticmethod
+    def _exit_one(step, *args, **kwargs):
         try:
-            return super().invoke(ctx)
+            return step(*args, **kwargs)
         except click.UsageError as exc:
             exc.exit_code = ERROR
             raise
@@ -155,6 +162,7 @@ def capacity(x_path, p_path, body_path, sigma_path, mode_index, hbar, tol, fmt):
     For products, exit 2 when the 4*hbar quantum-pair lower bound fails.
     """
     _check_hbar(hbar)
+    _check_tol(tol)  # every input path, though only the product's verdict reads it
     _check_one_input({"-x": x_path, "-p": p_path}, {"--body": body_path}, {"--sigma": sigma_path})
     if mode_index is not None and sigma_path is None:
         raise click.UsageError("-j needs --sigma")
@@ -213,7 +221,7 @@ def covariance(sigma_path, hbar, tol, fmt):
         "half_hbar": 0.5 * hbar,
     }
     if valid:
-        verdict = is_quantum_pair(*project_xp(cov), hbar, tol)
+        verdict = _projection_pair(cov, hbar, tol)  # theorem2_check's verdict, validity decided above
         doc["projection_pair"] = {
             "is_pair": verdict.is_pair,
             "lambda_max": verdict.lambda_max,

@@ -26,11 +26,11 @@ from typing import Literal
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, _accepts, _check_hbar, _inverse_ellipsoid, gauge
+from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, _accepts, _check_hbar, gauge
 from .errors import BoundaryDecayWarning, GridError, HardyInconsistencyWarning
 from .polarity import PairVerdict, is_quantum_pair
 from .quantum import _mode_scales
-from .symplectic import require_symmetric
+from .symplectic import _spd_pair, require_symmetric
 
 RELATIVE_FLOOR = 1e-12
 ENVELOPE_C_FACTOR = 10.0
@@ -214,15 +214,17 @@ class HardyVerdict:
 
 
 def hardy_check(inp: HardyInput, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> HardyVerdict:
-    """Classify a Hardy envelope pair on the ratios r_j = 2 sqrt(eig_j(A B)) / hbar, ascending."""
-    eigs, scales = _mode_scales(inp.a, inp.b, hbar)  # symmetrized by HardyInput
+    """Classify a Hardy envelope pair on the ratios r_j = 2 sqrt(eig_j(A B)) / hbar, ascending.
+    The pair's X has the factor C^-T / sqrt(2) of (2 A)^-1 for A = C C^T, and P likewise."""
+    c, g = _spd_pair(inp.a, inp.b)  # symmetrized by HardyInput
+    eigs, scales = _mode_scales(c, g, hbar)
     if not _accepts(scales[0], tol):
         kind: HardyClass = "violates"
     elif _accepts(1.0 / scales[-1], tol):
         kind = "gaussian_boundary"
     else:
         kind = "hermite_subcritical"
-    pair = (_inverse_ellipsoid(inp.a, 2.0), _inverse_ellipsoid(inp.b, 2.0))
+    pair = tuple(Ellipsoid._from_factor(np.linalg.inv(f).T / math.sqrt(2.0)) for f in (c, g))
     return HardyVerdict(eigenvalues=eigs, classification=kind, pair=pair)
 
 

@@ -12,7 +12,8 @@ The position/momentum projections of the covariance ellipsoid form an
 hbar-polar quantum pair whenever Sigma is valid (theorem2_check), which reduces
 to the eigenvalues of Delta(x,x) Delta(p,p) being >= hbar^2/4
 (heisenberg_eigen_check); hardy.hardy_check classifies Gaussian envelope pairs
-by the same eigenvalues.
+by the same eigenvalues: the squared singular values of C^T G for A = C C^T, B = G G^T
+(Cholesky), each block factored once; theorem2_check reads C off Sigma's factor.
 
 Each verdict is the threshold hbar/2 on one dimensionless ratio r (>= 1 iff the
 bound holds), accepted by bodies._accepts: 2 nu_min / hbar for validity,
@@ -29,7 +30,7 @@ import numpy as np
 from .bodies import DEFAULT_TOL, Ellipsoid, _accepts, _check_hbar, _freeze, _inverse_ellipsoid
 from .capacities import ellipsoid_capacity
 from .errors import DimensionError, InvalidCovarianceError, NotPositiveDefiniteError
-from .polarity import PairVerdict, is_quantum_pair
+from .polarity import PairVerdict
 from .symplectic import (_factor_pencil_eigenvalues, _spd_cholesky, _spd_pair, _symplectic_j,
                          random_symplectic, require_symmetric)
 
@@ -87,13 +88,13 @@ def is_quantum_covariance(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> boo
     With Sigma = C C^T (Cholesky, ``CovarianceMatrix.factor``), the Hermitian
     C^{-1} (i hbar / 2) J C^{-T} has eigenvalues +-hbar / (2 nu_j), so the ratio
     is 2 nu_min / hbar = -1 / (smallest of them). Boundary states count as valid,
-    a Sigma that is not positive definite (no Cholesky factor) as invalid. Agrees
-    with the Williamson threshold and the capacity criterion on every SPD input.
+    a Sigma that is not positive definite (no Cholesky factor) as invalid (ratio 0).
+    Agrees with the Williamson threshold and the capacity criterion on every SPD input.
     """
     _check_hbar(hbar)
     cov = _as_cov(s)
     if cov.factor is None:
-        return False
+        return _accepts(0.0, tol)
     smallest = _factor_pencil_eigenvalues(0.5j * hbar * _symplectic_j(cov.n), cov.factor)[0]
     return _accepts(-1.0 / smallest, tol)
 
@@ -123,7 +124,7 @@ def capacity_criterion(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> bool:
     try:
         ell = covariance_ellipsoid(s)
     except NotPositiveDefiniteError:  # not positive definite: invalid, as in is_quantum_covariance
-        return False
+        return _accepts(0.0, tol)
     return _accepts(ellipsoid_capacity(ell) / (np.pi * hbar), tol)
 
 
@@ -155,20 +156,27 @@ def theorem2_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> PairVerdic
 
     Rejects invalid covariance input; for every valid quantum covariance
     matrix the verdict is a pair (lambda_max >= 1), hence the product
-    capacity of X x P is at least 4 * hbar.
+    capacity of X x P is at least 4 * hbar. lambda_max is the inclusion scale of
+    ``project_xp``'s pair in closed form, 2 sigma_min(C11^T G) / hbar: C11, the leading
+    n x n block of Sigma's factor, is chol(Delta(x,x)), and G is chol(Delta(p,p)).
     """
     cov = _as_cov(s)
     if not is_quantum_covariance(cov, hbar, tol):
         raise InvalidCovarianceError("input is not a quantum covariance matrix at this hbar")
-    x, p = project_xp(cov)
-    return is_quantum_pair(x, p, hbar, tol)
+    return _projection_pair(cov, hbar, tol)
 
 
-def _mode_scales(a: np.ndarray, b: np.ndarray, hbar: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues eig_j of A B for symmetrized SPD A, B, ascending, and their ratios
-    2 sqrt(eig_j) / hbar."""
+def _projection_pair(cov: CovarianceMatrix, hbar: float, tol: float) -> PairVerdict:
+    """theorem2_check's verdict for a Sigma already found valid."""
+    lam = float(_mode_scales(cov.factor[: cov.n, : cov.n], _spd_cholesky(cov.dpp, "B"), hbar)[1][0])
+    return PairVerdict(is_pair=_accepts(lam, tol), lambda_max=lam, margin=lam - 1.0)
+
+
+def _mode_scales(c: np.ndarray, g: np.ndarray, hbar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues eig_j of A B = C C^T G G^T, ascending, and their ratios 2 sqrt(eig_j) / hbar:
+    the s_j in eig_j = s_j^2 are the singular values of C^T G (``_spd_pair``)."""
     _check_hbar(hbar)
-    s = _spd_pair(a, b)[1]
+    s = np.linalg.svd(c.T @ g, compute_uv=False)[::-1]
     return s**2, 2.0 * s / hbar
 
 
@@ -179,7 +187,8 @@ def heisenberg_eigen_check(a, b, hbar: float = 1.0, tol: float = DEFAULT_TOL) ->
     ellipsoid pair {x A^{-1} x / 2 <= 1}, {p B^{-1} p / 2 <= 1}: the first
     ratio 2 sqrt(eig_1) / hbar is that pair's inclusion scale.
     """
-    return [_accepts(r, tol) for r in _mode_scales(require_symmetric(a), require_symmetric(b), hbar)[1]]
+    c, g = _spd_pair(require_symmetric(a), require_symmetric(b))
+    return [_accepts(r, tol) for r in _mode_scales(c, g, hbar)[1]]
 
 
 def random_quantum_covariance(n: int, seed: int, hbar: float = 1.0,

@@ -111,17 +111,12 @@ def _factor_symplectic_eigenvalues(c: np.ndarray) -> np.ndarray:
     return 0.5 * (svals[0::2] + svals[1::2])
 
 
-def _spd_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factor symmetric A = C C^T and B = G G^T, checking each once, and take the SVD C^T G.
-
-    With C^T G = U diag(s) V^T, C^T B C = U diag(s^2) U^T is similar to A B, so the
-    s_j^2 are the eigenvalues of A B. Returns (C, s, U) with s ascending.
-    """
+def _spd_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Cholesky factors (C, G) of symmetric A = C C^T and B = G G^T, each checked once. The
+    squared singular values of C^T G are the eigenvalues of A B, similar to C^T B C."""
     if a.shape != b.shape:
         raise DimensionError(f"matrix shapes differ: {a.shape} vs {b.shape}")
-    c = _spd_cholesky(a, "A")
-    u, s, _ = np.linalg.svd(c.T @ _spd_cholesky(b, "B"))
-    return c, s[::-1], u[:, ::-1]
+    return _spd_cholesky(a, "A"), _spd_cholesky(b, "B")
 
 
 def _factor_pencil_eigenvalues(m: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -140,19 +135,20 @@ def block_diagonalize(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     where Lam = diag(sqrt(mu_1), ..., sqrt(mu_n)) and the mu_j are the
     (positive) eigenvalues of the product A B, sorted ascending.
 
-    Construction: with A = C C^T and C^T B C = U D^2 U^T (``_spd_pair``), take
-    L = C^{-T} U D^{1/2}; both identities then hold exactly in exact
-    arithmetic. Residuals beyond 1e-8 (relative) raise ConvergenceError.
+    Construction: with A = C C^T, B = G G^T (``_spd_pair``) and C^T G = U D V^T, take
+    L = C^{-T} U D^{1/2}, so L^{-1} = D^{-1/2} U^T C^T; both identities then hold exactly
+    in exact arithmetic. Residuals beyond 1e-8 (relative) raise ConvergenceError.
     """
-    a = require_symmetric(a)
-    b = require_symmetric(b)
-    c, d, u = _spd_pair(a, b)
+    a, b = require_symmetric(a), require_symmetric(b)
+    c, g = _spd_pair(a, b)
+    u, d, _ = np.linalg.svd(c.T @ g)
+    u, d = u[:, ::-1], d[::-1]
     l = np.linalg.solve(c.T, u * np.sqrt(d))
     lam = np.diag(d)
 
     scale = max(np.max(np.abs(lam)), 1.0)
     r1 = np.max(np.abs(l.T @ a @ l - lam))
-    l_inv = np.linalg.inv(l)
+    l_inv = (u / np.sqrt(d)).T @ c.T
     r2 = np.max(np.abs(l_inv @ b @ l_inv.T - lam))
     if max(r1, r2) > 1e-8 * scale:
         raise ConvergenceError(

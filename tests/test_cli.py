@@ -546,7 +546,8 @@ def test_exactly_one_input_group(runner, tmp_path, disk_x, disk_p, command, grou
 
 
 @pytest.mark.parametrize("tol", [-1.0, -2.0, float("nan"), float("inf")])
-@pytest.mark.parametrize("check", ["contains", "is_quantum_pair", "is_quantum_covariance", "rs_check", "cli"])
+@pytest.mark.parametrize("check", ["contains", "is_quantum_pair", "is_quantum_covariance", "rs_check", "cli",
+                                   "is_quantum_covariance-singular", "capacity_criterion-singular"])
 def test_bad_tol_is_an_error(runner, disk_x, disk_p, check, tol):
     # -1 divided by zero, -2 accepted every ratio, inf accepted 0.01 I as a valid state.
     message = f"tol must be finite and non-negative, got {tol}"
@@ -561,9 +562,37 @@ def test_bad_tol_is_an_error(runner, disk_x, disk_p, check, tol):
         "is_quantum_pair": lambda: qpolar.is_quantum_pair(x, p, 1.0, tol),
         "is_quantum_covariance": lambda: qpolar.is_quantum_covariance(0.01 * np.eye(2), 1.0, tol),
         "rs_check": lambda: qpolar.rs_check(np.eye(2), 1.0, tol),
+        # A Sigma with no Cholesky factor is invalid, but its tol is checked all the same.
+        "is_quantum_covariance-singular": lambda: qpolar.is_quantum_covariance(np.diag([1.0, 0.0]), 1.0, tol),
+        "capacity_criterion-singular": lambda: qpolar.capacity_criterion(np.diag([1.0, 0.0]), 1.0, tol),
     }[check]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("args", [["--body", "{x}"], ["--sigma", "{s}"], ["--sigma", "{s}", "-j", "1"]],
+                         ids=["body", "sigma", "section-area"])
+def test_capacity_checks_tol_on_every_input(runner, tmp_path, disk_x, disk_p, args):
+    # Only the product path reaches a verdict, but every path refuses a bad --tol alike.
+    sigma = write_json(tmp_path / "s.json", {"sigma": np.eye(2).tolist()})
+    product = runner.invoke(cli, ["capacity", "-x", disk_x, "-p", disk_p, "--tol", "-1"])
+    result = runner.invoke(cli, ["capacity", *(a.format(x=disk_x, s=sigma) for a in args), "--tol", "-1"])
+    assert result.exit_code == product.exit_code == 1 and result.stdout == ""
+    assert result.output == product.output == "Error: tol must be finite and non-negative, got -1.0\n"
+
+
+@pytest.mark.parametrize("args", [["--bogus"], [], ["--bogus", "covariance"], ["cloud"], ["nosuch"]],
+                         ids=["bad-option", "no-command", "bad-option-then-command", "bare-group", "bad-command"])
+def test_usage_errors_before_the_command_exit_one(runner, args):
+    # A usage error is an error wherever click meets it, so no script reads it as a fail verdict.
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 1 and result.stdout == ""
+    assert "Usage: " in result.output
+
+
+@pytest.mark.parametrize("args", [["--help"], ["--version"]])
+def test_help_and_version_exit_zero(runner, args):
+    assert runner.invoke(cli, args).exit_code == 0
 
 
 @pytest.mark.parametrize("doc, args, key", [

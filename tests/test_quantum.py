@@ -1,6 +1,7 @@
 import inspect
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -28,7 +29,7 @@ from qpolar.quantum import (
     rs_check,
     theorem2_check,
 )
-from qpolar.symplectic import block_diagonalize, symplectic_eigenvalues
+from qpolar.symplectic import block_diagonalize, random_symplectic, symplectic_eigenvalues
 
 from conftest import covariance_with_spectrum, random_spd
 
@@ -130,8 +131,9 @@ def test_not_positive_definite_stays_invalid_on_every_call(diag):
 
 
 def test_sigma_is_factored_once(monkeypatch):
-    # CovarianceMatrix factors Sigma; is_quantum_covariance and the validity gate of
-    # theorem2_check read that factor. The projections factor their own blocks.
+    # CovarianceMatrix factors Sigma; is_quantum_covariance, the validity gate of
+    # theorem2_check and its projection pair read that factor (its leading block is the
+    # factor of Delta(x,x)). Only Delta(p,p) is factored again.
     sigma = random_quantum_covariance(2, seed=8, slack=0.3).sigma
     seen = []
     cholesky = np.linalg.cholesky
@@ -144,8 +146,66 @@ def test_sigma_is_factored_once(monkeypatch):
     cov = CovarianceMatrix(sigma)
     assert is_quantum_covariance(cov)
     assert theorem2_check(cov).is_pair
-    assert [a.shape for a in seen] == [(4, 4), (2, 2), (2, 2)]
-    assert np.array_equal(seen[0], cov.sigma)
+    assert [a.shape for a in seen] == [(4, 4), (2, 2)]
+    assert np.array_equal(seen[0], cov.sigma) and np.array_equal(seen[1], cov.dpp)
+
+
+def test_valid_state_factorization_budget(monkeypatch):
+    # The benchmark's covariance bundle on one valid n = 3 state: Sigma, Delta(x,x) and
+    # Delta(p,p) are factored once per verdict that needs them, and no block twice inside one.
+    sigma = covariance_with_spectrum(np.array([0.6, 0.9, 1.7]), np.random.default_rng(31))
+    calls = {"cholesky": 0, "inv": 0, "solve": 0}
+    for name in calls:
+        def recording(*args, _run=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _run(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    cov = CovarianceMatrix(sigma)
+    assert is_quantum_covariance(cov)
+    rs_check(cov)
+    assert capacity_criterion(cov)
+    symplectic_eigenvalues(cov.sigma)
+    assert theorem2_check(cov).is_pair
+    assert hardy_check(HardyInput(cov.dxx, cov.dpp)).classification == "hermite_subcritical"
+    assert all(heisenberg_eigen_check(cov.dxx, cov.dpp))
+    block_diagonalize(cov.dxx, cov.dpp)
+    assert calls["cholesky"] <= 10 and calls["inv"] <= 5 and calls["solve"] <= 1, calls
+
+
+def _conditioned_covariance(n, log_cond, hbar, rng):
+    """A valid Sigma = M diag(nu, nu) M^T with a spread Williamson spectrum nu >= hbar/2 and
+    M = diag(L^T, L^-1) S, where L has singular values up to 10^(log_cond/4) and S is a
+    random symplectic matrix, so cond(Sigma) reaches about 10^log_cond."""
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    l = (q1 * np.geomspace(1.0, 10.0 ** (log_cond / 4), n)) @ q2.T
+    m = np.zeros((2 * n, 2 * n))
+    m[:n, :n], m[n:, n:] = l.T, np.linalg.inv(l)
+    m = m @ random_symplectic(n, rng)
+    nu = 0.5 * hbar * np.sort(1.0 + rng.uniform(0.0, 3.0, n))
+    sigma = m @ np.diag(np.concatenate([nu, nu])) @ m.T
+    return 0.5 * (sigma + sigma.T)
+
+
+def test_projection_scales_match_a_60_digit_oracle():
+    # theorem2_check reads lambda off Sigma's factor, and hardy_check builds its pair from
+    # the blocks' own factors; both must give 2 sqrt(eig_min(A B)) / hbar, A = Delta(x,x),
+    # B = Delta(p,p), computed here in 60 digits from the same float blocks.
+    conds = []
+    for seed in range(60):
+        rng = np.random.default_rng([19, seed])
+        n, hbar = 1 + seed % 3, 10.0 ** rng.uniform(-3.0, 3.0)
+        cov = CovarianceMatrix(_conditioned_covariance(n, 7.5 * seed / 59, hbar, rng))
+        conds.append(np.linalg.cond(cov.sigma))
+        with mpmath.workdps(60):
+            c = mpmath.cholesky(mpmath.matrix(cov.dxx.tolist()))
+            eigs = mpmath.eigsy(c.T * mpmath.matrix(cov.dpp.tolist()) * c, eigvals_only=True)
+            exact = float(2 * mpmath.sqrt(min(eigs)) / hbar)
+        lam = theorem2_check(cov, hbar).lambda_max
+        pair = hardy_check(HardyInput(cov.dxx, cov.dpp), hbar).pair
+        assert abs(lam - exact) <= 1e-10 * exact
+        assert abs(inclusion_scale(*pair, hbar) - exact) <= 1e-10 * exact
+    assert 1e7 < max(conds) < 1e9
 
 
 def test_hardy_check_does_not_validate_its_input_again(monkeypatch):
