@@ -13,14 +13,17 @@ for (d M)^-1 with d M = C C^T (``_inverse_ellipsoid``). Errors are of order cond
 ``linear_image`` decides up to its cond(L) <= 1e12 guard. ``polar_dual`` builds a polytope
 from a validated array scaled by hbar with only the finiteness and nonzero-row checks (no
 rank SVD); ``linear_image`` validates a polytope in full. The Minkowski gauge is the one
-body kernel and a closed form for every representation; a V-polytope's facet normals come
-from ``hpolytope_vertices``, the one polytope conversion, unless there may be so many that
+body kernel and a closed form for every representation. ``gauge`` checks its rows and the
+internal ``_gauge`` computes: ``_fit_scale`` passes a V-polytope's own vertices, validated
+when it was built, straight to ``_gauge``, and checks the vertices ``_vertex_blocks``
+enumerates, which can overflow. A V-polytope's facet normals come from
+``hpolytope_vertices``, the one polytope conversion, unless there may be so many that
 one HiGHS LP per row costs less. The support function is the gauge of the unit polar,
 h_K = ||.||_{K°}, and ``polar_dual`` maps each representation to its polar's.
 
 Boxes and cross-polytopes, and their linear images, have closed forms chosen by the
 row count: an H-polytope with n rows A (a parallelotope) has the vertices A^-1 s over
-the 2^n sign vectors s, and a V-polytope with n vertices V (a cross-polytope image)
+the 2^n sign vectors s, enumerated in blocks of about 2^22 entries, and a V-polytope with n vertices V (a cross-polytope image)
 has the gauge ||V^-T x||_1 at every dimension. Qhull runs only for an H-polytope with
 more than n rows, and HiGHS only for a V-polytope with more than n vertices. No
 enumeration starts whose vertex count bound exceeds ``VERTEX_BUDGET``.
@@ -34,8 +37,9 @@ For ellipsoids it is 1 / sigma_max(F_in^-1 F_out), from the two factors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from math import comb, frexp, isfinite
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -70,8 +74,15 @@ MVEE_VOL_TOL = 0.01
 MVEE_MAX_ITER = 100_000
 
 
+# Products and enumerations run in blocks of about this many entries (``_max_abs_dot``,
+# the parallelotope vertices of ``_enumerate_vertices``).
+_BLOCK_ENTRIES = 2**22
+
+_EPS = np.finfo(float).eps
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float)
+    """arr made read-only in place: an array its caller has just computed and owns."""
     arr.setflags(write=False)
     return arr
 
@@ -80,17 +91,19 @@ def _polytope_array(arr, kind: str, rank: bool = True) -> np.ndarray:
     """The one polytope validator: arr as frozen finite nonzero rows spanning the space
     (matrix_rank's test, sigma_n > sigma_1 max(m, n) eps, on rows scaled to max-abs 1),
     of an H- or V-polytope (kind). rank=False skips the span test for an array scaled by
-    c > 0 from a validated one: scaling keeps the rank."""
+    c > 0 from a validated one: scaling keeps the rank. One copy of the input, frozen;
+    the row maxima are taken once, and their max is NaN or inf exactly when an entry
+    is not finite."""
     what, spans = {"H": ("rows", "bounded body"), "V": ("vertices", "full-dimensional body")}[kind]
-    arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    if not np.isfinite(arr).all():
-        raise ValueError(f"polytope {what} must be finite")
+    arr = np.array(arr, dtype=float, ndmin=2)
     row_max = np.abs(arr).max(axis=1, initial=0.0)
+    if not isfinite(row_max.max(initial=0.0)):
+        raise ValueError(f"polytope {what} must be finite")
     if arr.shape[0] == 0 or not row_max.all():
         raise DegenerateBodyError(f"{kind}-polytope {what} must be non-empty and nonzero")
     if rank:
         svals = np.linalg.svd(arr / row_max[:, None], compute_uv=False)
-        if len(arr) < arr.shape[1] or svals[-1] <= svals[0] * max(arr.shape) * np.finfo(float).eps:
+        if len(arr) < arr.shape[1] or svals[-1] <= svals[0] * max(arr.shape) * _EPS:
             raise DegenerateBodyError(f"{kind}-polytope {what} must span the space ({spans})")
     return _freeze(arr)
 
@@ -117,7 +130,8 @@ class Ellipsoid:
 
     @classmethod
     def _from_factor(cls, f: np.ndarray) -> "Ellipsoid":
-        """The ellipsoid with matrix F F^T for an invertible F, not checked again."""
+        """The ellipsoid with matrix F F^T for an invertible F, not checked again; F is an
+        array the caller has just computed, frozen in place."""
         return _unchecked(cls, factor=_freeze(f), matrix=_freeze(f @ f.T))
 
     @property
@@ -127,8 +141,8 @@ class Ellipsoid:
     @classmethod
     def ball(cls, dim: int, radius: float = 1.0) -> "Ellipsoid":
         """The Euclidean ball |x| <= radius."""
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
+        if not 0 < radius < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {radius}")
         return cls(np.eye(dim) / radius**2)
 
 
@@ -149,8 +163,8 @@ class HPolytope:
     def box(cls, halfwidths) -> "HPolytope":
         """The axis-aligned box { |x_i| <= halfwidths[i] }."""
         h = np.atleast_1d(np.asarray(halfwidths, dtype=float))
-        if np.any(h <= 0):
-            raise ValueError("box halfwidths must be positive")
+        if not np.all((h > 0) & (h < np.inf)):
+            raise ValueError("box halfwidths must be positive and finite")
         return cls(np.diag(1.0 / h))
 
 
@@ -197,9 +211,9 @@ def _vertex_bound(rows: int, n: int) -> int:
 
 
 def _max_abs_dot(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """max_j |x_i . a_j| for each row x_i, in row blocks of about 2^22 products."""
+    """max_j |x_i . a_j| for each row x_i, in row blocks of about _BLOCK_ENTRIES products."""
     out = np.empty(x.shape[0])
-    step = max(1, 2**22 // a.shape[0])
+    step = max(1, _BLOCK_ENTRIES // a.shape[0])
     for i in range(0, x.shape[0], step):
         out[i:i + step] = np.max(np.abs(x[i:i + step] @ a.T), axis=1)
     return out
@@ -217,6 +231,12 @@ def gauge(body: ConvexBody, x) -> float | np.ndarray:
     ``UndecidedError`` where Qhull fails twice (``hpolytope_vertices``).
     """
     rows, single = _check_rows(body, x)
+    g = _gauge(body, rows)
+    return float(g[0]) if single else g
+
+
+def _gauge(body: ConvexBody, rows: np.ndarray) -> np.ndarray:
+    """The gauges of a (k, n) array of finite rows, not checked again: ``gauge``'s kernel."""
     if isinstance(body, Ellipsoid):
         g = np.linalg.norm(rows @ body.factor, axis=1)
     elif isinstance(body, HPolytope):
@@ -245,7 +265,7 @@ def gauge(body: ConvexBody, x) -> float | np.ndarray:
                 if not res.success:
                     raise DegenerateBodyError(f"gauge LP failed: {res.message}")
                 g[i] = res.fun
-    return float(g[0]) if single else g
+    return g
 
 
 def support(body: ConvexBody, u) -> float | np.ndarray:
@@ -278,10 +298,12 @@ def polar_dual(body: ConvexBody, hbar: float = 1.0) -> ConvexBody:
 
 
 def linear_image(body: ConvexBody, l: np.ndarray) -> ConvexBody:
-    """The image L.body = {L x : x in body} under an invertible matrix L."""
+    """The image L.body = {L x : x in body} under an invertible matrix L with finite entries."""
     l = np.asarray(l, dtype=float)
     if l.shape != (body.dim, body.dim):
         raise DimensionError(f"expected a {body.dim}x{body.dim} matrix, got {l.shape}")
+    if not isfinite(np.abs(l).max()):
+        raise ValueError("matrix entries must be finite")
     svals = np.linalg.svd(l, compute_uv=False)
     if svals[-1] <= 1e-12 * svals[0]:
         raise SingularMatrixError("linear image requires an invertible matrix")
@@ -293,9 +315,9 @@ def linear_image(body: ConvexBody, l: np.ndarray) -> ConvexBody:
 
 
 def scale(body: ConvexBody, factor: float) -> ConvexBody:
-    """The dilate factor * body for factor > 0."""
-    if factor <= 0:
-        raise ValueError(f"scale factor must be positive, got {factor}")
+    """The dilate factor * body for a positive finite factor."""
+    if not 0 < factor < np.inf:
+        raise ValueError(f"scale factor must be positive and finite, got {factor}")
     return linear_image(body, factor * np.eye(body.dim))
 
 
@@ -335,50 +357,63 @@ def hpolytope_vertices(body: HPolytope) -> np.ndarray:
     """All vertices of an H-polytope (both sign classes).
 
     ``UndecidedError`` before any work when their count bound (2^n for n rows,
-    McMullen's for more) exceeds ``VERTEX_BUDGET``; otherwise ``_enumerate_vertices``.
+    McMullen's for more) exceeds ``VERTEX_BUDGET``; otherwise the blocks of
+    ``_vertex_blocks`` joined.
     """
+    return np.concatenate(list(_vertex_blocks(body)))
+
+
+def _vertex_blocks(body: HPolytope) -> Iterator[np.ndarray]:
+    """``hpolytope_vertices`` in the blocks of ``_enumerate_vertices``; the budget is
+    checked at the call, before the first block is asked for."""
     bound = _vertex_bound(*body.rows.shape)
     if bound > VERTEX_BUDGET:
         raise UndecidedError(f"undecided: up to {bound} vertices exceed the enumeration budget {VERTEX_BUDGET}")
     return _enumerate_vertices(body)
 
 
-def _enumerate_vertices(body: HPolytope) -> np.ndarray:
-    """The vertices with no budget. In closed form for dim 1 and for n rows A (a
-    parallelotope): A^-1 s over the 2^n sign vectors s. Otherwise by Qhull; where it
-    fails, nearly coincident rows are merged (``ROW_MERGE_RTOL``) and Qhull runs once
-    more; ``UndecidedError`` if it fails again.
+def _enumerate_vertices(body: HPolytope) -> Iterator[np.ndarray]:
+    """The vertices with no budget, in blocks. In closed form for dim 1 and for n rows A
+    (a parallelotope): A^-1 s over the 2^n sign vectors s, in blocks of about
+    ``_BLOCK_ENTRIES`` entries. Otherwise one block by Qhull; where it fails, nearly
+    coincident rows are merged (``ROW_MERGE_RTOL``) and Qhull runs once more;
+    ``UndecidedError`` if it fails again.
     """
     n = body.dim
     if n == 1:
         a = 1.0 / np.max(np.abs(body.rows))
-        return np.array([[a], [-a]])
-    if body.rows.shape[0] == n:
+        yield np.array([[a], [-a]])
+    elif body.rows.shape[0] == n:
         # A parallelotope (the rows span, so A is invertible): A v = s over the sign vectors s.
-        signs = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
-        return np.linalg.solve(body.rows, signs.T).T
-    from scipy.spatial import QhullError
+        step = max(1, _BLOCK_ENTRIES // n)
+        for start in range(0, 2**n, step):
+            index = np.arange(start, min(start + step, 2**n))[:, None]
+            yield np.linalg.solve(body.rows, (1.0 - 2.0 * ((index >> np.arange(n)) & 1)).T).T
+    else:
+        from scipy.spatial import QhullError
 
-    try:
-        return _halfspace_vertices(body.rows)
-    except QhullError:
-        pass
-    try:
-        return _halfspace_vertices(_merge_close_rows(body.rows))
-    except QhullError as exc:
-        raise UndecidedError(f"undecided: Qhull vertex enumeration failed: {exc}".splitlines()[0]) from None
+        try:
+            verts = _halfspace_vertices(body.rows)
+        except QhullError:
+            try:
+                verts = _halfspace_vertices(_merge_close_rows(body.rows))
+            except QhullError as exc:
+                raise UndecidedError(f"undecided: Qhull vertex enumeration failed: {exc}".splitlines()[0]) from None
+        yield verts
 
 
 def _fit_scale(inner: ConvexBody, outer: ConvexBody) -> float:
     """max{lambda > 0 : lambda * inner subset of outer}, exact or UndecidedError."""
     if isinstance(inner, Ellipsoid):
         if isinstance(outer, Ellipsoid):
-            return float(1.0 / np.linalg.norm(np.linalg.solve(inner.factor, outer.factor), 2))
+            return float(1.0 / np.linalg.svd(np.linalg.solve(inner.factor, outer.factor), compute_uv=False)[0])
         # By unit polarity lambda * E in K iff lambda * K° in E°.
         return _fit_scale(polar_dual(outer), polar_dual(inner))
-
-    pts = inner.vertices if isinstance(inner, VPolytope) else hpolytope_vertices(inner)
-    return float(1.0 / np.max(gauge(outer, pts)))
+    if isinstance(inner, VPolytope):
+        # Its vertices were validated when it was built.
+        return float(1.0 / np.max(_gauge(outer, inner.vertices)))
+    # Enumerated vertices are checked: they can overflow (HPolytope(diag(1e-310, 1)) has one at inf).
+    return float(1.0 / reduce(np.maximum, (np.max(gauge(outer, block)) for block in _vertex_blocks(inner))))
 
 
 DEFAULT_TOL = 1e-9

@@ -120,3 +120,20 @@ def area_oracle_1d(x, p):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Count calls into np.linalg: ``calls = linalg_calls("svd", "norm")`` wraps those
+    functions for the rest of the test, and ``calls[name]`` reads how often each ran."""
+
+    def record(*names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def recording(*args, _run=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _run(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, recording)
+        return calls
+
+    return record

@@ -14,6 +14,7 @@ from qpolar.bodies import (
     Ellipsoid,
     HPolytope,
     VPolytope,
+    _fit_scale,
     _halfspace_vertices,
     _polytope_array,
     contains,
@@ -84,6 +85,20 @@ class TestConstruction:
     def test_ball_and_box_helpers(self):
         assert np.allclose(Ellipsoid.ball(3, 2.0).matrix, np.eye(3) / 4)
         assert np.allclose(HPolytope.box([2.0, 1.0]).rows, np.diag([0.5, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sizes_are_refused(self, bad):
+        # Each size gets its own message, before any matrix is built from it.
+        with pytest.raises(ValueError, match="^radius must be positive and finite"):
+            Ellipsoid.ball(2, bad)
+        with pytest.raises(ValueError, match="^box halfwidths must be positive and finite$"):
+            HPolytope.box([1.0, bad])
+        for body in (Ellipsoid.ball(2), HPolytope.box([1.0, 2.0]), VPolytope(np.eye(2))):
+            with pytest.raises(ValueError, match="^scale factor must be positive and finite"):
+                scale(body, bad)
+            for l in (np.array([[1.0, 0.0], [bad, 1.0]]), np.full((2, 2), bad)):
+                with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                    linear_image(body, l)
 
 
 class TestSupport:
@@ -521,6 +536,35 @@ def test_no_lp_up_to_the_enumeration_cap(n, monkeypatch):
             contains(x, polar_dual(p))
 
 
+def test_parallelotope_vertices_stream_in_blocks(rng):
+    # At n = 18 the 2^18 vertices take two blocks; the streamed scale is the full
+    # enumeration's, bit for bit, for each kind of outer body.
+    import qpolar.bodies
+    import tracemalloc
+
+    n = 18
+    a = rng.standard_normal((n, n)) + 4 * np.eye(n)
+    signs = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+    full = np.linalg.solve(a, signs.T).T
+    inner = HPolytope(a)
+    assert len(list(qpolar.bodies._vertex_blocks(inner))) == 2
+    for outer in (Ellipsoid(random_spd(n, rng)), HPolytope(rng.standard_normal((n, n)) + 4 * np.eye(n)),
+                  VPolytope(rng.standard_normal((n, n)) + 4 * np.eye(n))):
+        assert _fit_scale(inner, outer) == 1.0 / np.max(gauge(outer, full))
+    assert np.array_equal(hpolytope_vertices(inner), full)
+    del full, signs
+
+    # At n = 20 the vertices alone take 168 MB; streamed, the scale never holds them all.
+    inner, outer = HPolytope(np.eye(20)), Ellipsoid.ball(20)
+    tracemalloc.start()
+    try:
+        assert _fit_scale(inner, outer) == 1.0 / np.sqrt(20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 * 20 * 8
+
+
 @pytest.mark.parametrize("n", [9, 12, 16])
 def test_ball_box_cross_pairings_decide_above_dimension_8(n, monkeypatch):
     # The unit ball, box and cross-polytope, with hbar = 1: P's dual is the ball,
@@ -856,6 +900,32 @@ def polar_matches_the_validator(body, hbar):
         arr, want_arr = (got.rows, want.rows) if isinstance(want, HPolytope) else (got.vertices, want.vertices)
         assert arr.shape == want_arr.shape and arr.tobytes() == want_arr.tobytes()
         assert not arr.flags.writeable
+
+
+def test_pair_verdict_linalg_budget(linalg_calls):
+    # One rank SVD per polytope a caller constructs, none for a polar, and the
+    # ellipsoid-in-ellipsoid scale from singular values alone (no norm call).
+    calls = linalg_calls("svd", "norm")
+    h, v = HPolytope([[1.0, 0.5], [0.0, 2.0], [1.0, -1.0]]), VPolytope([[1.0, 0.2], [0.3, 1.0]])
+    assert calls == {"svd": 2, "norm": 0}
+    polar_dual(h, hbar=0.7)
+    polar_dual(v, hbar=0.7)
+    assert calls == {"svd": 2, "norm": 0}
+    x, p = Ellipsoid(np.diag([1.0, 4.0])), Ellipsoid(np.diag([0.5, 2.0]))
+    calls.update(svd=0)
+    assert is_quantum_pair(x, p, hbar=0.7).lambda_max == pytest.approx(0.5 / (0.7 * np.sqrt(2.0)))
+    assert calls == {"svd": 1, "norm": 0}
+
+
+def test_overflowed_vertices_are_refused():
+    # A row of 1e-310 has a vertex at 1e310 = inf: an enumerated vertex is checked
+    # like any outside vector before the gauge reads it.
+    h = HPolytope(np.diag([1e-310, 1.0]))
+    ball = Ellipsoid.ball(2)
+    for decide in (lambda: contains(ball, h), lambda: _fit_scale(h, ball),
+                   lambda: is_quantum_pair(ball, polar_dual(h))):
+        with pytest.raises(ValueError, match="^vector entries must be finite$"):
+            decide()
 
 
 @given(kind=st.sampled_from([HPolytope, VPolytope]), n=st.sampled_from([1, 2, 3, 6, 9]),

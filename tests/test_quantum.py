@@ -150,16 +150,11 @@ def test_sigma_is_factored_once(monkeypatch):
     assert np.array_equal(seen[0], cov.sigma) and np.array_equal(seen[1], cov.dpp)
 
 
-def test_valid_state_factorization_budget(monkeypatch):
+def test_valid_state_factorization_budget(linalg_calls):
     # The benchmark's covariance bundle on one valid n = 3 state: Sigma, Delta(x,x) and
     # Delta(p,p) are factored once per verdict that needs them, and no block twice inside one.
     sigma = covariance_with_spectrum(np.array([0.6, 0.9, 1.7]), np.random.default_rng(31))
-    calls = {"cholesky": 0, "inv": 0, "solve": 0}
-    for name in calls:
-        def recording(*args, _run=getattr(np.linalg, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _run(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, recording)
+    calls = linalg_calls("cholesky", "inv", "solve")
     cov = CovarianceMatrix(sigma)
     assert is_quantum_covariance(cov)
     rs_check(cov)
