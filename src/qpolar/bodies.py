@@ -10,35 +10,46 @@ Operations are pure functions over these immutable values, which compare by iden
 ellipsoid carries a factor F of its matrix, and a derived one is built from a factor, not
 checked again: F^-T / hbar for a polar, L^-T F for a linear image (``scale`` is one), C^-T
 for (d M)^-1 with d M = C C^T (``_inverse_ellipsoid``). Errors are of order cond(F) eps, so
-``linear_image`` decides up to its cond(L) <= 1e12 guard. ``polar_dual`` builds a polytope
-from a validated array scaled by hbar with only the finiteness and nonzero-row checks (no
-rank SVD); ``linear_image`` validates a polytope in full. The Minkowski gauge is the one
-body kernel and a closed form for every representation. ``gauge`` checks its rows and the
-internal ``_gauge`` computes: ``_fit_scale`` passes a V-polytope's own vertices, validated
-when it was built, straight to ``_gauge``, and checks the vertices ``_vertex_blocks``
-enumerates, which can overflow. A V-polytope's facet normals come from
-``hpolytope_vertices``, the one polytope conversion, unless there may be so many that
-one HiGHS LP per row costs less. The support function is the gauge of the unit polar,
-h_K = ||.||_{K°}, and ``polar_dual`` maps each representation to its polar's.
+``linear_image`` decides up to its cond(L) <= 1e12 guard. A polytope carries the least
+and greatest of its row maxima, and ``polar_dual`` scales them with the array: rounding
+is monotone, so they are the polar's own, and its finiteness and nonzero-row checks read
+them (no pass over the new array, no rank SVD); ``linear_image`` validates a polytope in
+full. The Minkowski gauge is the one body kernel and a closed form for every
+representation. ``gauge`` checks its rows and the internal ``_gauge`` computes:
+``_fit_scale`` passes a V-polytope's own vertices, validated when it was built, straight
+to ``_gauge``, and checks the vertices it enumerates, which can overflow. A V-polytope's
+facet normals come from ``hpolytope_vertices``, the one polytope conversion, unless there
+may be so many that one HiGHS LP per row costs less. The support function is the gauge of
+the unit polar, h_K = ||.||_{K°}, and ``polar_dual`` maps each representation to its
+polar's.
 
 Boxes and cross-polytopes, and their linear images, have closed forms chosen by the
 row count: an H-polytope with n rows A (a parallelotope) has the vertices A^-1 s over
-the 2^n sign vectors s, enumerated in blocks of about 2^22 entries, and a V-polytope with n vertices V (a cross-polytope image)
-has the gauge ||V^-T x||_1 at every dimension. Qhull runs only for an H-polytope with
-more than n rows, and HiGHS only for a V-polytope with more than n vertices. No
-enumeration starts whose vertex count bound exceeds ``VERTEX_BUDGET``.
+the 2^n sign vectors s, enumerated in blocks of about 2^22 entries, and a V-polytope
+with n vertices V (a cross-polytope image) has the gauge ||V^-T x||_1 at every
+dimension. Qhull runs only for an H-polytope with more than n rows, and HiGHS only for
+a V-polytope with more than n vertices. No enumeration starts whose vertex count bound
+exceeds ``VERTEX_BUDGET``.
 
 Containment, the quantum-pair verdict and the product capacity all reduce to
 one inclusion scale, max{lambda : lambda * inner subset of outer}, computed by
 ``_fit_scale`` and accepted by ``_accepts``, the one rule of every verdict.
-For ellipsoids it is 1 / sigma_max(F_in^-1 F_out), from the two factors.
+For ellipsoids it is 1 / sigma_max(F_in^-1 F_out), from the two factors. By unit
+polarity lambda * K in L iff lambda * L° in K°, so an ellipsoid inside a polytope and
+an H-polytope inside an H-polytope flip. H in H never needs the vertices: with n inner
+rows A it is 1 / max_j ||A^-T c_j||_1 over the outer rows c_j, and with more it is V in
+V, whose gauge enumerates facets only within the budget and where they cost less than
+LPs. A parallelotope inside an ellipsoid or a V-polytope with n vertices reads its
+vertices through one composed n x n matrix, over half the sign vectors (the gauges are
+even). So the budget refuses only H in E, H in V and E in V (which flips to H in E);
+a gauge that enumerates facets is still undecided where Qhull fails twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from math import comb, frexp, isfinite
+from functools import lru_cache, reduce
+from math import comb, frexp, isfinite, sqrt
 from typing import Iterator, Union
 
 import numpy as np
@@ -78,6 +89,9 @@ MVEE_MAX_ITER = 100_000
 # the parallelotope vertices of ``_enumerate_vertices``).
 _BLOCK_ENTRIES = 2**22
 
+# Sign-vector tables of at most this many entries (128 kB) are kept (``_sign_blocks``).
+_SIGN_TABLE_ENTRIES = 2**14
+
 _EPS = np.finfo(float).eps
 
 
@@ -87,25 +101,35 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _polytope_array(arr, kind: str, rank: bool = True) -> np.ndarray:
+_POLYTOPE_WORDS = {"H": ("rows", "bounded body"), "V": ("vertices", "full-dimensional body")}
+
+
+def _polytope_array(arr, kind: str) -> tuple[np.ndarray, tuple[float, float]]:
     """The one polytope validator: arr as frozen finite nonzero rows spanning the space
     (matrix_rank's test, sigma_n > sigma_1 max(m, n) eps, on rows scaled to max-abs 1),
-    of an H- or V-polytope (kind). rank=False skips the span test for an array scaled by
-    c > 0 from a validated one: scaling keeps the rank. One copy of the input, frozen;
-    the row maxima are taken once, and their max is NaN or inf exactly when an entry
-    is not finite."""
-    what, spans = {"H": ("rows", "bounded body"), "V": ("vertices", "full-dimensional body")}[kind]
+    of an H- or V-polytope (kind), and the least and greatest of its row maxima
+    max_j |a_ij|, which carry the finiteness and nonzero-row checks (``_check_row_range``).
+    One copy of the input; the row maxima are taken once."""
     arr = np.array(arr, dtype=float, ndmin=2)
     row_max = np.abs(arr).max(axis=1, initial=0.0)
-    if not isfinite(row_max.max(initial=0.0)):
+    row_range = (float(row_max.min()), float(row_max.max())) if row_max.size else (0.0, 0.0)
+    _check_row_range(row_range, kind)
+    svals = np.linalg.svd(arr / row_max[:, None], compute_uv=False)
+    if len(arr) < arr.shape[1] or svals[-1] <= svals[0] * max(arr.shape) * _EPS:
+        what, spans = _POLYTOPE_WORDS[kind]
+        raise DegenerateBodyError(f"{kind}-polytope {what} must span the space ({spans})")
+    return _freeze(arr), row_range
+
+
+def _check_row_range(row_range: tuple[float, float], kind: str) -> None:
+    """The finiteness and nonzero-row checks of a polytope array, read off the least and
+    greatest of its row maxima: the greatest is NaN or inf exactly when an entry is not
+    finite, and the least is 0 exactly when a row is zero (or there is none)."""
+    what = _POLYTOPE_WORDS[kind][0]
+    if not isfinite(row_range[1]):
         raise ValueError(f"polytope {what} must be finite")
-    if arr.shape[0] == 0 or not row_max.all():
+    if not row_range[0] > 0.0:
         raise DegenerateBodyError(f"{kind}-polytope {what} must be non-empty and nonzero")
-    if rank:
-        svals = np.linalg.svd(arr / row_max[:, None], compute_uv=False)
-        if len(arr) < arr.shape[1] or svals[-1] <= svals[0] * max(arr.shape) * _EPS:
-            raise DegenerateBodyError(f"{kind}-polytope {what} must span the space ({spans})")
-    return _freeze(arr)
 
 
 def _unchecked(cls, **fields):
@@ -148,12 +172,16 @@ class Ellipsoid:
 
 @dataclass(frozen=True, eq=False)
 class HPolytope:
-    """The symmetric polytope {x : |a_i^T x| <= 1} over the rows a_i."""
+    """The symmetric polytope {x : |a_i^T x| <= 1} over the rows a_i (``row_range``: the
+    least and greatest of max_j |a_ij|)."""
 
     rows: np.ndarray
+    row_range: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", _polytope_array(self.rows, "H"))
+        rows, row_range = _polytope_array(self.rows, "H")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "row_range", row_range)
 
     @property
     def dim(self) -> int:
@@ -170,12 +198,16 @@ class HPolytope:
 
 @dataclass(frozen=True, eq=False)
 class VPolytope:
-    """The symmetric polytope conv{+-v_j} over the listed vertices v_j."""
+    """The symmetric polytope conv{+-v_j} over the listed vertices v_j (``row_range``: the
+    least and greatest of max_i |v_ji|)."""
 
     vertices: np.ndarray
+    row_range: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", _polytope_array(self.vertices, "V"))
+        vertices, row_range = _polytope_array(self.vertices, "V")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "row_range", row_range)
 
     @property
     def dim(self) -> int:
@@ -292,9 +324,21 @@ def polar_dual(body: ConvexBody, hbar: float = 1.0) -> ConvexBody:
     _check_hbar(hbar)
     if isinstance(body, Ellipsoid):
         return Ellipsoid._from_factor(np.linalg.inv(body.factor).T / hbar)
+    c = float(hbar)
+    lo, hi = body.row_range
     if isinstance(body, HPolytope):
-        return _unchecked(VPolytope, vertices=_polytope_array(hbar * body.rows, "V", rank=False))
-    return _unchecked(HPolytope, rows=_polytope_array(body.vertices / hbar, "H", rank=False))
+        return _scaled_polytope(VPolytope, c * body.rows, (c * lo, c * hi))
+    return _scaled_polytope(HPolytope, body.vertices / c, (lo / c, hi / c))
+
+
+def _scaled_polytope(cls, arr: np.ndarray, row_range: tuple[float, float]):
+    """A polytope of class cls from arr = c * (a validated array), just computed, given
+    c times the least and greatest of its row maxima. Rounding is monotone, so those are
+    exactly arr's, and the finiteness and nonzero-row checks read them; scaling keeps
+    the rank."""
+    kind = cls.__name__[0]
+    _check_row_range(row_range, kind)
+    return _unchecked(cls, **{_POLYTOPE_WORDS[kind][0]: _freeze(arr)}, row_range=row_range)
 
 
 def linear_image(body: ConvexBody, l: np.ndarray) -> ConvexBody:
@@ -366,18 +410,21 @@ def hpolytope_vertices(body: HPolytope) -> np.ndarray:
 def _vertex_blocks(body: HPolytope) -> Iterator[np.ndarray]:
     """``hpolytope_vertices`` in the blocks of ``_enumerate_vertices``; the budget is
     checked at the call, before the first block is asked for."""
-    bound = _vertex_bound(*body.rows.shape)
+    _check_budget(_vertex_bound(*body.rows.shape))
+    return _enumerate_vertices(body)
+
+
+def _check_budget(bound: int) -> None:
+    """UndecidedError when a vertex count bound exceeds ``VERTEX_BUDGET``."""
     if bound > VERTEX_BUDGET:
         raise UndecidedError(f"undecided: up to {bound} vertices exceed the enumeration budget {VERTEX_BUDGET}")
-    return _enumerate_vertices(body)
 
 
 def _enumerate_vertices(body: HPolytope) -> Iterator[np.ndarray]:
     """The vertices with no budget, in blocks. In closed form for dim 1 and for n rows A
-    (a parallelotope): A^-1 s over the 2^n sign vectors s, in blocks of about
-    ``_BLOCK_ENTRIES`` entries. Otherwise one block by Qhull; where it fails, nearly
-    coincident rows are merged (``ROW_MERGE_RTOL``) and Qhull runs once more;
-    ``UndecidedError`` if it fails again.
+    (a parallelotope): A^-1 s over the 2^n sign vectors s of ``_sign_blocks``. Otherwise
+    one block by Qhull; where it fails, nearly coincident rows are merged
+    (``ROW_MERGE_RTOL``) and Qhull runs once more; ``UndecidedError`` if it fails again.
     """
     n = body.dim
     if n == 1:
@@ -385,10 +432,8 @@ def _enumerate_vertices(body: HPolytope) -> Iterator[np.ndarray]:
         yield np.array([[a], [-a]])
     elif body.rows.shape[0] == n:
         # A parallelotope (the rows span, so A is invertible): A v = s over the sign vectors s.
-        step = max(1, _BLOCK_ENTRIES // n)
-        for start in range(0, 2**n, step):
-            index = np.arange(start, min(start + step, 2**n))[:, None]
-            yield np.linalg.solve(body.rows, (1.0 - 2.0 * ((index >> np.arange(n)) & 1)).T).T
+        for signs in _sign_blocks(n, 2**n):
+            yield np.linalg.solve(body.rows, signs.T).T
     else:
         from scipy.spatial import QhullError
 
@@ -402,17 +447,75 @@ def _enumerate_vertices(body: HPolytope) -> Iterator[np.ndarray]:
         yield verts
 
 
+def _sign_blocks(n: int, count: int) -> Iterator[np.ndarray]:
+    """The first count sign vectors s in {-1, 1}^n, s_k = -1 where bit k of the row number
+    is set, in blocks of about ``_BLOCK_ENTRIES`` entries. Below count = 2^n the last signs
+    are +1. Tables of at most ``_SIGN_TABLE_ENTRIES`` entries are built once, frozen."""
+    if count * n <= _SIGN_TABLE_ENTRIES:
+        yield _sign_table(n, count)
+        return
+    step = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, count, step):
+        yield _signs(n, start, min(start + step, count))
+
+
+def _signs(n: int, start: int, stop: int) -> np.ndarray:
+    """The sign vectors numbered start .. stop - 1 (``_sign_blocks``)."""
+    return 1.0 - 2.0 * ((np.arange(start, stop)[:, None] >> np.arange(n)) & 1)
+
+
+@lru_cache(maxsize=None)
+def _sign_table(n: int, count: int) -> np.ndarray:
+    """``_signs(n, 0, count)`` frozen, built once: a few small tables, since count is
+    2^n or 2^(n-1) and count * n <= ``_SIGN_TABLE_ENTRIES``."""
+    return _freeze(_signs(n, 0, count))
+
+
+def _parallelotope_scale(a: np.ndarray, outer: ConvexBody) -> float:
+    """max{lambda : lambda * {|A x| <= 1} subset of outer} for n rows A.
+
+    The vertices are the rows s B over the sign vectors s, with B = A^-T formed once. In
+    an H-polytope, max_s |s B . c_j| = ||B c_j||_1 over its rows c_j: the closed form of
+    the V-in-V pair that H-in-H flips to by polarity, in O(m n^2), with no budget. Else
+    the gauges are even, so the 2^(n-1) sign vectors with the last sign +1 suffice, under
+    the budget of all 2^n: in an ellipsoid the gauge of s B is ||s B F||_2, and in a
+    V-polytope with n vertices V it is ||s B V^-1||_1, one n x n matrix G each and one
+    product per block of signs; in any other V-polytope, the gauge of the rows s B.
+    """
+    n = a.shape[0]
+    if not isinstance(outer, HPolytope):
+        _check_budget(2**n)
+    b = np.linalg.inv(a.T)
+    # The largest vertex entry is a column sum of |B|: an overflowed vertex
+    # (HPolytope(diag(1e-310, 1)) has one at inf) is refused like an outside vector.
+    if not isfinite(np.abs(b).sum(axis=0).max()):
+        raise ValueError("vector entries must be finite")
+    if isinstance(outer, HPolytope):
+        return float(1.0 / np.abs(outer.rows @ b.T).sum(axis=1).max())
+    # The largest gauge of the rows y = s G of a block of signs.
+    if isinstance(outer, Ellipsoid):
+        g, block_max = b @ outer.factor, lambda y: sqrt(np.einsum("ij,ij->i", y, y).max())
+    elif outer.vertices.shape[0] == n:
+        g, block_max = np.linalg.solve(outer.vertices.T, b.T).T, lambda y: np.abs(y).sum(axis=1).max()
+    else:
+        g, block_max = b, lambda y: _gauge(outer, y).max()
+    return float(1.0 / max(block_max(s @ g) for s in _sign_blocks(n, 2 ** (n - 1))))
+
+
 def _fit_scale(inner: ConvexBody, outer: ConvexBody) -> float:
     """max{lambda > 0 : lambda * inner subset of outer}, exact or UndecidedError."""
-    if isinstance(inner, Ellipsoid):
-        if isinstance(outer, Ellipsoid):
-            return float(1.0 / np.linalg.svd(np.linalg.solve(inner.factor, outer.factor), compute_uv=False)[0])
-        # By unit polarity lambda * E in K iff lambda * K° in E°.
-        return _fit_scale(polar_dual(outer), polar_dual(inner))
+    if isinstance(inner, Ellipsoid) and isinstance(outer, Ellipsoid):
+        return float(1.0 / np.linalg.svd(np.linalg.solve(inner.factor, outer.factor), compute_uv=False)[0])
     if isinstance(inner, VPolytope):
         # Its vertices were validated when it was built.
         return float(1.0 / np.max(_gauge(outer, inner.vertices)))
-    # Enumerated vertices are checked: they can overflow (HPolytope(diag(1e-310, 1)) has one at inf).
+    if isinstance(inner, HPolytope) and inner.rows.shape[0] == inner.dim:
+        return _parallelotope_scale(inner.rows, outer)
+    if isinstance(inner, Ellipsoid) or isinstance(outer, HPolytope):
+        # By unit polarity lambda * K in L iff lambda * L° in K°: E in H or V flips to V or
+        # H in E, and H in H to V in V, whose gauge takes facets or LPs, so no budget refuses it.
+        return _fit_scale(polar_dual(outer), polar_dual(inner))
+    # Enumerated vertices are checked: they can overflow.
     return float(1.0 / reduce(np.maximum, (np.max(gauge(outer, block)) for block in _vertex_blocks(inner))))
 
 
@@ -444,9 +547,11 @@ def contains(outer: ConvexBody, inner: ConvexBody, tol: float = DEFAULT_TOL) -> 
     Decided by the inclusion scale max{lambda : lambda * inner in outer},
     accepted when it is at least 1/(1 + tol), the same rule as the
     quantum-pair verdict and the 4*hbar capacity bound. Exact for every
-    pairing of the three representations; an H-polytope source (or an
-    ellipsoid in a V-polytope, which flips to one) whose vertex count bound
-    exceeds ``VERTEX_BUDGET`` raises ``UndecidedError``.
+    pairing of the three representations. An H-polytope inside an H-polytope
+    never enumerates vertices (it flips by polarity to V inside V). An
+    H-polytope inside an ellipsoid or a V-polytope, or an ellipsoid inside a
+    V-polytope (which flips to H inside E), raises ``UndecidedError`` when the
+    inner H-polytope's vertex count bound exceeds ``VERTEX_BUDGET``.
     """
     if outer.dim != inner.dim:
         raise DimensionError(f"dimension mismatch: outer {outer.dim}, inner {inner.dim}")

@@ -43,11 +43,13 @@ class PairVerdict:
 def inclusion_scale(x: ConvexBody, p: ConvexBody, hbar: float = 1.0) -> float:
     """lambda_max = max{lambda > 0 : lambda * P^hbar subset of X}.
 
-    Exact for every pairing of the three representations. When the
-    computation needs the vertices of an H-polytope (P a V-polytope, or X a
-    V-polytope with P an ellipsoid) whose count bound exceeds
-    ``bodies.VERTEX_BUDGET``, it raises ``UndecidedError``. Symmetric in its
-    body arguments.
+    Exact for every pairing of the three representations. The inner body
+    P^hbar is an H-polytope when P is a V-polytope; inside an H-polytope X it
+    never needs vertices (the pair flips by polarity to V inside V). When the
+    computation needs the vertices of an H-polytope (P a V-polytope with X an
+    ellipsoid or a V-polytope, or X a V-polytope with P an ellipsoid) whose
+    count bound exceeds ``bodies.VERTEX_BUDGET``, it raises
+    ``UndecidedError``. Symmetric in its body arguments.
     """
     if x.dim != p.dim:
         raise DimensionError(f"dimension mismatch: X is {x.dim}-dim, P is {p.dim}-dim")
@@ -61,7 +63,8 @@ def is_quantum_pair(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,
     Decided through the inclusion scale, so the verdict, the scale, and the
     product-capacity value are mutually consistent by construction; the
     boundary lambda_max = 1 (dual touching) counts as a pair. Raises
-    ``UndecidedError`` where ``inclusion_scale`` does.
+    ``UndecidedError`` where ``inclusion_scale`` does; the vertex budget never
+    refuses X an H-polytope with P a V-polytope.
     """
     lam = inclusion_scale(x, p, hbar)
     return PairVerdict(is_pair=_accepts(lam, tol), lambda_max=lam, margin=lam - 1.0)

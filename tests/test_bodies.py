@@ -471,20 +471,28 @@ class TestContains:
 
     def test_budget_edge_in_rows_at_n8(self):
         # lambda P subset of the unit cube for P = {|A x| <= 1}, the polar of
-        # conv{+-a_i}: 1 / max_i h_P(e_i), each support an LP. 37 rows at n = 8
-        # bound the vertices by 969289 <= 2^20 and decide; 38 rows (1085945) are
-        # undecided before Qhull starts.
+        # conv{+-a_i}: 1 / max_i h_P(e_i), each support an LP. An H-in-H pair flips
+        # to V in V and decides at 37 and 38 rows alike. In the unit ball P's
+        # vertices are enumerated: 37 rows at n = 8 bound them by 969289 <= 2^20 and
+        # decide; 38 rows (1085945) are undecided before Qhull starts.
         import scipy.optimize
 
         rng = np.random.default_rng(837)
         rows = rng.standard_normal((38, 8))
         cube = HPolytope.box(np.ones(8))
-        a = np.vstack([rows[:37], -rows[:37]])
-        h = [-scipy.optimize.linprog(-e, A_ub=a, b_ub=np.ones(74), bounds=(None, None), method="highs").fun
-             for e in np.eye(8)]
-        assert inclusion_scale(cube, VPolytope(rows[:37])) == pytest.approx(1.0 / max(h), rel=1e-9)
+
+        def oracle(m):
+            a = np.vstack([rows[:m], -rows[:m]])
+            h = [-scipy.optimize.linprog(-e, A_ub=a, b_ub=np.ones(2 * m), bounds=(None, None), method="highs").fun
+                 for e in np.eye(8)]
+            return 1.0 / max(h)
+
+        for m in (37, 38):
+            assert inclusion_scale(cube, VPolytope(rows[:m])) == pytest.approx(oracle(m), rel=1e-9)
+        ball = Ellipsoid.ball(8)
+        assert inclusion_scale(ball, VPolytope(rows[:37])) > 0
         with pytest.raises(UndecidedError, match="1085945"):
-            inclusion_scale(cube, VPolytope(rows))
+            inclusion_scale(ball, VPolytope(rows))
 
     def test_undecided_above_enumeration_cap(self):
         # X = B(2.95), P = conv{+-e_i}: P's dual is the unit box, whose 2^n corners
@@ -537,8 +545,9 @@ def test_no_lp_up_to_the_enumeration_cap(n, monkeypatch):
 
 
 def test_parallelotope_vertices_stream_in_blocks(rng):
-    # At n = 18 the 2^18 vertices take two blocks; the streamed scale is the full
-    # enumeration's, bit for bit, for each kind of outer body.
+    # At n = 18 the 2^18 vertices take two blocks; the scale, taken over half the
+    # sign vectors through B = A^-T, is the full enumeration's to 1e-14 for each
+    # kind of outer body.
     import qpolar.bodies
     import tracemalloc
 
@@ -550,7 +559,7 @@ def test_parallelotope_vertices_stream_in_blocks(rng):
     assert len(list(qpolar.bodies._vertex_blocks(inner))) == 2
     for outer in (Ellipsoid(random_spd(n, rng)), HPolytope(rng.standard_normal((n, n)) + 4 * np.eye(n)),
                   VPolytope(rng.standard_normal((n, n)) + 4 * np.eye(n))):
-        assert _fit_scale(inner, outer) == 1.0 / np.max(gauge(outer, full))
+        assert _fit_scale(inner, outer) == pytest.approx(1.0 / np.max(gauge(outer, full)), rel=1e-14, abs=0.0)
     assert np.array_equal(hpolytope_vertices(inner), full)
     del full, signs
 
@@ -919,13 +928,120 @@ def test_pair_verdict_linalg_budget(linalg_calls):
 
 def test_overflowed_vertices_are_refused():
     # A row of 1e-310 has a vertex at 1e310 = inf: an enumerated vertex is checked
-    # like any outside vector before the gauge reads it.
+    # like any outside vector before the gauge reads it. In a box or a cross-polytope
+    # the scale never enumerates, and the overflow is refused all the same, not read
+    # as lambda = 0.
     h = HPolytope(np.diag([1e-310, 1.0]))
-    ball = Ellipsoid.ball(2)
-    for decide in (lambda: contains(ball, h), lambda: _fit_scale(h, ball),
-                   lambda: is_quantum_pair(ball, polar_dual(h))):
-        with pytest.raises(ValueError, match="^vector entries must be finite$"):
-            decide()
+    for outer in (Ellipsoid.ball(2), HPolytope.box([1.0, 1.0]), VPolytope(np.eye(2))):
+        for decide in (lambda: contains(outer, h), lambda: _fit_scale(h, outer),
+                       lambda: is_quantum_pair(outer, polar_dual(h))):
+            with pytest.raises(ValueError, match="^vector entries must be finite$"):
+                decide()
+
+
+def _with_condition(n, cond, rng):
+    """A random n x n matrix with singular values geometrically spaced from 1 to cond."""
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q1 * np.geomspace(1.0, cond, n)) @ q2.T
+
+
+@given(kind=st.sampled_from(["ellipsoid", "cross image", "hpoly"]), n=st.sampled_from([1, 2, 3]),
+       log_cond=st.integers(0, 6), log_scale=st.floats(-3, 3), seed=st.integers(0, 2**32 - 1))
+def test_parallelotope_scales_match_a_60_digit_oracle(kind, n, log_cond, log_scale, seed):
+    # The parallelotope {|A x| <= 1}, cond(A) up to 1e6, in an ellipsoid, a V-polytope
+    # with n vertices and an H-polytope with n + 2 rows: lambda against its 2^n
+    # vertices A^-1 s and the outer gauge, both in 60 digits on the same floats. The
+    # error stays below n cond(A) eps over 900 seeds; FACTOR_ERR_C times that is allowed.
+    rng = np.random.default_rng(seed)
+    cond = 10.0**log_cond
+    a = _with_condition(n, cond, rng) * 10.0**log_scale
+    m = rng.standard_normal((n, n)) + 3 * np.eye(n)
+    outer = {"ellipsoid": lambda: Ellipsoid(m @ m.T), "cross image": lambda: VPolytope(m),
+             "hpoly": lambda: HPolytope(np.vstack([m, rng.standard_normal((2, n))]))}[kind]()
+    lam = _fit_scale(HPolytope(a), outer)
+    with mpmath.workdps(60):
+        verts = [mpmath.lu_solve(mpmath.matrix(a.tolist()), mpmath.matrix(s))
+                 for s in itertools.product((-1, 1), repeat=n)]
+        if kind == "ellipsoid":
+            q = mpmath.matrix(outer.matrix.tolist())
+            gauges = [mpmath.sqrt((v.T * q * v)[0]) for v in verts]
+        elif kind == "cross image":
+            vt = mpmath.matrix(outer.vertices.T.tolist())
+            gauges = [sum(abs(c) for c in mpmath.lu_solve(vt, v)) for v in verts]
+        else:
+            rows = mpmath.matrix(outer.rows.tolist())
+            gauges = [max(abs(x) for x in rows * v) for v in verts]
+        exact = 1 / max(gauges)
+        assert abs(lam - exact) <= FACTOR_ERR_C * n * cond * EPS * exact
+
+
+@pytest.mark.parametrize("n", [24, 40])
+def test_h_in_h_decides_above_the_budget_without_lp_or_qhull(n, rng, monkeypatch):
+    # 2^24 and 2^40 vertices exceed the budget, but an H-in-H pair flips to V in V:
+    # lambda = 1 / max_j ||A^-T c_j||_1 over the outer rows c_j.
+    import scipy.optimize
+    import scipy.spatial
+
+    monkeypatch.setattr(scipy.optimize, "linprog", forbid_linprog)
+    monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection", forbid_qhull)
+    monkeypatch.setattr(scipy.spatial, "KDTree", forbid_qhull)
+    a = rng.standard_normal((n, n)) + 4 * np.eye(n)
+    c = rng.standard_normal((2 * n, n)) + np.vstack([4 * np.eye(n), np.zeros((n, n))])
+    expected = 1.0 / np.abs(np.linalg.solve(a.T, c.T)).sum(axis=0).max()
+    assert contains(HPolytope(c), scale(HPolytope(a), 0.999 * expected))
+    assert not contains(HPolytope(c), scale(HPolytope(a), 1.001 * expected))
+    assert inclusion_scale(HPolytope(c), polar_dual(HPolytope(a))) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    # The unit box in the unit cross-polytope's polar (the box again): a quantum pair at lambda = 1.
+    verdict = is_quantum_pair(HPolytope.box(np.ones(n)), VPolytope(np.eye(n)))
+    assert verdict.is_pair and verdict.lambda_max == 1.0
+
+
+def test_parallelotope_work_per_verdict(monkeypatch):
+    # No H-in-H pair enumerates vertices, and a parallelotope inner body is inverted
+    # once per verdict, however many blocks of sign vectors its gauges take. The
+    # budget counts all 2^n vertices, not the 2^(n-1) sign vectors the scale reads.
+    import qpolar.bodies
+
+    rng = np.random.default_rng(21)
+    n = 8
+    a = rng.standard_normal((n, n)) + 3 * np.eye(n)
+    inner = HPolytope(a)
+    m = rng.standard_normal((n, n)) + 3 * np.eye(n)
+    outers = {"ellipsoid": Ellipsoid(m @ m.T), "cross image": VPolytope(m),
+              "vpoly": VPolytope(np.vstack([m, rng.standard_normal((2, n))])),
+              "box": HPolytope(m), "hpoly": HPolytope(np.vstack([m, rng.standard_normal((2, n))]))}
+    expected = {kind: _fit_scale(inner, outer) for kind, outer in outers.items()}
+    assert expected["hpoly"] == pytest.approx(1.0 / np.abs(outers["hpoly"].rows @ np.linalg.inv(a)).sum(axis=1).max(),
+                                              rel=1e-14, abs=0.0)
+
+    monkeypatch.setattr(qpolar.bodies, "_BLOCK_ENTRIES", 8 * n)
+    monkeypatch.setattr(qpolar.bodies, "_SIGN_TABLE_ENTRIES", 0)
+    assert len(list(qpolar.bodies._sign_blocks(n, 2 ** (n - 1)))) == 16
+    solved = []
+    for name in ("solve", "inv"):
+        def recording(m0, *args, _run=getattr(np.linalg, name), **kwargs):
+            solved.append(np.array_equal(m0, a) or np.array_equal(m0, a.T))
+            return _run(m0, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    for kind, outer in outers.items():
+        solved.clear()
+        assert _fit_scale(inner, outer) == pytest.approx(expected[kind], rel=1e-14, abs=0.0), kind
+        assert solved.count(True) == 1, kind
+
+    # With the budget below 2^n, an H-polytope in an ellipsoid is undecided, and no
+    # H-in-H pair enumerates: with n inner rows in closed form, with more by the LPs of
+    # the flipped V-gauge (below the budget it may read facets where they cost less).
+    tall = HPolytope(np.vstack([a, rng.standard_normal((3, n))]))
+    tall_in_hpoly = _fit_scale(tall, outers["hpoly"])
+    monkeypatch.setattr(qpolar.bodies, "VERTEX_BUDGET", 2**n - 1)
+    with pytest.raises(UndecidedError, match=f"up to {2**n} vertices exceed the enumeration budget {2**n - 1}$"):
+        _fit_scale(inner, outers["ellipsoid"])
+    monkeypatch.setattr(qpolar.bodies, "_vertex_blocks", None)
+    monkeypatch.setattr(qpolar.bodies, "_enumerate_vertices", None)
+    assert _fit_scale(inner, outers["box"]) == expected["box"]
+    assert _fit_scale(tall, outers["hpoly"]) == pytest.approx(tall_in_hpoly, rel=1e-9, abs=0.0)
+    assert is_quantum_pair(HPolytope.box(np.ones(30)), VPolytope(np.eye(30))).lambda_max == 1.0
 
 
 @given(kind=st.sampled_from([HPolytope, VPolytope]), n=st.sampled_from([1, 2, 3, 6, 9]),
@@ -955,6 +1071,9 @@ def test_polars_of_checked_polytopes_match_the_validator(kind, n, data, log_scal
     (VPolytope, [[1.0, 0.0], [0.0, 1.0], [1e-150, 1e-150]], 1e20),
     # Rows near the underflow edge still build, with their rank kept.
     (HPolytope, [[1e-140, 0.0], [0.0, 1e-140]], 1e-20),
+    # A row scaled into the subnormal range builds; one scaled below it is zero.
+    (VPolytope, [[1.0, 0.0], [0.0, 1e-300]], 1e15),
+    (HPolytope, [[1.0, 0.0], [0.0, 1e-300]], 1e-30),
 ])
 def test_polar_edges_match_the_validator(kind, rows, hbar):
     polar_matches_the_validator(kind(rows), hbar)
