@@ -14,42 +14,40 @@ for (d M)^-1 with d M = C C^T (``_inverse_ellipsoid``). Errors are of order cond
 and greatest of its row maxima, and ``polar_dual`` scales them with the array: rounding
 is monotone, so they are the polar's own, and its finiteness and nonzero-row checks read
 them (no pass over the new array, no rank SVD); ``linear_image`` validates a polytope in
-full. The Minkowski gauge is the one body kernel and a closed form for every
-representation. ``gauge`` checks its rows and the internal ``_gauge`` computes:
-``_fit_scale`` passes a V-polytope's own vertices, validated when it was built, straight
-to ``_gauge``, and checks the vertices it enumerates, which can overflow. A V-polytope's
-facet normals come from ``hpolytope_vertices``, the one polytope conversion, unless there
-may be so many that one HiGHS LP per row costs less. The support function is the gauge of
-the unit polar, h_K = ||.||_{K°}, and ``polar_dual`` maps each representation to its
-polar's.
+full.
 
-Boxes and cross-polytopes, and their linear images, have closed forms chosen by the
-row count: an H-polytope with n rows A (a parallelotope) has the vertices A^-1 s over
-the 2^n sign vectors s, enumerated in blocks of about 2^22 entries, and a V-polytope
-with n vertices V (a cross-polytope image) has the gauge ||V^-T x||_1 at every
-dimension. Qhull runs only for an H-polytope with more than n rows, and HiGHS only for
-a V-polytope with more than n vertices. No enumeration starts whose vertex count bound
-exceeds ``VERTEX_BUDGET``.
+The Minkowski gauge is the one body kernel. ``_linear_gauge`` writes each closed form
+once, as ||x||_body = ||x M||_q over row vectors x: (F, 2) for an ellipsoid, (A^T, inf)
+for an H-polytope and (V^-1, 1) for a V-polytope with n vertices V (a cross-polytope
+image), at every dimension, and ``_row_norms`` is its one blocked kernel. Any other
+V-polytope's gauge is max |w . x| over its facet normals w, the vertices of its unit
+polar from ``hpolytope_vertices``, the one polytope conversion, unless there may be so
+many that one HiGHS LP per row costs less. ``gauge`` checks its rows and the internal
+``_gauge`` does not: ``_fit_scale`` passes a V-polytope's own vertices, validated when it
+was built, and checks the vertices it enumerates, which can overflow. The support
+function is the gauge of the unit polar, h_K = ||.||_{K°}. An H-polytope with n rows A (a
+parallelotope) has the vertices A^-1 s over the 2^n sign vectors s; Qhull runs only for
+more rows, and no enumeration starts whose vertex count bound exceeds ``VERTEX_BUDGET``.
 
-Containment, the quantum-pair verdict and the product capacity all reduce to
-one inclusion scale, max{lambda : lambda * inner subset of outer}, computed by
-``_fit_scale`` and accepted by ``_accepts``, the one rule of every verdict.
-For ellipsoids it is 1 / sigma_max(F_in^-1 F_out), from the two factors. By unit
-polarity lambda * K in L iff lambda * L° in K°, so an ellipsoid inside a polytope and
-an H-polytope inside an H-polytope flip. H in H never needs the vertices: with n inner
-rows A it is 1 / max_j ||A^-T c_j||_1 over the outer rows c_j, and with more it is V in
-V, whose gauge enumerates facets only within the budget and where they cost less than
-LPs. A parallelotope inside an ellipsoid or a V-polytope with n vertices reads its
-vertices through one composed n x n matrix, over half the sign vectors (the gauges are
-even). So the budget refuses only H in E, H in V and E in V (which flips to H in E);
-a gauge that enumerates facets is still undecided where Qhull fails twice.
+Containment, the quantum-pair verdict and the product capacity all reduce to one
+inclusion scale, max{lambda : lambda * inner subset of outer}, computed by ``_fit_scale``,
+the one dispatch, and accepted by ``_accepts``, the one rule of every verdict. Its routes,
+keyed by the inner kind and the outer gauge's q, are named in its docstring: V-polytope
+vertices in any body, an ellipsoid in a body with q = 2 or inf by one matrix norm, and a
+parallelotope in closed form in an H-polytope, elsewhere over half its vertices through
+one n x n matrix. E in V, and H in H with more than n inner rows, flip by polarity; such
+an H-polytope in E or V enumerates. So only H in E, H in V and E in V can be refused by
+the budget (2^n for a parallelotope, refused above n = 20; McMullen's bound for more
+rows), and they and any pairing whose outer gauge enumerates facets (a V-polytope with
+more than n vertices, which H in H with more inner rows flips to) are undecided where
+Qhull fails twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from math import comb, frexp, isfinite, sqrt
+from functools import lru_cache
+from math import comb, frexp, isfinite
 from typing import Iterator, Union
 
 import numpy as np
@@ -85,8 +83,8 @@ MVEE_VOL_TOL = 0.01
 MVEE_MAX_ITER = 100_000
 
 
-# Products and enumerations run in blocks of about this many entries (``_max_abs_dot``,
-# the parallelotope vertices of ``_enumerate_vertices``).
+# Products and enumerations run in blocks of about this many entries (``_row_norms``,
+# the sign vectors of ``_sign_blocks``).
 _BLOCK_ENTRIES = 2**22
 
 # Sign-vector tables of at most this many entries (128 kB) are kept (``_sign_blocks``).
@@ -242,12 +240,28 @@ def _vertex_bound(rows: int, n: int) -> int:
     return 2**n if rows == n else _max_facets(2 * rows, n)
 
 
-def _max_abs_dot(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """max_j |x_i . a_j| for each row x_i, in row blocks of about _BLOCK_ENTRIES products."""
+def _linear_gauge(body: ConvexBody) -> tuple[np.ndarray, float] | None:
+    """(M, q) with ||x||_body = ||x M||_q for every row vector x, where the gauge has this
+    closed form: (F, 2) for an ellipsoid with Q = F F^T, (A^T, inf) for an H-polytope
+    with rows A and (V^-1, 1) for a V-polytope with n vertices V. None for any other
+    V-polytope (``_gauge`` takes its facets or LPs)."""
+    if isinstance(body, Ellipsoid):
+        return body.factor, 2
+    if isinstance(body, HPolytope):
+        return body.rows.T, np.inf
+    if body.vertices.shape[0] == body.dim:
+        # A linear image of the cross-polytope: x = c V has the one solution
+        # c = x V^-1, so the least ||c||_1 over x's representations is its own.
+        return np.linalg.inv(body.vertices), 1
+    return None
+
+
+def _row_norms(x: np.ndarray, m: np.ndarray, q: float) -> np.ndarray:
+    """||x_i M||_q for each row x_i, in row blocks of about _BLOCK_ENTRIES products."""
     out = np.empty(x.shape[0])
-    step = max(1, _BLOCK_ENTRIES // a.shape[0])
+    step = max(1, _BLOCK_ENTRIES // m.shape[1])
     for i in range(0, x.shape[0], step):
-        out[i:i + step] = np.max(np.abs(x[i:i + step] @ a.T), axis=1)
+        out[i:i + step] = np.linalg.norm(x[i:i + step] @ m, ord=q, axis=1)
     return out
 
 
@@ -255,12 +269,12 @@ def gauge(body: ConvexBody, x) -> float | np.ndarray:
     """Minkowski gauge ||x||_body = inf{t > 0 : x/t in body}; 0 at the origin.
 
     x is one vector (returns a float) or a (k, n) array of rows (returns the
-    k gauges). Closed forms for ellipsoids, H-polytopes and V-polytopes with n
-    vertices, ||V^-T x||_1. Any other V-polytope's gauge is max|w . x| over the
-    vertices w of its unit polar (||.||_K = h_{K°}), its facet normals, when
-    their count bound is within ``VERTEX_BUDGET`` and at most ``LP_COST_FACETS``
-    per row; otherwise it solves one HiGHS LP per nonzero row. Raises
-    ``UndecidedError`` where Qhull fails twice (``hpolytope_vertices``).
+    k gauges). Closed forms ||x M||_q for ellipsoids, H-polytopes and V-polytopes
+    with n vertices, ||V^-T x||_1 (``_linear_gauge``). Any other V-polytope's gauge
+    is max|w . x| over the vertices w of its unit polar (||.||_K = h_{K°}), its facet
+    normals, when their count bound is within ``VERTEX_BUDGET`` and at most
+    ``LP_COST_FACETS`` per row; otherwise it solves one HiGHS LP per nonzero row.
+    Raises ``UndecidedError`` where Qhull fails twice (``hpolytope_vertices``).
     """
     rows, single = _check_rows(body, x)
     g = _gauge(body, rows)
@@ -269,34 +283,28 @@ def gauge(body: ConvexBody, x) -> float | np.ndarray:
 
 def _gauge(body: ConvexBody, rows: np.ndarray) -> np.ndarray:
     """The gauges of a (k, n) array of finite rows, not checked again: ``gauge``'s kernel."""
-    if isinstance(body, Ellipsoid):
-        g = np.linalg.norm(rows @ body.factor, axis=1)
-    elif isinstance(body, HPolytope):
-        g = _max_abs_dot(rows, body.rows)
-    elif body.vertices.shape[0] == body.dim:
-        # A linear image of the cross-polytope: x = V^T c has the one solution
-        # c = V^-T x, so the least ||c||_1 over x's representations is its own.
-        g = np.abs(np.linalg.solve(body.vertices.T, rows.T)).sum(axis=0)
-    else:
-        m, n = body.vertices.shape
-        nonzero = np.flatnonzero(np.any(rows, axis=1))
-        # Enumerate the facets within the budget when their bound is at most, per
-        # LP replaced, what one LP costs: the bound for m = n, at most LP_COST_FACETS.
-        per_lp = min(_max_facets(2 * n, n), LP_COST_FACETS)
-        if _vertex_bound(m, n) <= min(VERTEX_BUDGET, per_lp * nonzero.size):
-            g = _max_abs_dot(rows, hpolytope_vertices(polar_dual(body)))
-        else:
-            from scipy.optimize import linprog
+    linear = _linear_gauge(body)
+    if linear is not None:
+        return _row_norms(rows, *linear)
+    m, n = body.vertices.shape
+    nonzero = np.flatnonzero(np.any(rows, axis=1))
+    # Enumerate the facets within the budget when their bound is at most, per
+    # LP replaced, what one LP costs: the bound for m = n, at most LP_COST_FACETS.
+    per_lp = min(_max_facets(2 * n, n), LP_COST_FACETS)
+    if _vertex_bound(m, n) <= min(VERTEX_BUDGET, per_lp * nonzero.size):
+        # The facet normals w as the rows of an H-polytope: max |x . w| = ||x W^T||_inf.
+        return _row_norms(rows, hpolytope_vertices(polar_dual(body)).T, np.inf)
+    from scipy.optimize import linprog
 
-            # One LP per nonzero row: min sum(c+ + c-)  s.t.  V^T (c+ - c-) = x, c+- >= 0.
-            w = body.vertices.T
-            a_eq = np.hstack([w, -w])
-            g = np.zeros(rows.shape[0])
-            for i in nonzero:
-                res = linprog(np.ones(a_eq.shape[1]), A_eq=a_eq, b_eq=rows[i], bounds=(0, None), method="highs")
-                if not res.success:
-                    raise DegenerateBodyError(f"gauge LP failed: {res.message}")
-                g[i] = res.fun
+    # One LP per nonzero row: min sum(c+ + c-)  s.t.  V^T (c+ - c-) = x, c+- >= 0.
+    w = body.vertices.T
+    a_eq = np.hstack([w, -w])
+    g = np.zeros(rows.shape[0])
+    for i in nonzero:
+        res = linprog(np.ones(a_eq.shape[1]), A_eq=a_eq, b_eq=rows[i], bounds=(0, None), method="highs")
+        if not res.success:
+            raise DegenerateBodyError(f"gauge LP failed: {res.message}")
+        g[i] = res.fun
     return g
 
 
@@ -382,18 +390,20 @@ def _merge_close_rows(rows: np.ndarray) -> np.ndarray:
     from scipy.spatial import KDTree
 
     m = rows.shape[0]
-    norms = np.linalg.norm(rows, axis=1)
-    units = rows / norms[:, None]
+    # Norms and gaps are taken in units of a row's max-abs entry, so no square underflows.
+    top = np.abs(rows).max(axis=1)[:, None]
+    unit_norms = np.linalg.norm(rows / top, axis=1)
+    units = rows / top / unit_norms[:, None]
     # Such rows have unit directions within 2 * ROW_MERGE_RTOL of each other.
     tree = KDTree(np.vstack([units, -units]))
     keep = np.ones(m, dtype=bool)
-    for i in np.argsort(-norms, kind="stable"):
+    for i in np.argsort(-(top[:, 0] * unit_norms), kind="stable"):
         if keep[i]:
             near = np.asarray(tree.query_ball_point(units[i], 2 * ROW_MERGE_RTOL), dtype=int) % m
             near = near[(near != i) & keep[near]]
-            gap = np.minimum(np.linalg.norm(rows[near] - rows[i], axis=1),
-                             np.linalg.norm(rows[near] + rows[i], axis=1))
-            keep[near[gap <= ROW_MERGE_RTOL * norms[near]]] = False
+            a, b = rows[near] / top[near], rows[i] / top[near]
+            gap = np.minimum(np.linalg.norm(a - b, axis=1), np.linalg.norm(a + b, axis=1))
+            keep[near[gap <= ROW_MERGE_RTOL * unit_norms[near]]] = False
     return rows[keep]
 
 
@@ -401,15 +411,8 @@ def hpolytope_vertices(body: HPolytope) -> np.ndarray:
     """All vertices of an H-polytope (both sign classes).
 
     ``UndecidedError`` before any work when their count bound (2^n for n rows,
-    McMullen's for more) exceeds ``VERTEX_BUDGET``; otherwise the blocks of
-    ``_vertex_blocks`` joined.
+    McMullen's for more) exceeds ``VERTEX_BUDGET``; otherwise ``_enumerate_vertices``.
     """
-    return np.concatenate(list(_vertex_blocks(body)))
-
-
-def _vertex_blocks(body: HPolytope) -> Iterator[np.ndarray]:
-    """``hpolytope_vertices`` in the blocks of ``_enumerate_vertices``; the budget is
-    checked at the call, before the first block is asked for."""
     _check_budget(_vertex_bound(*body.rows.shape))
     return _enumerate_vertices(body)
 
@@ -420,31 +423,29 @@ def _check_budget(bound: int) -> None:
         raise UndecidedError(f"undecided: up to {bound} vertices exceed the enumeration budget {VERTEX_BUDGET}")
 
 
-def _enumerate_vertices(body: HPolytope) -> Iterator[np.ndarray]:
-    """The vertices with no budget, in blocks. In closed form for dim 1 and for n rows A
-    (a parallelotope): A^-1 s over the 2^n sign vectors s of ``_sign_blocks``. Otherwise
-    one block by Qhull; where it fails, nearly coincident rows are merged
-    (``ROW_MERGE_RTOL``) and Qhull runs once more; ``UndecidedError`` if it fails again.
+def _enumerate_vertices(body: HPolytope) -> np.ndarray:
+    """The vertices with no budget. In closed form for dim 1 and for n rows A (a
+    parallelotope): A^-1 s over the 2^n sign vectors s, solved per block of
+    ``_sign_blocks``. Otherwise by Qhull; where it fails, nearly coincident rows are
+    merged (``ROW_MERGE_RTOL``) and Qhull runs once more; ``UndecidedError`` if it fails
+    again.
     """
     n = body.dim
     if n == 1:
         a = 1.0 / np.max(np.abs(body.rows))
-        yield np.array([[a], [-a]])
-    elif body.rows.shape[0] == n:
+        return np.array([[a], [-a]])
+    if body.rows.shape[0] == n:
         # A parallelotope (the rows span, so A is invertible): A v = s over the sign vectors s.
-        for signs in _sign_blocks(n, 2**n):
-            yield np.linalg.solve(body.rows, signs.T).T
-    else:
-        from scipy.spatial import QhullError
+        return np.concatenate([np.linalg.solve(body.rows, s.T).T for s in _sign_blocks(n, 2**n)])
+    from scipy.spatial import QhullError
 
+    try:
+        return _halfspace_vertices(body.rows)
+    except QhullError:
         try:
-            verts = _halfspace_vertices(body.rows)
-        except QhullError:
-            try:
-                verts = _halfspace_vertices(_merge_close_rows(body.rows))
-            except QhullError as exc:
-                raise UndecidedError(f"undecided: Qhull vertex enumeration failed: {exc}".splitlines()[0]) from None
-        yield verts
+            return _halfspace_vertices(_merge_close_rows(body.rows))
+        except QhullError as exc:
+            raise UndecidedError(f"undecided: Qhull vertex enumeration failed: {exc}".splitlines()[0]) from None
 
 
 def _sign_blocks(n: int, count: int) -> Iterator[np.ndarray]:
@@ -471,52 +472,49 @@ def _sign_table(n: int, count: int) -> np.ndarray:
     return _freeze(_signs(n, 0, count))
 
 
-def _parallelotope_scale(a: np.ndarray, outer: ConvexBody) -> float:
-    """max{lambda : lambda * {|A x| <= 1} subset of outer} for n rows A.
-
-    The vertices are the rows s B over the sign vectors s, with B = A^-T formed once. In
-    an H-polytope, max_s |s B . c_j| = ||B c_j||_1 over its rows c_j: the closed form of
-    the V-in-V pair that H-in-H flips to by polarity, in O(m n^2), with no budget. Else
-    the gauges are even, so the 2^(n-1) sign vectors with the last sign +1 suffice, under
-    the budget of all 2^n: in an ellipsoid the gauge of s B is ||s B F||_2, and in a
-    V-polytope with n vertices V it is ||s B V^-1||_1, one n x n matrix G each and one
-    product per block of signs; in any other V-polytope, the gauge of the rows s B.
-    """
-    n = a.shape[0]
-    if not isinstance(outer, HPolytope):
-        _check_budget(2**n)
-    b = np.linalg.inv(a.T)
-    # The largest vertex entry is a column sum of |B|: an overflowed vertex
-    # (HPolytope(diag(1e-310, 1)) has one at inf) is refused like an outside vector.
-    if not isfinite(np.abs(b).sum(axis=0).max()):
-        raise ValueError("vector entries must be finite")
-    if isinstance(outer, HPolytope):
-        return float(1.0 / np.abs(outer.rows @ b.T).sum(axis=1).max())
-    # The largest gauge of the rows y = s G of a block of signs.
-    if isinstance(outer, Ellipsoid):
-        g, block_max = b @ outer.factor, lambda y: sqrt(np.einsum("ij,ij->i", y, y).max())
-    elif outer.vertices.shape[0] == n:
-        g, block_max = np.linalg.solve(outer.vertices.T, b.T).T, lambda y: np.abs(y).sum(axis=1).max()
-    else:
-        g, block_max = b, lambda y: _gauge(outer, y).max()
-    return float(1.0 / max(block_max(s @ g) for s in _sign_blocks(n, 2 ** (n - 1))))
-
-
 def _fit_scale(inner: ConvexBody, outer: ConvexBody) -> float:
-    """max{lambda > 0 : lambda * inner subset of outer}, exact or UndecidedError."""
-    if isinstance(inner, Ellipsoid) and isinstance(outer, Ellipsoid):
-        return float(1.0 / np.linalg.svd(np.linalg.solve(inner.factor, outer.factor), compute_uv=False)[0])
+    """max{lambda > 0 : lambda * inner subset of outer}, exact or UndecidedError.
+
+    The one dispatch, keyed by the inner kind and the outer gauge ||x M||_q (none for a
+    V-polytope with more than n vertices). Its routes, and what each can leave undecided:
+
+    * ``V-vertices``: 1 / max_j ||v_j||_outer over a V-polytope's own vertices; undecided
+      where the outer gauge enumerates facets and Qhull fails twice.
+    * ``E-norm``: an ellipsoid {u F^-1 : |u| <= 1} with q = 2 or inf: 1 / ||G||_(2->q) for
+      G = F^-1 M, sigma_max(G) or its largest column norm.
+    * ``parallelotope``: n rows A, vertices s B over the sign vectors s, B = A^-T formed
+      once; an overflowed vertex (a column sum of |B|) is refused like an outside vector.
+      For q = inf, 1 / max_j ||B c_j||_1 over the outer rows c_j (the largest column
+      1-norm of G = B M). Otherwise, under the budget of 2^n, max ||s G||_q with G = B M,
+      or the gauges of s B with no linear gauge, over the 2^(n-1) signs with last sign +1
+      (the gauges are even), one product per block.
+    * ``flip``: lambda * K in L iff lambda * L° in K°: E in V, and H in H with more than
+      n inner rows, go to H in E and to V-vertices.
+    * ``H-vertices``: more than n rows in E or V: the Qhull vertices, checked (they can
+      overflow); undecided past McMullen's bound or where Qhull fails twice.
+    """
     if isinstance(inner, VPolytope):
-        # Its vertices were validated when it was built.
         return float(1.0 / np.max(_gauge(outer, inner.vertices)))
-    if isinstance(inner, HPolytope) and inner.rows.shape[0] == inner.dim:
-        return _parallelotope_scale(inner.rows, outer)
+    m, q = _linear_gauge(outer) or (None, None)
+    if isinstance(inner, Ellipsoid) and q in (2, np.inf):
+        g = np.linalg.inv(inner.factor) @ m
+        top = np.linalg.svd(g, compute_uv=False)[0] if q == 2 else np.sqrt(np.einsum("ij,ij->j", g, g).max())
+        return float(1.0 / top)
+    n = inner.dim
+    if isinstance(inner, HPolytope) and inner.rows.shape[0] == n:
+        if q != np.inf:
+            _check_budget(2**n)
+        b = np.linalg.inv(inner.rows.T)
+        if not isfinite(np.abs(b).sum(axis=0).max()):
+            raise ValueError("vector entries must be finite")
+        g = b if m is None else b @ m
+        if q == np.inf:
+            return float(1.0 / np.abs(g).sum(axis=0).max())
+        return float(1.0 / max((_gauge(outer, s @ g) if m is None else _row_norms(s, g, q)).max()
+                               for s in _sign_blocks(n, 2 ** (n - 1))))
     if isinstance(inner, Ellipsoid) or isinstance(outer, HPolytope):
-        # By unit polarity lambda * K in L iff lambda * L° in K°: E in H or V flips to V or
-        # H in E, and H in H to V in V, whose gauge takes facets or LPs, so no budget refuses it.
         return _fit_scale(polar_dual(outer), polar_dual(inner))
-    # Enumerated vertices are checked: they can overflow.
-    return float(1.0 / reduce(np.maximum, (np.max(gauge(outer, block)) for block in _vertex_blocks(inner))))
+    return float(1.0 / np.max(gauge(outer, hpolytope_vertices(inner))))
 
 
 DEFAULT_TOL = 1e-9
@@ -547,11 +545,12 @@ def contains(outer: ConvexBody, inner: ConvexBody, tol: float = DEFAULT_TOL) -> 
     Decided by the inclusion scale max{lambda : lambda * inner in outer},
     accepted when it is at least 1/(1 + tol), the same rule as the
     quantum-pair verdict and the 4*hbar capacity bound. Exact for every
-    pairing of the three representations. An H-polytope inside an H-polytope
-    never enumerates vertices (it flips by polarity to V inside V). An
-    H-polytope inside an ellipsoid or a V-polytope, or an ellipsoid inside a
-    V-polytope (which flips to H inside E), raises ``UndecidedError`` when the
-    inner H-polytope's vertex count bound exceeds ``VERTEX_BUDGET``.
+    pairing, by the routes of ``_fit_scale``. Only an H-polytope inside an
+    ellipsoid or a V-polytope, and an ellipsoid inside a V-polytope (which
+    flips to H inside E), enumerate vertices: ``UndecidedError`` past
+    ``VERTEX_BUDGET`` (for n rows, above n = 20) or where Qhull fails twice,
+    as in any pairing whose gauge enumerates facets (a V-polytope outer body
+    with more than n vertices, to which H inside H with more rows flips).
     """
     if outer.dim != inner.dim:
         raise DimensionError(f"dimension mismatch: outer {outer.dim}, inner {inner.dim}")

@@ -43,13 +43,13 @@ class PairVerdict:
 def inclusion_scale(x: ConvexBody, p: ConvexBody, hbar: float = 1.0) -> float:
     """lambda_max = max{lambda > 0 : lambda * P^hbar subset of X}.
 
-    Exact for every pairing of the three representations. The inner body
-    P^hbar is an H-polytope when P is a V-polytope; inside an H-polytope X it
-    never needs vertices (the pair flips by polarity to V inside V). When the
-    computation needs the vertices of an H-polytope (P a V-polytope with X an
-    ellipsoid or a V-polytope, or X a V-polytope with P an ellipsoid) whose
-    count bound exceeds ``bodies.VERTEX_BUDGET``, it raises
-    ``UndecidedError``. Symmetric in its body arguments.
+    Exact for every pairing, by the routes of ``bodies._fit_scale`` for P^hbar
+    inside X. Only P a V-polytope with X an ellipsoid or a V-polytope, and P an
+    ellipsoid with X a V-polytope, enumerate vertices: ``UndecidedError`` past
+    ``bodies.VERTEX_BUDGET`` (for n vertices of P, above n = 20) or where Qhull
+    fails twice, as in any pairing whose gauge enumerates facets (X a V-polytope
+    with more than n vertices, or X an H-polytope with P a V-polytope with more
+    than n vertices). Symmetric in its body arguments.
     """
     if x.dim != p.dim:
         raise DimensionError(f"dimension mismatch: X is {x.dim}-dim, P is {p.dim}-dim")
@@ -64,7 +64,7 @@ def is_quantum_pair(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,
     product-capacity value are mutually consistent by construction; the
     boundary lambda_max = 1 (dual touching) counts as a pair. Raises
     ``UndecidedError`` where ``inclusion_scale`` does; the vertex budget never
-    refuses X an H-polytope with P a V-polytope.
+    refuses X an H-polytope.
     """
     lam = inclusion_scale(x, p, hbar)
     return PairVerdict(is_pair=_accepts(lam, tol), lambda_max=lam, margin=lam - 1.0)

@@ -544,10 +544,10 @@ def test_no_lp_up_to_the_enumeration_cap(n, monkeypatch):
             contains(x, polar_dual(p))
 
 
-def test_parallelotope_vertices_stream_in_blocks(rng):
-    # At n = 18 the 2^18 vertices take two blocks; the scale, taken over half the
-    # sign vectors through B = A^-T, is the full enumeration's to 1e-14 for each
-    # kind of outer body.
+def test_parallelotope_vertices_stream_in_blocks(rng, monkeypatch):
+    # At n = 18 the 2^18 vertices are solved in two blocks of sign vectors; the scale,
+    # taken over half the sign vectors through B = A^-T, is the full enumeration's to
+    # 1e-14 for each kind of outer body.
     import qpolar.bodies
     import tracemalloc
 
@@ -556,14 +556,21 @@ def test_parallelotope_vertices_stream_in_blocks(rng):
     signs = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
     full = np.linalg.solve(a, signs.T).T
     inner = HPolytope(a)
-    assert len(list(qpolar.bodies._vertex_blocks(inner))) == 2
+    assert len(list(qpolar.bodies._sign_blocks(n, 2**n))) == 2
     for outer in (Ellipsoid(random_spd(n, rng)), HPolytope(rng.standard_normal((n, n)) + 4 * np.eye(n)),
                   VPolytope(rng.standard_normal((n, n)) + 4 * np.eye(n))):
         assert _fit_scale(inner, outer) == pytest.approx(1.0 / np.max(gauge(outer, full)), rel=1e-14, abs=0.0)
     assert np.array_equal(hpolytope_vertices(inner), full)
     del full, signs
 
-    # At n = 20 the vertices alone take 168 MB; streamed, the scale never holds them all.
+    # At n = 20 the vertices alone take 168 MB; the scale streams its 2^19 sign
+    # vectors in three blocks and never holds them all.
+    blocks = []
+    def counted(n, count, _run=qpolar.bodies._sign_blocks):
+        for s in _run(n, count):
+            blocks.append(s.shape[0])
+            yield s
+    monkeypatch.setattr(qpolar.bodies, "_sign_blocks", counted)
     inner, outer = HPolytope(np.eye(20)), Ellipsoid.ball(20)
     tracemalloc.start()
     try:
@@ -571,6 +578,7 @@ def test_parallelotope_vertices_stream_in_blocks(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(blocks) == 3 and sum(blocks) == 2**19
     assert peak < 2**20 * 20 * 8
 
 
@@ -939,6 +947,35 @@ def test_overflowed_vertices_are_refused():
                 decide()
 
 
+def test_overflowed_outer_gauges_give_a_zero_scale():
+    # The box of half-width 1e200 has finite vertices, but their gauges overflow in
+    # these outer bodies: the scale is 0, not NaN, and the pair verdict reads it. So
+    # does a ball of radius 1e150 in a turned box of half-width 1e-200.
+    inner = HPolytope.box([1e200, 1e200])
+    for outer in (Ellipsoid.ball(2), HPolytope.box([1e-200, 1e-200]), VPolytope(1e-200 * np.eye(2))):
+        with np.errstate(over="ignore"):
+            assert _fit_scale(inner, outer) == 0.0
+            verdict = is_quantum_pair(outer, polar_dual(inner))
+        assert verdict.lambda_max == 0.0 and not verdict.is_pair
+    c, s = np.cos(0.3), np.sin(0.3)
+    with np.errstate(over="ignore"):
+        assert _fit_scale(Ellipsoid.ball(2, 1e150), HPolytope(1e200 * np.array([[c, -s], [s, c]]))) == 0.0
+
+
+def test_row_merge_takes_norms_without_underflow():
+    # Squares of rows of 1e-300 underflow. The merge before Qhull's retry measures rows
+    # in units of their max-abs entry: a near copy of a tiny row is dropped, and where
+    # Qhull fails again the scale is undecided, not a bare ValueError from KDTree.
+    from qpolar.bodies import _merge_close_rows
+
+    rows = np.array([[1e-300, 0.0], [0.0, 1.0], [1.000000000001e-300, 0.0]])
+    assert np.array_equal(_merge_close_rows(rows), rows[1:])
+    h = HPolytope([[1e-300, 0.0], [0.0, 1.0], [1e-300, 1e-300]])
+    for outer in (Ellipsoid.ball(2), HPolytope.box([1.0, 1.0]), VPolytope(np.eye(2))):
+        with pytest.raises(UndecidedError, match="^undecided: Qhull vertex enumeration failed"):
+            _fit_scale(h, outer)
+
+
 def _with_condition(n, cond, rng):
     """A random n x n matrix with singular values geometrically spaced from 1 to cond."""
     q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -946,33 +983,58 @@ def _with_condition(n, cond, rng):
     return (q1 * np.geomspace(1.0, cond, n)) @ q2.T
 
 
-@given(kind=st.sampled_from(["ellipsoid", "cross image", "hpoly"]), n=st.sampled_from([1, 2, 3]),
-       log_cond=st.integers(0, 6), log_scale=st.floats(-3, 3), seed=st.integers(0, 2**32 - 1))
-def test_parallelotope_scales_match_a_60_digit_oracle(kind, n, log_cond, log_scale, seed):
-    # The parallelotope {|A x| <= 1}, cond(A) up to 1e6, in an ellipsoid, a V-polytope
-    # with n vertices and an H-polytope with n + 2 rows: lambda against its 2^n
-    # vertices A^-1 s and the outer gauge, both in 60 digits on the same floats. The
-    # error stays below n cond(A) eps over 900 seeds; FACTOR_ERR_C times that is allowed.
+@given(inner=st.sampled_from(["parallelotope", "ellipsoid"]), kind=st.sampled_from(["ellipsoid", "cross image", "hpoly"]),
+       n=st.sampled_from([1, 2, 3]), log_cond=st.integers(0, 6), log_scale=st.floats(-3, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_parallelotope_scales_match_a_60_digit_oracle(inner, kind, n, log_cond, log_scale, seed):
+    # The parallelotope {|A x| <= 1}, cond(A) up to 1e6, or the ellipsoid {x^T Q x <= 1},
+    # cond(Q) up to 1e6, in an ellipsoid, a V-polytope with n vertices and an H-polytope
+    # with n + 2 rows: lambda against the outer gauge over the parallelotope's 2^n
+    # vertices A^-1 s, or over the ellipsoid by its support h(c) = sqrt(c^T Q^-1 c), all
+    # in 60 digits on the same floats. The error stays below n cond eps (over 900 seeds
+    # for the parallelotope, 300 for the ellipsoid); FACTOR_ERR_C times that is allowed.
     rng = np.random.default_rng(seed)
     cond = 10.0**log_cond
-    a = _with_condition(n, cond, rng) * 10.0**log_scale
     m = rng.standard_normal((n, n)) + 3 * np.eye(n)
     outer = {"ellipsoid": lambda: Ellipsoid(m @ m.T), "cross image": lambda: VPolytope(m),
              "hpoly": lambda: HPolytope(np.vstack([m, rng.standard_normal((2, n))]))}[kind]()
-    lam = _fit_scale(HPolytope(a), outer)
+    if inner == "parallelotope":
+        a = _with_condition(n, cond, rng) * 10.0**log_scale
+        body = HPolytope(a)
+    else:
+        body = Ellipsoid(spd_with_condition(n, cond, rng) * 10.0**log_scale)
+    lam = _fit_scale(body, outer)
     with mpmath.workdps(60):
-        verts = [mpmath.lu_solve(mpmath.matrix(a.tolist()), mpmath.matrix(s))
-                 for s in itertools.product((-1, 1), repeat=n)]
-        if kind == "ellipsoid":
-            q = mpmath.matrix(outer.matrix.tolist())
-            gauges = [mpmath.sqrt((v.T * q * v)[0]) for v in verts]
-        elif kind == "cross image":
-            vt = mpmath.matrix(outer.vertices.T.tolist())
-            gauges = [sum(abs(c) for c in mpmath.lu_solve(vt, v)) for v in verts]
+        if inner == "ellipsoid":
+            q_inv = mpmath.inverse(mpmath.matrix(body.matrix.tolist()))
+
+            def h(c):
+                return mpmath.sqrt((c.T * q_inv * c)[0])
+
+            if kind == "ellipsoid":
+                # max x^T Q_out x over x^T Q x <= 1: the largest eigenvalue of L^-1 Q_out L^-T, Q = L L^T.
+                l_inv = mpmath.inverse(mpmath.cholesky(mpmath.matrix(body.matrix.tolist())))
+                top = mpmath.sqrt(max(mpmath.eigsy(l_inv * mpmath.matrix(outer.matrix.tolist()) * l_inv.T)[0]))
+            elif kind == "cross image":
+                # The outer gauge is max_s s . V^-T x, so its maximum is max_s h(V^-1 s).
+                v = mpmath.matrix(outer.vertices.tolist())
+                top = max(h(mpmath.lu_solve(v, mpmath.matrix(s))) for s in itertools.product((-1, 1), repeat=n))
+            else:
+                top = max(h(mpmath.matrix(c.tolist())) for c in outer.rows)
         else:
-            rows = mpmath.matrix(outer.rows.tolist())
-            gauges = [max(abs(x) for x in rows * v) for v in verts]
-        exact = 1 / max(gauges)
+            verts = [mpmath.lu_solve(mpmath.matrix(a.tolist()), mpmath.matrix(s))
+                     for s in itertools.product((-1, 1), repeat=n)]
+            if kind == "ellipsoid":
+                q = mpmath.matrix(outer.matrix.tolist())
+                gauges = [mpmath.sqrt((v.T * q * v)[0]) for v in verts]
+            elif kind == "cross image":
+                vt = mpmath.matrix(outer.vertices.T.tolist())
+                gauges = [sum(abs(c) for c in mpmath.lu_solve(vt, v)) for v in verts]
+            else:
+                rows = mpmath.matrix(outer.rows.tolist())
+                gauges = [max(abs(x) for x in rows * v) for v in verts]
+            top = max(gauges)
+        exact = 1 / top
         assert abs(lam - exact) <= FACTOR_ERR_C * n * cond * EPS * exact
 
 
@@ -1037,7 +1099,7 @@ def test_parallelotope_work_per_verdict(monkeypatch):
     monkeypatch.setattr(qpolar.bodies, "VERTEX_BUDGET", 2**n - 1)
     with pytest.raises(UndecidedError, match=f"up to {2**n} vertices exceed the enumeration budget {2**n - 1}$"):
         _fit_scale(inner, outers["ellipsoid"])
-    monkeypatch.setattr(qpolar.bodies, "_vertex_blocks", None)
+    monkeypatch.setattr(qpolar.bodies, "hpolytope_vertices", None)
     monkeypatch.setattr(qpolar.bodies, "_enumerate_vertices", None)
     assert _fit_scale(inner, outers["box"]) == expected["box"]
     assert _fit_scale(tall, outers["hpoly"]) == pytest.approx(tall_in_hpoly, rel=1e-9, abs=0.0)

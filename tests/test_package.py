@@ -78,3 +78,35 @@ def test_unused_import_check_finds_one():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
 def test_no_unused_imports(module):
     assert _unused_imports((PACKAGE / module).read_text()) == []
+
+
+def _unread_helpers(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each module-level private function, class or constant, and each
+    upper-case constant, that no other top-level statement of these modules reads: a
+    helper only tests use belongs in ``tests/``."""
+    statements = [(module, node) for module, source in sources.items() for node in ast.parse(source).body]
+    reads = [{n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)}
+             for _, node in statements]
+    unread = []
+    for i, (module, node) in enumerate(statements):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        unread += [f"{module}.{name}" for name in names
+                   if (name.startswith("_") and not name.startswith("__") or name.isupper())
+                   and not any(name in r for j, r in enumerate(reads) if j != i)]
+    return sorted(unread)
+
+
+def test_unread_helper_check_finds_one():
+    sources = {"a": "LIMIT = 3\n_SCALE = 2\ndef _used(x):\n    return _SCALE * x\ndef _dead():\n    return _dead()\n",
+               "b": "from .a import _used\ndef public(x):\n    return _used(x) + LIMIT\n"}
+    assert _unread_helpers(sources) == ["a._dead"]
+
+
+def test_no_unread_helpers():
+    assert _unread_helpers({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []
