@@ -23,30 +23,21 @@ image), at every dimension, and ``_row_norms`` is its one blocked kernel. Any ot
 V-polytope's gauge is max |w . x| over its facet normals w, the vertices of its unit
 polar from ``hpolytope_vertices``, the one polytope conversion, unless there may be so
 many that one HiGHS LP per row costs less. ``gauge`` checks its rows and the internal
-``_gauge`` does not: ``_fit_scale`` passes a V-polytope's own vertices, validated when it
-was built, and checks the vertices it enumerates, which can overflow. The support
+``_gauge`` does not: its callers pass a body's own rows or vertices, validated when it
+was built, and check the vertices they enumerate, which can overflow. The support
 function is the gauge of the unit polar, h_K = ||.||_{K°}. An H-polytope with n rows A (a
 parallelotope) has the vertices A^-1 s over the 2^n sign vectors s; Qhull runs only for
 more rows, and no enumeration starts whose vertex count bound exceeds ``VERTEX_BUDGET``.
 
 Containment, the quantum-pair verdict and the product capacity all reduce to one
-inclusion scale, max{lambda : lambda * inner subset of outer}, computed by ``_fit_scale``,
-the one dispatch, and accepted by ``_accepts``, the one rule of every verdict. Its routes,
-keyed by the inner kind and the outer gauge's q, are named in its docstring: V-polytope
-vertices in any body, an ellipsoid in a body with q = 2 or inf by one matrix norm, and a
-parallelotope in closed form in an H-polytope, elsewhere over half its vertices through
-one n x n matrix. E in V, and H in H with more than n inner rows, flip by polarity; such
-an H-polytope in E or V enumerates. So only H in E, H in V and E in V can be refused by
-the budget (2^n for a parallelotope, refused above n = 20; McMullen's bound for more
-rows), and they and any pairing whose outer gauge enumerates facets (a V-polytope with
-more than n vertices, which H in H with more inner rows flips to) are undecided where
-Qhull fails twice.
+inclusion scale, 1 / sigma for the one symmetric pairing of ``_polar_pairing`` (its
+docstring lists the routes), accepted by ``_accepts``, the one rule of every verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, frexp, isfinite
 from typing import Iterator, Union
 
@@ -244,7 +235,8 @@ def _linear_gauge(body: ConvexBody) -> tuple[np.ndarray, float] | None:
     """(M, q) with ||x||_body = ||x M||_q for every row vector x, where the gauge has this
     closed form: (F, 2) for an ellipsoid with Q = F F^T, (A^T, inf) for an H-polytope
     with rows A and (V^-1, 1) for a V-polytope with n vertices V. None for any other
-    V-polytope (``_gauge`` takes its facets or LPs)."""
+    V-polytope (``_gauge`` takes its facets or LPs). ValueError where a row sum of |V^-1|,
+    the largest entry of the unit polar's vertices s V^-T, overflows."""
     if isinstance(body, Ellipsoid):
         return body.factor, 2
     if isinstance(body, HPolytope):
@@ -252,7 +244,10 @@ def _linear_gauge(body: ConvexBody) -> tuple[np.ndarray, float] | None:
     if body.vertices.shape[0] == body.dim:
         # A linear image of the cross-polytope: x = c V has the one solution
         # c = x V^-1, so the least ||c||_1 over x's representations is its own.
-        return np.linalg.inv(body.vertices), 1
+        inv = np.linalg.inv(body.vertices)
+        if not isfinite(np.abs(inv).sum(axis=1).max()):
+            raise ValueError("vector entries must be finite")
+        return inv, 1
     return None
 
 
@@ -414,7 +409,7 @@ def hpolytope_vertices(body: HPolytope) -> np.ndarray:
     McMullen's for more) exceeds ``VERTEX_BUDGET``; otherwise ``_enumerate_vertices``.
     """
     _check_budget(_vertex_bound(*body.rows.shape))
-    return _enumerate_vertices(body)
+    return _enumerate_vertices(body.rows)
 
 
 def _check_budget(bound: int) -> None:
@@ -423,27 +418,27 @@ def _check_budget(bound: int) -> None:
         raise UndecidedError(f"undecided: up to {bound} vertices exceed the enumeration budget {VERTEX_BUDGET}")
 
 
-def _enumerate_vertices(body: HPolytope) -> np.ndarray:
-    """The vertices with no budget. In closed form for dim 1 and for n rows A (a
-    parallelotope): A^-1 s over the 2^n sign vectors s, solved per block of
-    ``_sign_blocks``. Otherwise by Qhull; where it fails, nearly coincident rows are
-    merged (``ROW_MERGE_RTOL``) and Qhull runs once more; ``UndecidedError`` if it fails
-    again.
+def _enumerate_vertices(rows: np.ndarray) -> np.ndarray:
+    """The vertices of {x : |a_i . x| <= 1} over validated rows a_i, with no budget. In
+    closed form for dim 1 and for n rows A (a parallelotope): A^-1 s over the 2^n sign
+    vectors s, solved per block of ``_sign_blocks``. Otherwise by Qhull; where it fails,
+    nearly coincident rows are merged (``ROW_MERGE_RTOL``) and Qhull runs once more;
+    ``UndecidedError`` if it fails again.
     """
-    n = body.dim
+    m, n = rows.shape
     if n == 1:
-        a = 1.0 / np.max(np.abs(body.rows))
+        a = 1.0 / np.max(np.abs(rows))
         return np.array([[a], [-a]])
-    if body.rows.shape[0] == n:
+    if m == n:
         # A parallelotope (the rows span, so A is invertible): A v = s over the sign vectors s.
-        return np.concatenate([np.linalg.solve(body.rows, s.T).T for s in _sign_blocks(n, 2**n)])
+        return np.concatenate([np.linalg.solve(rows, s.T).T for s in _sign_blocks(n, 2**n)])
     from scipy.spatial import QhullError
 
     try:
-        return _halfspace_vertices(body.rows)
+        return _halfspace_vertices(rows)
     except QhullError:
         try:
-            return _halfspace_vertices(_merge_close_rows(body.rows))
+            return _halfspace_vertices(_merge_close_rows(rows))
         except QhullError as exc:
             raise UndecidedError(f"undecided: Qhull vertex enumeration failed: {exc}".splitlines()[0]) from None
 
@@ -472,49 +467,63 @@ def _sign_table(n: int, count: int) -> np.ndarray:
     return _freeze(_signs(n, 0, count))
 
 
-def _fit_scale(inner: ConvexBody, outer: ConvexBody) -> float:
-    """max{lambda > 0 : lambda * inner subset of outer}, exact or UndecidedError.
+def _kind_order(body: ConvexBody) -> int:
+    """The order of kinds in ``_polar_pairing``: H-polytope, V-polytope with n vertices, with more, ellipsoid."""
+    return 3 if isinstance(body, Ellipsoid) else 0 if isinstance(body, HPolytope) else 1 + (len(body.vertices) > body.dim)
 
-    The one dispatch, keyed by the inner kind and the outer gauge ||x M||_q (none for a
-    V-polytope with more than n vertices). Its routes, and what each can leave undecided:
 
-    * ``V-vertices``: 1 / max_j ||v_j||_outer over a V-polytope's own vertices; undecided
-      where the outer gauge enumerates facets and Qhull fails twice.
-    * ``E-norm``: an ellipsoid {u F^-1 : |u| <= 1} with q = 2 or inf: 1 / ||G||_(2->q) for
-      G = F^-1 M, sigma_max(G) or its largest column norm.
-    * ``parallelotope``: n rows A, vertices s B over the sign vectors s, B = A^-T formed
-      once; an overflowed vertex (a column sum of |B|) is refused like an outside vector.
-      For q = inf, 1 / max_j ||B c_j||_1 over the outer rows c_j (the largest column
-      1-norm of G = B M). Otherwise, under the budget of 2^n, max ||s G||_q with G = B M,
-      or the gauges of s B with no linear gauge, over the 2^(n-1) signs with last sign +1
-      (the gauges are even), one product per block.
-    * ``flip``: lambda * K in L iff lambda * L° in K°: E in V, and H in H with more than
-      n inner rows, go to H in E and to V-vertices.
-    * ``H-vertices``: more than n rows in E or V: the Qhull vertices, checked (they can
-      overflow); undecided past McMullen's bound or where Qhull fails twice.
+def _polar_pairing(a: ConvexBody, b: ConvexBody) -> float:
+    """sigma(a, b) = max{x . y : x in a°, y in b°} = max ||y||_a over y in b°, exact or
+    UndecidedError; no polar body is built.
+
+    max{lambda : lambda * b° in a} = 1 / sigma(a, b): 1 / sigma(outer, inner°) for
+    containment (``_fit_scale``), 1 / (hbar sigma(X, P)) for P^hbar = hbar P° in X. sigma is
+    symmetric, so the arguments are ordered by kind (``_kind_order``; a tie keeps them) and
+    the route is that of b, the earlier kind: the swap is lambda K in L iff lambda L° in K°.
+
+    * H-polytope with rows c_j, b°'s vertices: max_j ||c_j||_a, in closed form unless a is a
+      V-polytope with more than n vertices. This gives E in H, H in H and V in any body.
+    * V-polytope with n vertices V: b° is the parallelotope with the vertices s V^-T. Under
+      the budget of 2^n, over the 2^(n-1) sign vectors s with last sign +1 (the gauges are
+      even), ||s G||_q with G = V^-T M for a's gauge ||x M||_q, one product per block, or
+      a's gauges of s V^-T. ``_linear_gauge`` refuses an overflowed V^-1.
+    * V-polytope with more than n vertices: a's gauges of b°'s Qhull vertices, checked
+      (they can overflow); undecided past McMullen's bound.
+    * Two ellipsoids: sigma_max(F_b^T F_a).
+
+    So only E or V against V can be refused by the budget (2^n for n vertices, refused above
+    n = 20; McMullen's bound for more), and only a pairing with a V-polytope with more than n
+    vertices (its polar's vertices, or its facets) is undecided where Qhull fails twice.
+    Overflowed products give inf, or NaN with opposite signs, which np.maximum (unlike max)
+    keeps across blocks and ``_reciprocal`` reads as inf.
     """
-    if isinstance(inner, VPolytope):
-        return float(1.0 / np.max(_gauge(outer, inner.vertices)))
-    m, q = _linear_gauge(outer) or (None, None)
-    if isinstance(inner, Ellipsoid) and q in (2, np.inf):
-        g = np.linalg.inv(inner.factor) @ m
-        top = np.linalg.svd(g, compute_uv=False)[0] if q == 2 else np.sqrt(np.einsum("ij,ij->j", g, g).max())
-        return float(1.0 / top)
-    n = inner.dim
-    if isinstance(inner, HPolytope) and inner.rows.shape[0] == n:
-        if q != np.inf:
-            _check_budget(2**n)
-        b = np.linalg.inv(inner.rows.T)
-        if not isfinite(np.abs(b).sum(axis=0).max()):
-            raise ValueError("vector entries must be finite")
-        g = b if m is None else b @ m
-        if q == np.inf:
-            return float(1.0 / np.abs(g).sum(axis=0).max())
-        return float(1.0 / max((_gauge(outer, s @ g) if m is None else _row_norms(s, g, q)).max()
-                               for s in _sign_blocks(n, 2 ** (n - 1))))
-    if isinstance(inner, Ellipsoid) or isinstance(outer, HPolytope):
-        return _fit_scale(polar_dual(outer), polar_dual(inner))
-    return float(1.0 / np.max(gauge(outer, hpolytope_vertices(inner))))
+    if _kind_order(a) < _kind_order(b):
+        a, b = b, a
+    if isinstance(b, Ellipsoid):
+        return float(np.linalg.svd(b.factor.T @ a.factor, compute_uv=False)[0])
+    if isinstance(b, HPolytope):
+        return float(np.max(_gauge(a, b.rows)))
+    n = b.dim
+    if len(b.vertices) > n:
+        _check_budget(_vertex_bound(*b.vertices.shape))
+        return float(np.max(gauge(a, _enumerate_vertices(b.vertices))))
+    _check_budget(2**n)
+    g = _linear_gauge(b)[0].T
+    m, q = _linear_gauge(a) or (None, None)
+    g = g if m is None else g @ m
+    return float(reduce(np.maximum, ((_gauge(a, s @ g) if m is None else _row_norms(s, g, q)).max()
+                                     for s in _sign_blocks(n, 2 ** (n - 1)))))
+
+
+def _reciprocal(t: float) -> float:
+    """1 / t for t = c * sigma (``_polar_pairing``) with c > 0: 0 where t is inf or NaN
+    (overflowed products), inf where t underflows to 0."""
+    return 0.0 if not t < np.inf else 1.0 / t if t else np.inf
+
+
+def _fit_scale(inner: ConvexBody, outer: ConvexBody) -> float:
+    """max{lambda > 0 : lambda * inner subset of outer} = 1 / sigma(outer, inner°) (``_polar_pairing``)."""
+    return _reciprocal(_polar_pairing(outer, polar_dual(inner)))
 
 
 DEFAULT_TOL = 1e-9
@@ -542,15 +551,9 @@ def _check_hbar(hbar: float) -> None:
 def contains(outer: ConvexBody, inner: ConvexBody, tol: float = DEFAULT_TOL) -> bool:
     """Test inner subset-of (1 + tol) * outer.
 
-    Decided by the inclusion scale max{lambda : lambda * inner in outer},
-    accepted when it is at least 1/(1 + tol), the same rule as the
-    quantum-pair verdict and the 4*hbar capacity bound. Exact for every
-    pairing, by the routes of ``_fit_scale``. Only an H-polytope inside an
-    ellipsoid or a V-polytope, and an ellipsoid inside a V-polytope (which
-    flips to H inside E), enumerate vertices: ``UndecidedError`` past
-    ``VERTEX_BUDGET`` (for n rows, above n = 20) or where Qhull fails twice,
-    as in any pairing whose gauge enumerates facets (a V-polytope outer body
-    with more than n vertices, to which H inside H with more rows flips).
+    Decided by the inclusion scale max{lambda : lambda * inner in outer} (``_fit_scale``),
+    accepted when it is at least 1/(1 + tol), the same rule as the quantum-pair verdict
+    and the 4*hbar capacity bound; ``UndecidedError`` where ``_polar_pairing`` is.
     """
     if outer.dim != inner.dim:
         raise DimensionError(f"dimension mismatch: outer {outer.dim}, inner {inner.dim}")

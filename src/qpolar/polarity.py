@@ -9,18 +9,20 @@ convex bodies, and at hbar = 1 reduces to the classical polar set. A pair
 (X, P) is a quantum pair when X^hbar is contained in P; the relation is
 symmetric in X and P. The inclusion scale
 
-    lambda_max = max{lambda > 0 : lambda * P^hbar subset of X}
+    lambda_max = max{lambda > 0 : lambda * P^hbar subset of X} = 1 / (hbar sigma(X, P))
 
 quantifies the pair: lambda_max >= 1 iff (X, P) is a quantum pair, and
-4 * hbar * lambda_max is the product capacity (see capacities). The
-representation map X -> X^hbar is ``bodies.polar_dual``.
+4 * hbar * lambda_max is the product capacity (see capacities). The pairing
+sigma(X, P) = max{x . y : x in X°, y in P°} is plainly symmetric in X and P, and
+needs no polar body (``bodies._polar_pairing``). The representation map
+X -> X^hbar is ``bodies.polar_dual``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bodies import DEFAULT_TOL, ConvexBody, _accepts, _fit_scale, polar_dual
+from .bodies import DEFAULT_TOL, ConvexBody, _accepts, _check_hbar, _polar_pairing, _reciprocal
 from .errors import DimensionError
 
 
@@ -41,19 +43,15 @@ class PairVerdict:
 
 
 def inclusion_scale(x: ConvexBody, p: ConvexBody, hbar: float = 1.0) -> float:
-    """lambda_max = max{lambda > 0 : lambda * P^hbar subset of X}.
+    """lambda_max = max{lambda > 0 : lambda * P^hbar subset of X} = 1 / (hbar sigma(X, P)).
 
-    Exact for every pairing, by the routes of ``bodies._fit_scale`` for P^hbar
-    inside X. Only P a V-polytope with X an ellipsoid or a V-polytope, and P an
-    ellipsoid with X a V-polytope, enumerate vertices: ``UndecidedError`` past
-    ``bodies.VERTEX_BUDGET`` (for n vertices of P, above n = 20) or where Qhull
-    fails twice, as in any pairing whose gauge enumerates facets (X a V-polytope
-    with more than n vertices, or X an H-polytope with P a V-polytope with more
-    than n vertices). Symmetric in its body arguments.
+    Exact, or ``UndecidedError`` where sigma, ``bodies._polar_pairing``, is (its
+    docstring lists the routes); symmetric in its body arguments.
     """
     if x.dim != p.dim:
         raise DimensionError(f"dimension mismatch: X is {x.dim}-dim, P is {p.dim}-dim")
-    return _fit_scale(polar_dual(p, hbar), x)
+    _check_hbar(hbar)
+    return _reciprocal(float(hbar) * _polar_pairing(x, p))
 
 
 def is_quantum_pair(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,
@@ -63,8 +61,7 @@ def is_quantum_pair(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,
     Decided through the inclusion scale, so the verdict, the scale, and the
     product-capacity value are mutually consistent by construction; the
     boundary lambda_max = 1 (dual touching) counts as a pair. Raises
-    ``UndecidedError`` where ``inclusion_scale`` does; the vertex budget never
-    refuses X an H-polytope.
+    ``UndecidedError`` where ``inclusion_scale`` does.
     """
     lam = inclusion_scale(x, p, hbar)
     return PairVerdict(is_pair=_accepts(lam, tol), lambda_max=lam, margin=lam - 1.0)

@@ -67,7 +67,7 @@ def section_polygon(body: ConvexBody, plane: tuple[int, int]) -> np.ndarray:
     if restricted.size == 0 or np.linalg.matrix_rank(restricted) < 2:
         raise DegenerateBodyError("section is unbounded on the requested plane")
     # A polygon has at most one vertex per row: only the n-dim enumeration is budgeted.
-    return _order_by_angle(_enumerate_vertices(HPolytope(restricted)))
+    return _order_by_angle(_enumerate_vertices(HPolytope(restricted).rows))
 
 
 def product_section_rectangle(x_body: ConvexBody, p_body: ConvexBody,

@@ -22,6 +22,7 @@ from qpolar.bodies import (
     gauge,
     hpolytope_vertices,
     linear_image,
+    polar_dual,
     scale,
     support,
 )
@@ -36,7 +37,7 @@ from qpolar.errors import (
     UndecidedError,
 )
 from qpolar.hardy import HardyInput, hardy_check
-from qpolar.polarity import inclusion_scale, is_quantum_pair, polar_dual
+from qpolar.polarity import inclusion_scale, is_quantum_pair
 from qpolar.quantum import covariance_ellipsoid, project_xp, random_quantum_covariance, theorem2_check
 from qpolar.sections import section_polygon
 
@@ -878,8 +879,10 @@ def full_polytope_checks():
 def test_polytopes_are_validated_once_on_construction(rng):
     # polar_dual scales a validated polytope and keeps its rank, so the full
     # validator sees only the polytopes a caller constructs (linear_image is one).
+    # A pair verdict builds no polar body at all.
     n = 3
-    with full_polytope_checks() as seen:
+    bodies = sys.modules["qpolar.bodies"]
+    with full_polytope_checks() as seen, mock.patch.object(bodies, "polar_dual", wraps=bodies.polar_dual) as polars:
         l = rng.standard_normal((n, n)) + 3 * np.eye(n)
         box = linear_image(HPolytope.box(np.full(n, 2.0)), l)
         cross = linear_image(VPolytope(np.eye(n)), np.linalg.inv(l).T)
@@ -889,6 +892,7 @@ def test_polytopes_are_validated_once_on_construction(rng):
         for x, p in itertools.product(shapes.values(), repeat=2):
             is_quantum_pair(x, p, hbar=0.7)
         product_capacity(box, cross, hbar=2.0)
+        assert polars.call_count == 0
         contains(box, polar_dual(cross))
         assert seen == []
 
@@ -960,6 +964,25 @@ def test_overflowed_outer_gauges_give_a_zero_scale():
     c, s = np.cos(0.3), np.sin(0.3)
     with np.errstate(over="ignore"):
         assert _fit_scale(Ellipsoid.ball(2, 1e150), HPolytope(1e200 * np.array([[c, -s], [s, c]]))) == 0.0
+
+
+def test_overflowed_products_never_give_nan():
+    # Products of finite matrices that overflow with opposite signs give NaN, read as
+    # an infinite sigma: the scale is 0. A V-polytope whose V^-1 overflows (the vertices
+    # s V^-T of its polar) is refused like an overflowed vertex, in its gauge too. And
+    # where hbar sigma underflows to 0 the scale is inf, not a ZeroDivisionError.
+    c, s = np.cos(0.3), np.sin(0.3)
+    r = np.array([[c, -s], [s, c]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _fit_scale(HPolytope(1e-200 * r.T), VPolytope(1e-200 * r)) == 0.0
+        assert inclusion_scale(VPolytope(1e-200 * r), VPolytope(1e-200 * r.T)) == 0.0
+    tiny = VPolytope(1e-310 * np.eye(2))
+    for decide in (lambda: gauge(tiny, [0.0, 1.0]), lambda: _fit_scale(HPolytope.box([1.0, 1.0]), tiny)):
+        with pytest.raises(ValueError, match="^vector entries must be finite$"):
+            decide()
+    wide = HPolytope.box([1e200, 1e200])
+    verdict = is_quantum_pair(wide, wide, hbar=1e-300)
+    assert verdict.lambda_max == np.inf and verdict.is_pair
 
 
 def test_row_merge_takes_norms_without_underflow():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qpolar.bodies import Ellipsoid, HPolytope, VPolytope, contains, linear_image, scale
+from qpolar.bodies import Ellipsoid, HPolytope, VPolytope, contains, linear_image, polar_dual, scale
 from qpolar.capacities import ellipsoid_capacity, product_capacity, product_projection_area
 from qpolar.errors import DimensionError, NotPositiveDefiniteError
-from qpolar.polarity import is_quantum_pair, polar_dual
+from qpolar.polarity import is_quantum_pair
 from qpolar.quantum import section_area
 from qpolar.symplectic import random_symplectic
 

@@ -127,15 +127,15 @@ class TestCloudAnalyze:
     @pytest.mark.parametrize("fit", ["ball", "mvee", "interval-box"])
     def test_inclusion_scale_computed_once(self, fit, monkeypatch):
         # The capacity is read off the pair verdict, not computed a second time.
-        from qpolar.bodies import _fit_scale
+        from qpolar.bodies import _polar_pairing
 
         calls = []
 
-        def counted(inner, outer):
+        def counted(x, p):
             calls.append(1)
-            return _fit_scale(inner, outer)
+            return _polar_pairing(x, p)
 
-        monkeypatch.setattr("qpolar.polarity._fit_scale", counted)
+        monkeypatch.setattr("qpolar.polarity._polar_pairing", counted)
         report = cloud_analyze(cloud_generate_disk(1.2, 0.9, 2_000, seed=24), fit=fit, trim=0.01)
         assert len(calls) == 1
         assert report.capacity.value == 4.0 * report.pair.lambda_max

@@ -1,14 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpolar.bodies import DEFAULT_TOL, Ellipsoid, HPolytope, VPolytope, contains, gauge, linear_image, scale, support
+from qpolar.bodies import (DEFAULT_TOL, Ellipsoid, HPolytope, VPolytope, contains, gauge, linear_image, polar_dual, scale,
+                           support)
 from qpolar.capacities import product_capacity
 from qpolar.errors import DimensionError
-from qpolar.polarity import inclusion_scale, is_quantum_pair, polar_dual
+from qpolar.polarity import inclusion_scale, is_quantum_pair
 
-from conftest import random_body, support_oracle
+from conftest import random_body, random_ellipsoid, random_hpolytope, random_vpolytope, support_oracle
 
 
 def bodies_close(a, b, tol=1e-10):
@@ -268,3 +271,43 @@ class TestInclusionScale:
             # Cross-polytope X vs square P: dual of P has vertices e_i/rp and
             # gauge_X(e_i/rp) = 1/(rx rp), so the scale is again rx rp.
             assert inclusion_scale(cross_x, square_p) == pytest.approx(rx * rp, rel=1e-9)
+
+
+# Random bodies: an ellipsoid, H-polytopes with n and n + 2 rows, V-polytopes with n
+# and n + 2 vertices. The pair scale tells four kinds apart (both H-polytopes are one).
+KIND_BUILDERS = {
+    "E": lambda n, rng: random_ellipsoid(n, rng),
+    "H": lambda n, rng: random_hpolytope(n, rng, extra_rows=0),
+    "H+": lambda n, rng: random_hpolytope(n, rng),
+    "V": lambda n, rng: random_vpolytope(n, rng, extra_vertices=0),
+    "V+": lambda n, rng: random_vpolytope(n, rng),
+}
+PAIR_KIND = {"E": "E", "H": "H", "H+": "H", "V": "V", "V+": "V+"}
+
+
+def test_inclusion_scale_is_symmetric_bit_for_bit():
+    # sigma(X, P) = max{x . y : x in X°, y in P°} is symmetric, and the scale is
+    # 1 / (hbar sigma): for bodies of different kinds swapping X and P changes no bit.
+    compared = 0
+    for n, seed in itertools.product([2, 3, 6, 8, 9], range(3)):
+        rng = np.random.default_rng([n, seed])
+        bodies = {kind: build(n, rng) for kind, build in KIND_BUILDERS.items()}
+        hbar = float(np.exp(rng.uniform(-2.0, 2.0)))
+        for (kx, x), (kp, p) in itertools.product(bodies.items(), repeat=2):
+            if PAIR_KIND[kx] != PAIR_KIND[kp]:
+                assert inclusion_scale(x, p, hbar) == inclusion_scale(p, x, hbar), (n, seed, kx, kp)
+                compared += 1
+    assert compared == 270
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_extreme_hbar_scales_match_closed_forms(n):
+    # hbar is applied to the scalar sigma, not to a body's array: the 9 ball, box and
+    # cross-polytope pairings keep their closed forms r_X r_P / (hbar sigma) with
+    # sigma = sqrt(n) for ball/cross and cross/ball, n for cross/cross and 1 otherwise.
+    sigma = {("ball", "cross"): n**0.5, ("cross", "ball"): n**0.5, ("cross", "cross"): float(n)}
+    for hbar, rx in ((1e-300, 1e-10), (1e300, 1e10)):
+        xs = {"ball": Ellipsoid.ball(n, rx), "box": HPolytope.box(np.full(n, rx)), "cross": VPolytope(rx * np.eye(n))}
+        for (kx, x), (kp, p) in itertools.product(xs.items(), UNIT_SHAPES.items()):
+            expected = rx / (hbar * sigma.get((kx, kp), 1.0))
+            assert inclusion_scale(x, p(n), hbar) == pytest.approx(expected, rel=1e-14, abs=0.0), (hbar, kx, kp)
