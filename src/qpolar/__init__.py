@@ -10,6 +10,7 @@ from .bodies import (
     contains,
     enclosing_ellipsoid,
     gauge,
+    inclusion_scale,
     linear_image,
     polar_dual,
     scale,
@@ -52,7 +53,7 @@ from .hardy import (
     hbar_fourier_1d,
     minkowski_envelope_experiment,
 )
-from .polarity import PairVerdict, inclusion_scale, is_quantum_pair
+from .polarity import PairVerdict, is_quantum_pair
 from .quantum import (
     CovarianceMatrix,
     capacity_criterion,

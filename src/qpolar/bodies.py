@@ -21,17 +21,18 @@ once, as ||x||_body = ||x M||_q over row vectors x: (F, 2) for an ellipsoid, (A^
 for an H-polytope and (V^-1, 1) for a V-polytope with n vertices V (a cross-polytope
 image), at every dimension, and ``_row_norms`` is its one blocked kernel. Any other
 V-polytope's gauge is max |w . x| over its facet normals w, the vertices of its unit
-polar from ``hpolytope_vertices``, the one polytope conversion, unless there may be so
-many that one HiGHS LP per row costs less. ``gauge`` checks its rows and the internal
-``_gauge`` does not: its callers pass a body's own rows or vertices, validated when it
-was built, and check the vertices they enumerate, which can overflow. The support
-function is the gauge of the unit polar, h_K = ||.||_{K°}. An H-polytope with n rows A (a
-parallelotope) has the vertices A^-1 s over the 2^n sign vectors s; Qhull runs only for
-more rows, and no enumeration starts whose vertex count bound exceeds ``VERTEX_BUDGET``.
+polar, which ``_enumerate_vertices`` (the one polytope conversion) reads off its own
+vertices, unless there may be so many that one HiGHS LP per row costs less. ``gauge``
+checks its rows and the internal ``_gauge`` does not: its callers pass a body's own rows
+or vertices, validated when it was built, and check the vertices they enumerate, which
+can overflow. The support function is the gauge of the unit polar, h_K = ||.||_{K°}. An
+H-polytope with n rows A (a parallelotope) has the vertices A^-1 s over the 2^n sign
+vectors s; Qhull runs only for more rows, and no enumeration starts whose vertex count
+bound exceeds ``VERTEX_BUDGET``.
 
-Containment, the quantum-pair verdict and the product capacity all reduce to one
-inclusion scale, 1 / sigma for the one symmetric pairing of ``_polar_pairing`` (its
-docstring lists the routes), accepted by ``_accepts``, the one rule of every verdict.
+Containment, the quantum-pair verdict and the product capacity all read one inclusion
+scale, ``inclusion_scale``: 1 / (hbar sigma) for the one symmetric pairing sigma of
+``_polar_pairing``, accepted by ``_accepts``, the one rule of every verdict.
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ def gauge(body: ConvexBody, x) -> float | np.ndarray:
     is max|w . x| over the vertices w of its unit polar (||.||_K = h_{K°}), its facet
     normals, when their count bound is within ``VERTEX_BUDGET`` and at most
     ``LP_COST_FACETS`` per row; otherwise it solves one HiGHS LP per nonzero row.
-    Raises ``UndecidedError`` where Qhull fails twice (``hpolytope_vertices``).
+    Raises ``UndecidedError`` where Qhull fails twice (``_enumerate_vertices``).
     """
     rows, single = _check_rows(body, x)
     g = _gauge(body, rows)
@@ -287,8 +288,8 @@ def _gauge(body: ConvexBody, rows: np.ndarray) -> np.ndarray:
     # LP replaced, what one LP costs: the bound for m = n, at most LP_COST_FACETS.
     per_lp = min(_max_facets(2 * n, n), LP_COST_FACETS)
     if _vertex_bound(m, n) <= min(VERTEX_BUDGET, per_lp * nonzero.size):
-        # The facet normals w as the rows of an H-polytope: max |x . w| = ||x W^T||_inf.
-        return _row_norms(rows, hpolytope_vertices(polar_dual(body)).T, np.inf)
+        # The facet normals w, the unit polar's vertices: max |x . w| = ||x W^T||_inf.
+        return _row_norms(rows, _enumerate_vertices(body.vertices).T, np.inf)
     from scipy.optimize import linprog
 
     # One LP per nonzero row: min sum(c+ + c-)  s.t.  V^T (c+ - c-) = x, c+- >= 0.
@@ -476,8 +477,8 @@ def _polar_pairing(a: ConvexBody, b: ConvexBody) -> float:
     """sigma(a, b) = max{x . y : x in a°, y in b°} = max ||y||_a over y in b°, exact or
     UndecidedError; no polar body is built.
 
-    max{lambda : lambda * b° in a} = 1 / sigma(a, b): 1 / sigma(outer, inner°) for
-    containment (``_fit_scale``), 1 / (hbar sigma(X, P)) for P^hbar = hbar P° in X. sigma is
+    max{lambda : lambda * b° in a} = 1 / sigma(a, b) (``inclusion_scale``): 1 / sigma(outer,
+    inner°) for containment, 1 / (hbar sigma(X, P)) for P^hbar = hbar P° in X. sigma is
     symmetric, so the arguments are ordered by kind (``_kind_order``; a tie keeps them) and
     the route is that of b, the earlier kind: the swap is lambda K in L iff lambda L° in K°.
 
@@ -495,7 +496,7 @@ def _polar_pairing(a: ConvexBody, b: ConvexBody) -> float:
     n = 20; McMullen's bound for more), and only a pairing with a V-polytope with more than n
     vertices (its polar's vertices, or its facets) is undecided where Qhull fails twice.
     Overflowed products give inf, or NaN with opposite signs, which np.maximum (unlike max)
-    keeps across blocks and ``_reciprocal`` reads as inf.
+    keeps across blocks and ``inclusion_scale`` reads as inf.
     """
     if _kind_order(a) < _kind_order(b):
         a, b = b, a
@@ -515,15 +516,18 @@ def _polar_pairing(a: ConvexBody, b: ConvexBody) -> float:
                                      for s in _sign_blocks(n, 2 ** (n - 1)))))
 
 
-def _reciprocal(t: float) -> float:
-    """1 / t for t = c * sigma (``_polar_pairing``) with c > 0: 0 where t is inf or NaN
-    (overflowed products), inf where t underflows to 0."""
+def inclusion_scale(x: ConvexBody, p: ConvexBody, hbar: float = 1.0) -> float:
+    """lambda_max = max{lambda > 0 : lambda * P^hbar subset of X} = 1 / (hbar sigma(X, P)).
+
+    Exact, or ``UndecidedError`` where sigma, ``_polar_pairing``, is (its docstring lists
+    the routes); symmetric in its body arguments; 0 where hbar sigma overflows (inf or
+    NaN), inf where it underflows. K in L is ``inclusion_scale(L, polar_dual(K)) >= 1``.
+    """
+    if x.dim != p.dim:
+        raise DimensionError(f"dimension mismatch: X is {x.dim}-dim, P is {p.dim}-dim")
+    _check_hbar(hbar)
+    t = float(hbar) * _polar_pairing(x, p)
     return 0.0 if not t < np.inf else 1.0 / t if t else np.inf
-
-
-def _fit_scale(inner: ConvexBody, outer: ConvexBody) -> float:
-    """max{lambda > 0 : lambda * inner subset of outer} = 1 / sigma(outer, inner°) (``_polar_pairing``)."""
-    return _reciprocal(_polar_pairing(outer, polar_dual(inner)))
 
 
 DEFAULT_TOL = 1e-9
@@ -551,13 +555,13 @@ def _check_hbar(hbar: float) -> None:
 def contains(outer: ConvexBody, inner: ConvexBody, tol: float = DEFAULT_TOL) -> bool:
     """Test inner subset-of (1 + tol) * outer.
 
-    Decided by the inclusion scale max{lambda : lambda * inner in outer} (``_fit_scale``),
-    accepted when it is at least 1/(1 + tol), the same rule as the quantum-pair verdict
-    and the 4*hbar capacity bound; ``UndecidedError`` where ``_polar_pairing`` is.
+    Decided by ``inclusion_scale(outer, polar_dual(inner))`` = max{lambda : lambda * inner
+    in outer}, accepted when it is at least 1/(1 + tol), the same rule as the quantum-pair
+    verdict and the 4*hbar capacity bound; ``UndecidedError`` where the scale is.
     """
     if outer.dim != inner.dim:
         raise DimensionError(f"dimension mismatch: outer {outer.dim}, inner {inner.dim}")
-    return _accepts(_fit_scale(inner, outer), tol)
+    return _accepts(inclusion_scale(outer, polar_dual(inner)), tol)
 
 
 def enclosing_ellipsoid(points, mode: str = "ball") -> Ellipsoid:
@@ -611,6 +615,9 @@ def _unit_scale_fit(pts: np.ndarray, mode: str) -> Ellipsoid:
         picks.append(int(np.argmax(np.abs(pts @ np.linalg.svd(pts[picks])[2][-1]))))
     picks += [int(np.argmax(np.abs(pts @ w))) for w in np.linalg.inv(pts[picks]).T]
     work = np.unique(picks)
+    # Whitened by the core set's R the cloud is well conditioned; the fit is affine-invariant.
+    white = np.linalg.inv(np.linalg.qr(pts[work], mode="r"))
+    pts = pts @ white
     p, u, steps = pts[work], np.full(work.size, 1.0 / work.size), 0
     # n (1 + eps) with (1 + eps)^(n/2) = 1 + MVEE_VOL_TOL maps the volume gap to the duality gap.
     bound = n * (1.0 + MVEE_VOL_TOL) ** (2.0 / n)
@@ -642,5 +649,5 @@ def _unit_scale_fit(pts: np.ndarray, mode: str) -> Ellipsoid:
             step = min((n - g[k]) / (n * (g[k] - 1.0)), drop) if g[k] > 1.0 else drop
             u *= 1.0 + step
             u[k] = 0.0 if step == drop else u[k] - step
-    # Scale by the worst gauge so containment of every input point is exact.
-    return _inverse_ellipsoid(mat, np.max(g_all))
+    # Scale by the worst gauge so containment of every input point is exact; undo the whitening.
+    return Ellipsoid._from_factor(white @ _inverse_ellipsoid(mat, np.max(g_all)).factor)

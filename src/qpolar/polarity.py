@@ -14,16 +14,15 @@ symmetric in X and P. The inclusion scale
 quantifies the pair: lambda_max >= 1 iff (X, P) is a quantum pair, and
 4 * hbar * lambda_max is the product capacity (see capacities). The pairing
 sigma(X, P) = max{x . y : x in X°, y in P°} is plainly symmetric in X and P, and
-needs no polar body (``bodies._polar_pairing``). The representation map
-X -> X^hbar is ``bodies.polar_dual``.
+needs no polar body (``bodies._polar_pairing``); the scale is ``bodies.inclusion_scale``.
+The representation map X -> X^hbar is ``bodies.polar_dual``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bodies import DEFAULT_TOL, ConvexBody, _accepts, _check_hbar, _polar_pairing, _reciprocal
-from .errors import DimensionError
+from .bodies import DEFAULT_TOL, ConvexBody, _accepts, inclusion_scale
 
 
 @dataclass(frozen=True)
@@ -40,18 +39,6 @@ class PairVerdict:
     lambda_max: float
     margin: float
     exact: bool = True
-
-
-def inclusion_scale(x: ConvexBody, p: ConvexBody, hbar: float = 1.0) -> float:
-    """lambda_max = max{lambda > 0 : lambda * P^hbar subset of X} = 1 / (hbar sigma(X, P)).
-
-    Exact, or ``UndecidedError`` where sigma, ``bodies._polar_pairing``, is (its
-    docstring lists the routes); symmetric in its body arguments.
-    """
-    if x.dim != p.dim:
-        raise DimensionError(f"dimension mismatch: X is {x.dim}-dim, P is {p.dim}-dim")
-    _check_hbar(hbar)
-    return _reciprocal(float(hbar) * _polar_pairing(x, p))
 
 
 def is_quantum_pair(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,

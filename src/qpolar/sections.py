@@ -36,12 +36,12 @@ def _order_by_angle(points: np.ndarray) -> np.ndarray:
     return points[np.argsort(angles)]
 
 
-def _ellipse_polyline(q2: np.ndarray, count: int = CURVE_POINTS) -> np.ndarray:
-    """Boundary of {w : w^T Q2 w <= 1} sampled at `count` parameter values."""
+def _ellipse_polyline(q2: np.ndarray) -> np.ndarray:
+    """Boundary of {w : w^T Q2 w <= 1} sampled at ``CURVE_POINTS`` parameter values."""
     w, v = np.linalg.eigh(q2)
     if w[0] <= 0:
         raise DegenerateBodyError("section is unbounded on the requested plane")
-    t = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+    t = np.linspace(0.0, 2.0 * np.pi, CURVE_POINTS, endpoint=False)
     circle = np.column_stack([np.cos(t), np.sin(t)])
     return circle @ np.diag(1.0 / np.sqrt(w)) @ v.T
 

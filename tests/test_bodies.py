@@ -14,13 +14,13 @@ from qpolar.bodies import (
     Ellipsoid,
     HPolytope,
     VPolytope,
-    _fit_scale,
     _halfspace_vertices,
     _polytope_array,
     contains,
     enclosing_ellipsoid,
     gauge,
     hpolytope_vertices,
+    inclusion_scale,
     linear_image,
     polar_dual,
     scale,
@@ -37,7 +37,7 @@ from qpolar.errors import (
     UndecidedError,
 )
 from qpolar.hardy import HardyInput, hardy_check
-from qpolar.polarity import inclusion_scale, is_quantum_pair
+from qpolar.polarity import is_quantum_pair
 from qpolar.quantum import covariance_ellipsoid, project_xp, random_quantum_covariance, theorem2_check
 from qpolar.sections import section_polygon
 
@@ -55,6 +55,11 @@ from conftest import (
 # conv{+-m_i} with a 1e-12 entry: its facet normals are (s1, s2, (s3 - s1 - s2) 1e12)
 # for the sign vectors s, so they differ only far below the largest entry.
 BADLY_SCALED = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-12]])
+
+
+def fit_scale(inner, outer):
+    """max{lambda > 0 : lambda * inner subset of outer}, the scale that ``contains`` accepts."""
+    return inclusion_scale(outer, polar_dual(inner))
 
 
 def forbid_linprog(*args, **kwargs):
@@ -186,7 +191,7 @@ class TestGauge:
         x = rng.standard_normal((14, 6))
         expected = [vgauge_lp_oracle(body, r) for r in x]
         with monkeypatch.context() as patch:
-            patch.setattr(qpolar.bodies, "hpolytope_vertices", None)
+            patch.setattr(qpolar.bodies, "_enumerate_vertices", None)
             assert np.allclose(gauge(body, x[:13]), expected[:13], rtol=1e-9, atol=0.0)
         monkeypatch.setattr(scipy.optimize, "linprog", forbid_linprog)
         assert np.allclose(gauge(body, x), expected, rtol=1e-9, atol=0.0)
@@ -244,7 +249,7 @@ class TestGauge:
             patch.setattr(scipy.optimize, "linprog", forbid_linprog)
             expected = gauge(body, x)
         monkeypatch.setattr(qpolar.bodies, "VERTEX_BUDGET", 1519)
-        monkeypatch.setattr(qpolar.bodies, "hpolytope_vertices", None)
+        monkeypatch.setattr(qpolar.bodies, "_enumerate_vertices", None)
         assert np.allclose(gauge(body, x), expected, rtol=1e-9, atol=0.0)
 
     def test_lp_cost_above_dimension_8(self, monkeypatch):
@@ -560,7 +565,7 @@ def test_parallelotope_vertices_stream_in_blocks(rng, monkeypatch):
     assert len(list(qpolar.bodies._sign_blocks(n, 2**n))) == 2
     for outer in (Ellipsoid(random_spd(n, rng)), HPolytope(rng.standard_normal((n, n)) + 4 * np.eye(n)),
                   VPolytope(rng.standard_normal((n, n)) + 4 * np.eye(n))):
-        assert _fit_scale(inner, outer) == pytest.approx(1.0 / np.max(gauge(outer, full)), rel=1e-14, abs=0.0)
+        assert fit_scale(inner, outer) == pytest.approx(1.0 / np.max(gauge(outer, full)), rel=1e-14, abs=0.0)
     assert np.array_equal(hpolytope_vertices(inner), full)
     del full, signs
 
@@ -575,7 +580,7 @@ def test_parallelotope_vertices_stream_in_blocks(rng, monkeypatch):
     inner, outer = HPolytope(np.eye(20)), Ellipsoid.ball(20)
     tracemalloc.start()
     try:
-        assert _fit_scale(inner, outer) == 1.0 / np.sqrt(20.0)
+        assert fit_scale(inner, outer) == 1.0 / np.sqrt(20.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -638,6 +643,14 @@ class TestEnclosingEllipsoid:
             for mode in ("ball", "mvee"):
                 out = enclosing_ellipsoid(pts, mode)
                 assert max(gauge(out, p) for p in pts) <= 1 + 1e-9
+        # 2000 points on a line and n spanning points of size 1e-9 to 1e-6: the moment
+        # matrix is nearly singular, yet each fit contains and touches its points.
+        for seed in range(40):
+            gen = np.random.default_rng(seed)
+            n = (2, 3, 6)[seed % 3]
+            d = gen.standard_normal(n)
+            line = np.outer(gen.standard_normal(2000), d / np.linalg.norm(d))
+            assert_mvee_touches(np.vstack([line, 10 ** (-6 - gen.uniform(0, 3)) * gen.standard_normal((n, n))]))
 
     def test_degenerate_points_rejected(self):
         with pytest.raises(DegenerateBodyError):
@@ -691,12 +704,18 @@ def image_oracle(points, q, l):
     return points @ l.T, l_inv.T @ q @ l_inv
 
 
-def assert_mvee_guarantee(points, q_opt):
-    """The MVEE fit contains every point, touches one, and is at most (1 + MVEE_VOL_TOL)
-    times the volume of the optimum Q_opt (and, containing the points, no smaller)."""
+def assert_mvee_touches(points):
+    """The MVEE fit of the points, which contains every point and touches one."""
     out = enclosing_ellipsoid(points, "mvee")
     g = gauge(out, points)
     assert g.max() <= 1 + 1e-12 and g.max() >= 1 - 1e-12
+    return out
+
+
+def assert_mvee_guarantee(points, q_opt):
+    """The MVEE fit contains every point, touches one, and is at most (1 + MVEE_VOL_TOL)
+    times the volume of the optimum Q_opt (and, containing the points, no smaller)."""
+    out = assert_mvee_touches(points)
     vol_ratio = np.exp(0.5 * (np.linalg.slogdet(q_opt)[1] - np.linalg.slogdet(out.matrix)[1]))
     assert 1 - 1e-10 <= vol_ratio <= 1 + MVEE_VOL_TOL
     return out
@@ -879,9 +898,10 @@ def full_polytope_checks():
 def test_polytopes_are_validated_once_on_construction(rng):
     # polar_dual scales a validated polytope and keeps its rank, so the full
     # validator sees only the polytopes a caller constructs (linear_image is one).
-    # A pair verdict builds no polar body at all.
+    # A pair verdict builds no polar body at all, nor does a gauge read its facets.
     n = 3
     bodies = sys.modules["qpolar.bodies"]
+    facet_rich = VPolytope(rng.standard_normal((n + 2, n)))
     with full_polytope_checks() as seen, mock.patch.object(bodies, "polar_dual", wraps=bodies.polar_dual) as polars:
         l = rng.standard_normal((n, n)) + 3 * np.eye(n)
         box = linear_image(HPolytope.box(np.full(n, 2.0)), l)
@@ -892,6 +912,8 @@ def test_polytopes_are_validated_once_on_construction(rng):
         for x, p in itertools.product(shapes.values(), repeat=2):
             is_quantum_pair(x, p, hbar=0.7)
         product_capacity(box, cross, hbar=2.0)
+        # At most 16 facets against 8 for a cross-polytope image: 4 rows read the facets.
+        gauge(facet_rich, rng.standard_normal((4, n)))
         assert polars.call_count == 0
         contains(box, polar_dual(cross))
         assert seen == []
@@ -945,7 +967,7 @@ def test_overflowed_vertices_are_refused():
     # as lambda = 0.
     h = HPolytope(np.diag([1e-310, 1.0]))
     for outer in (Ellipsoid.ball(2), HPolytope.box([1.0, 1.0]), VPolytope(np.eye(2))):
-        for decide in (lambda: contains(outer, h), lambda: _fit_scale(h, outer),
+        for decide in (lambda: contains(outer, h), lambda: fit_scale(h, outer),
                        lambda: is_quantum_pair(outer, polar_dual(h))):
             with pytest.raises(ValueError, match="^vector entries must be finite$"):
                 decide()
@@ -958,12 +980,12 @@ def test_overflowed_outer_gauges_give_a_zero_scale():
     inner = HPolytope.box([1e200, 1e200])
     for outer in (Ellipsoid.ball(2), HPolytope.box([1e-200, 1e-200]), VPolytope(1e-200 * np.eye(2))):
         with np.errstate(over="ignore"):
-            assert _fit_scale(inner, outer) == 0.0
+            assert fit_scale(inner, outer) == 0.0
             verdict = is_quantum_pair(outer, polar_dual(inner))
         assert verdict.lambda_max == 0.0 and not verdict.is_pair
     c, s = np.cos(0.3), np.sin(0.3)
     with np.errstate(over="ignore"):
-        assert _fit_scale(Ellipsoid.ball(2, 1e150), HPolytope(1e200 * np.array([[c, -s], [s, c]]))) == 0.0
+        assert fit_scale(Ellipsoid.ball(2, 1e150), HPolytope(1e200 * np.array([[c, -s], [s, c]]))) == 0.0
 
 
 def test_overflowed_products_never_give_nan():
@@ -974,10 +996,10 @@ def test_overflowed_products_never_give_nan():
     c, s = np.cos(0.3), np.sin(0.3)
     r = np.array([[c, -s], [s, c]])
     with np.errstate(over="ignore", invalid="ignore"):
-        assert _fit_scale(HPolytope(1e-200 * r.T), VPolytope(1e-200 * r)) == 0.0
+        assert fit_scale(HPolytope(1e-200 * r.T), VPolytope(1e-200 * r)) == 0.0
         assert inclusion_scale(VPolytope(1e-200 * r), VPolytope(1e-200 * r.T)) == 0.0
     tiny = VPolytope(1e-310 * np.eye(2))
-    for decide in (lambda: gauge(tiny, [0.0, 1.0]), lambda: _fit_scale(HPolytope.box([1.0, 1.0]), tiny)):
+    for decide in (lambda: gauge(tiny, [0.0, 1.0]), lambda: fit_scale(HPolytope.box([1.0, 1.0]), tiny)):
         with pytest.raises(ValueError, match="^vector entries must be finite$"):
             decide()
     wide = HPolytope.box([1e200, 1e200])
@@ -996,7 +1018,7 @@ def test_row_merge_takes_norms_without_underflow():
     h = HPolytope([[1e-300, 0.0], [0.0, 1.0], [1e-300, 1e-300]])
     for outer in (Ellipsoid.ball(2), HPolytope.box([1.0, 1.0]), VPolytope(np.eye(2))):
         with pytest.raises(UndecidedError, match="^undecided: Qhull vertex enumeration failed"):
-            _fit_scale(h, outer)
+            fit_scale(h, outer)
 
 
 def _with_condition(n, cond, rng):
@@ -1026,7 +1048,7 @@ def test_parallelotope_scales_match_a_60_digit_oracle(inner, kind, n, log_cond, 
         body = HPolytope(a)
     else:
         body = Ellipsoid(spd_with_condition(n, cond, rng) * 10.0**log_scale)
-    lam = _fit_scale(body, outer)
+    lam = fit_scale(body, outer)
     with mpmath.workdps(60):
         if inner == "ellipsoid":
             q_inv = mpmath.inverse(mpmath.matrix(body.matrix.tolist()))
@@ -1096,7 +1118,7 @@ def test_parallelotope_work_per_verdict(monkeypatch):
     outers = {"ellipsoid": Ellipsoid(m @ m.T), "cross image": VPolytope(m),
               "vpoly": VPolytope(np.vstack([m, rng.standard_normal((2, n))])),
               "box": HPolytope(m), "hpoly": HPolytope(np.vstack([m, rng.standard_normal((2, n))]))}
-    expected = {kind: _fit_scale(inner, outer) for kind, outer in outers.items()}
+    expected = {kind: fit_scale(inner, outer) for kind, outer in outers.items()}
     assert expected["hpoly"] == pytest.approx(1.0 / np.abs(outers["hpoly"].rows @ np.linalg.inv(a)).sum(axis=1).max(),
                                               rel=1e-14, abs=0.0)
 
@@ -1111,21 +1133,21 @@ def test_parallelotope_work_per_verdict(monkeypatch):
         monkeypatch.setattr(np.linalg, name, recording)
     for kind, outer in outers.items():
         solved.clear()
-        assert _fit_scale(inner, outer) == pytest.approx(expected[kind], rel=1e-14, abs=0.0), kind
+        assert fit_scale(inner, outer) == pytest.approx(expected[kind], rel=1e-14, abs=0.0), kind
         assert solved.count(True) == 1, kind
 
     # With the budget below 2^n, an H-polytope in an ellipsoid is undecided, and no
     # H-in-H pair enumerates: with n inner rows in closed form, with more by the LPs of
     # the flipped V-gauge (below the budget it may read facets where they cost less).
     tall = HPolytope(np.vstack([a, rng.standard_normal((3, n))]))
-    tall_in_hpoly = _fit_scale(tall, outers["hpoly"])
+    tall_in_hpoly = fit_scale(tall, outers["hpoly"])
     monkeypatch.setattr(qpolar.bodies, "VERTEX_BUDGET", 2**n - 1)
     with pytest.raises(UndecidedError, match=f"up to {2**n} vertices exceed the enumeration budget {2**n - 1}$"):
-        _fit_scale(inner, outers["ellipsoid"])
+        fit_scale(inner, outers["ellipsoid"])
     monkeypatch.setattr(qpolar.bodies, "hpolytope_vertices", None)
     monkeypatch.setattr(qpolar.bodies, "_enumerate_vertices", None)
-    assert _fit_scale(inner, outers["box"]) == expected["box"]
-    assert _fit_scale(tall, outers["hpoly"]) == pytest.approx(tall_in_hpoly, rel=1e-9, abs=0.0)
+    assert fit_scale(inner, outers["box"]) == expected["box"]
+    assert fit_scale(tall, outers["hpoly"]) == pytest.approx(tall_in_hpoly, rel=1e-9, abs=0.0)
     assert is_quantum_pair(HPolytope.box(np.ones(30)), VPolytope(np.eye(30))).lambda_max == 1.0
 
 

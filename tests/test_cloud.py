@@ -135,7 +135,7 @@ class TestCloudAnalyze:
             calls.append(1)
             return _polar_pairing(x, p)
 
-        monkeypatch.setattr("qpolar.polarity._polar_pairing", counted)
+        monkeypatch.setattr("qpolar.bodies._polar_pairing", counted)
         report = cloud_analyze(cloud_generate_disk(1.2, 0.9, 2_000, seed=24), fit=fit, trim=0.01)
         assert len(calls) == 1
         assert report.capacity.value == 4.0 * report.pair.lambda_max

@@ -35,6 +35,16 @@ def test_export_list():
     assert sorted(namespace) == names
 
 
+def test_init_imports_each_name_from_its_defining_module():
+    # A name taken through another module's namespace hides where it is defined.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imports = [(node.module, alias.name) for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names]
+    assert len(imports) > 50
+    assert [(module, name) for module, name in imports
+            if name != "ConvexBody" and getattr(qpolar, name).__module__ != f"qpolar.{module}"] == []
+
+
 # Builders of each frozen value type that holds arrays; two calls give equal values.
 VALUE_TYPES = {
     "Ellipsoid": lambda: Ellipsoid(np.eye(2)),

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qpolar
-from qpolar.bodies import DEFAULT_TOL, Ellipsoid, _accepts
+from qpolar.bodies import DEFAULT_TOL, Ellipsoid, _accepts, inclusion_scale
 from qpolar.capacities import ellipsoid_capacity, product_capacity
 from qpolar.errors import (
     DimensionError,
@@ -17,7 +17,7 @@ from qpolar.errors import (
     NotSymmetricError,
 )
 from qpolar.hardy import HardyInput, hardy_check
-from qpolar.polarity import inclusion_scale, is_quantum_pair
+from qpolar.polarity import is_quantum_pair
 from qpolar.quantum import (
     CovarianceMatrix,
     capacity_criterion,
