@@ -23,19 +23,19 @@ from .symplectic import _factor_symplectic_eigenvalues
 
 @dataclass(frozen=True)
 class CapacityReport:
-    """A capacity value plus the quantum-pair bookkeeping around it.
+    """A product capacity plus the quantum-pair bookkeeping around it.
 
-    For kind="product", value = 4 * hbar * lambda_max and
-    lower_bound_4hbar_met records value >= 4*hbar (the quantum-pair
+    Every report is a product report (kind="product"): value = 4 * hbar * lambda_max
+    and lower_bound_4hbar_met records value >= 4*hbar (the quantum-pair
     threshold); equality_case flags the minimal pair lambda_max = 1.
     lambda_max is always exact, so ``exact`` is always True.
     """
 
     value: float
     kind: str
-    lower_bound_4hbar_met: bool | None = None
-    equality_case: bool | None = None
-    lambda_max: float | None = None
+    lower_bound_4hbar_met: bool
+    equality_case: bool
+    lambda_max: float
     exact: bool = True
 
 

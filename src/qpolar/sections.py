@@ -13,7 +13,9 @@ plain text format:
 
 Curved boundaries (ellipsoid sections) are sampled at 256 boundary points;
 polygonal sections emit their exact vertices. The annotated area is always
-the polygonal (shoelace) area of what is drawn.
+the polygonal (shoelace) area of what is drawn. Polygon axes follow the plane
+(i, j) in the order given; a conjugate plane of X x P gives the box of its two
+axis sections; a plane row is tested against its own largest entry (scale-free).
 """
 
 from __future__ import annotations
@@ -61,22 +63,20 @@ def section_polygon(body: ConvexBody, plane: tuple[int, int]) -> np.ndarray:
     # A V-polytope's facet rows are the vertices of its unit polar.
     rows = hpolytope_vertices(polar_dual(body)) if isinstance(body, VPolytope) else body.rows
     restricted = rows[:, [i, j]]
-    # Rows orthogonal to the plane constrain nothing once the other
-    # coordinates are pinned to zero.
-    restricted = restricted[np.linalg.norm(restricted, axis=1) > 1e-14 * max(1.0, np.abs(rows).max())]
-    if restricted.size == 0 or np.linalg.matrix_rank(restricted) < 2:
-        raise DegenerateBodyError("section is unbounded on the requested plane")
+    # A row with a plane part below 1e-14 of its own largest entry constrains nothing
+    # once the other coordinates are pinned to zero; HPolytope refuses rows that do not span.
+    plane_rows = restricted[np.abs(restricted).max(axis=1) > 1e-14 * np.abs(rows).max(axis=1)]
     # A polygon has at most one vertex per row: only the n-dim enumeration is budgeted.
-    return _order_by_angle(_enumerate_vertices(HPolytope(restricted).rows))
+    return _order_by_angle(_enumerate_vertices(HPolytope(plane_rows).rows))
 
 
 def product_section_rectangle(x_body: ConvexBody, p_body: ConvexBody,
                               plane: tuple[int, int]) -> np.ndarray:
     """Section of X x P by a plane of product coordinates (x_1..x_n, p_1..p_n).
 
-    Both-position or both-momentum planes reduce to a section of the single
-    factor; a conjugate plane (x_i, p_j) gives the rectangle spanned by the
-    axis sections of X and P.
+    Both-position or both-momentum planes reduce to a section of that factor, a
+    conjugate plane to the box |s| <= 1/g_i, |t| <= 1/g_j of the axis sections,
+    g_k the factor's gauge at its axis. Axes follow the plane in the order given.
     """
     n = x_body.dim
     if p_body.dim != n:
@@ -84,19 +84,11 @@ def product_section_rectangle(x_body: ConvexBody, p_body: ConvexBody,
     i, j = plane
     if not (0 <= i < 2 * n and 0 <= j < 2 * n) or i == j:
         raise IndexError(f"plane indices must be distinct and within 0..{2 * n - 1}, got {plane}")
-    if i > j:
-        i, j = j, i
-    if j < n:
-        return section_polygon(x_body, (i, j))
-    if i >= n:
-        return section_polygon(p_body, (i - n, j - n))
-    # Conjugate-plane rectangle from the axis sections 1/gauge(e_k).
-    axes = np.eye(n)
-    alpha = 1.0 / gauge(x_body, axes[i])
-    beta = 1.0 / gauge(p_body, axes[j - n])
-    return _order_by_angle(
-        np.array([[alpha, beta], [-alpha, beta], [-alpha, -beta], [alpha, -beta]])
-    )
+    factors = (x_body, p_body)
+    if i // n == j // n:
+        return section_polygon(factors[i // n], (i % n, j % n))
+    g = [gauge(factors[k // n], np.eye(n)[k % n]) for k in (i, j)]
+    return section_polygon(HPolytope(np.diag(g)), (0, 1))
 
 
 def render_polyline(points: np.ndarray, plane: tuple[int, int], label: str = "section") -> str:

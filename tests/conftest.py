@@ -117,6 +117,13 @@ def area_oracle_1d(x, p):
     return 4.0 * _interval_halfwidth(x) * _interval_halfwidth(p)
 
 
+def assert_raises_exactly(call, error, message):
+    """call() raises this exception type itself (not a subclass) with exactly this message."""
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

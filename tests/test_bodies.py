@@ -42,6 +42,7 @@ from qpolar.quantum import covariance_ellipsoid, project_xp, random_quantum_cova
 from qpolar.sections import section_polygon
 
 from conftest import (
+    assert_raises_exactly,
     random_body,
     random_spd,
     random_ellipsoid,
@@ -1235,3 +1236,13 @@ def test_rank_test_is_matrix_rank():
         else:
             assert not degenerate, a
     assert 500 < rejected < 2500
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: linear_image(Ellipsoid.ball(2), np.eye(3)), DimensionError, "expected a 2x2 matrix, got (3, 3)"),
+    (lambda: enclosing_ellipsoid(np.empty((0, 2))), DegenerateBodyError, "empty point set"),
+    (lambda: enclosing_ellipsoid(np.eye(2), mode="box"), ValueError,
+     "unknown mode 'box'; expected 'ball' or 'mvee'"),
+], ids=["linear-image-shape", "enclose-no-points", "enclose-unknown-mode"])
+def test_input_checks(call, error, message):
+    assert_raises_exactly(call, error, message)

@@ -8,7 +8,7 @@ from qpolar.polarity import is_quantum_pair
 from qpolar.quantum import section_area
 from qpolar.symplectic import random_symplectic
 
-from conftest import area_oracle_1d, random_body, random_spd
+from conftest import area_oracle_1d, assert_raises_exactly, random_body, random_spd
 
 
 class TestEllipsoidCapacity:
@@ -231,3 +231,15 @@ class TestProjectionConsequence:
             p = polar_dual(x, hbar)
             for j in range(1, n + 1):
                 assert product_projection_area(x, p, j) >= 4 * hbar * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: product_projection_area(Ellipsoid.ball(2), Ellipsoid.ball(3), 1), DimensionError,
+     "dimension mismatch: X is 2-dim, P is 3-dim"),
+    (lambda: product_projection_area(Ellipsoid.ball(2), Ellipsoid.ball(2), 0), IndexError,
+     "mode index must satisfy 1 <= j <= 2, got 0"),
+    (lambda: product_projection_area(Ellipsoid.ball(2), Ellipsoid.ball(2), 3), IndexError,
+     "mode index must satisfy 1 <= j <= 2, got 3"),
+], ids=["dimension-mismatch", "mode-zero", "mode-past-n"])
+def test_input_checks(call, error, message):
+    assert_raises_exactly(call, error, message)

@@ -151,6 +151,20 @@ class TestCapacity:
         result = runner.invoke(cli, ["capacity", "-x", disk_x])
         assert result.exit_code != 0
 
+    def test_sigma_capacity_text(self, runner, tmp_path):
+        # Sigma = I/2 is the minimal state: its ellipsoid |z|^2 <= 1 has capacity pi = h/2.
+        sigma = write_json(tmp_path / "sigma.json", {"sigma": (0.5 * np.eye(2)).tolist()})
+        result = runner.invoke(cli, ["capacity", "--sigma", sigma])
+        assert result.exit_code == 0
+        assert result.output.splitlines() == ["capacity: 3.14159265359", "kind: ellipsoid",
+                                              "half_h: 3.14159265359", "hbar: 1"]
+
+    def test_body_must_be_an_ellipsoid(self, runner, tmp_path):
+        box = write_json(tmp_path / "box.json", {"type": "hpoly", "rows": [[1.0, 0.0], [0.0, 1.0]]})
+        result = runner.invoke(cli, ["capacity", "--body", box])
+        assert result.exit_code == 1 and result.stdout == ""
+        assert "Error: --body expects an ellipsoid document" in result.output
+
 
 class TestCovariance:
     def test_valid_matrix(self, runner, tmp_path):
@@ -343,6 +357,23 @@ class TestCloudCommands:
         assert doc["measured_matches_uniform"] is True
         assert doc["quoted_variance_flag"] == "inconsistent with Monte Carlo oracle"
 
+    def test_demo_disk_example_text_is_the_structured_report(self, runner):
+        args = ["demo", "disk-example", "--rx", "2.0", "--rp", "1.0", "-n", "20000", "--seed", "3"]
+        text, structured = runner.invoke(cli, args), runner.invoke(cli, [*args, "--format", "structured"])
+        assert text.exit_code == structured.exit_code == 0
+        doc = json.loads(structured.output)
+        pair, capacity = doc["analysis"]["pair"], doc["analysis"]["capacity"]
+        expected = {
+            "rx": doc["rx"], "rp": doc["rp"], "n_samples": doc["n_samples"],
+            "measured_variance_x1": doc["measured_variance_x1"],
+            "uniform_disk_variance_rx2_over_4": doc["uniform_disk_variance"],
+            "quoted_pi_variance": doc["quoted_pi_variance"], "quoted_variance_flag": doc["quoted_variance_flag"],
+            "pair_verdict": pair["is_pair"], "pair_expected_from_radii": doc["pair_expected_from_radii"],
+            "lambda_max": pair["lambda_max"], "capacity": capacity["value"],
+        }
+        assert text.output.splitlines() == [f"{k}: {v:.12g}" if isinstance(v, float) else f"{k}: {v}"
+                                            for k, v in expected.items()]
+
 
 class TestPlotSection:
     def test_disk_polyline(self, runner, tmp_path):
@@ -366,6 +397,24 @@ class TestPlotSection:
         assert result.exit_code == 0
         area_line = next(l for l in result.output.splitlines() if l.startswith("# area"))
         assert float(area_line.split(":")[1]) == pytest.approx(2 * np.pi, rel=1e-3)
+
+    @pytest.mark.parametrize("plane", ["a,b", "0"])
+    def test_unparsable_plane_exits_one(self, runner, disk_x, plane):
+        result = runner.invoke(cli, ["plot", "section", "--body", disk_x, "--plane", plane])
+        assert result.exit_code == 1 and result.stdout == ""
+        assert f"cannot parse plane {plane!r}" in result.output
+
+    @pytest.mark.parametrize("plane, extent", [("1,0", [2.0, 1.0]), ("2,0", [3.0, 1.0])], ids=["x-x", "p-x"])
+    def test_product_plane_in_reverse_order(self, runner, tmp_path, plane, extent):
+        # X = [-1, 1] x [-2, 2], P = [-3, 3] x [-5, 5]: the polyline's axes follow --plane.
+        x = write_json(tmp_path / "x.json", {"type": "hpoly", "rows": [[1.0, 0.0], [0.0, 0.5]]})
+        p = write_json(tmp_path / "p.json", {"type": "hpoly", "rows": [[1.0 / 3.0, 0.0], [0.0, 0.2]]})
+        result = runner.invoke(cli, ["plot", "section", "-x", x, "-p", p, "--plane", plane])
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert lines[1] == f"# plane: {plane.replace(',', ' ')}"
+        points = np.array([l.split() for l in lines[4:]], dtype=float)
+        assert np.abs(points).max(axis=0).tolist() == extent
 
 
 def test_version_from_a_source_checkout(runner):

@@ -3,15 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from qpolar.bodies import Ellipsoid, HPolytope, gauge
+from qpolar.bodies import Ellipsoid, HPolytope, VPolytope, gauge
 from qpolar.cloud import (
     MeasurementCloud,
+    body_to_dict,
     cloud_analyze,
     cloud_generate_disk,
     disk_demo,
 )
-from qpolar.errors import DimensionError
-from qpolar.sections import emit_section_plot, section_polygon
+from qpolar.errors import DegenerateBodyError, DimensionError
+from qpolar.sections import _order_by_angle, emit_section_plot, product_section_rectangle, section_polygon
+
+from conftest import assert_raises_exactly, random_ellipsoid, random_hpolytope, random_vpolytope
 
 
 class TestCloudGeneration:
@@ -35,6 +38,26 @@ class TestCloudGeneration:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             MeasurementCloud(np.ones((5, 2)), np.ones((5, 3)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: MeasurementCloud(np.empty((0, 2)), np.eye(2)), DegenerateBodyError, "both sample sets must be non-empty"),
+    (lambda: MeasurementCloud(np.eye(2), [[0.0, np.nan], [1.0, 0.0]]), ValueError, "samples must be finite"),
+    (lambda: body_to_dict(np.eye(2)), TypeError, "not a convex body: <class 'numpy.ndarray'>"),
+    (lambda: cloud_generate_disk(0.0, 1.0, 10, 0), ValueError, "disk radii must be positive"),
+    (lambda: cloud_generate_disk(1.0, 1.0, 0, 0), ValueError, "need at least one sample, got 0"),
+    (lambda: cloud_analyze(MeasurementCloud([[1.0, 2.0], [-1.0, 2.0]], np.eye(2)), fit="interval-box"),
+     DegenerateBodyError, "samples are flat along a coordinate; box fit is degenerate"),
+    (lambda: cloud_analyze(cloud_generate_disk(1.0, 1.0, 10, 0), fit="hull"), ValueError,
+     "unknown fit mode 'hull'; expected one of ('ball', 'mvee', 'interval-box')"),
+    (lambda: cloud_analyze(cloud_generate_disk(1.0, 1.0, 10, 0), trim=0.5), ValueError,
+     "trim quantile must lie in [0, 0.5), got 0.5"),
+    (lambda: cloud_analyze(cloud_generate_disk(1.0, 1.0, 10, 0), trim=-0.1), ValueError,
+     "trim quantile must lie in [0, 0.5), got -0.1"),
+], ids=["empty-samples", "non-finite-samples", "not-a-body", "zero-radius", "no-samples", "flat-box-fit",
+        "unknown-fit", "trim-half", "trim-negative"])
+def test_cloud_input_checks(call, error, message):
+    assert_raises_exactly(call, error, message)
 
 
 class TestCloudAnalyze:
@@ -277,3 +300,63 @@ class TestSections:
             section_polygon(Ellipsoid.ball(2), (0, 0))
         with pytest.raises(IndexError):
             section_polygon(Ellipsoid.ball(2), (0, 5))
+
+    @pytest.mark.parametrize("halfwidths", [[1e20, 1e20], [1e-10, 1e-24, 1.0], [1e170, 1e170, 1e-170]],
+                             ids=["huge", "mixed-scale", "squares-underflow"])
+    def test_plane_rows_are_tested_against_their_own_scale(self, halfwidths):
+        # Each row is kept unless its plane part is negligible next to its own largest
+        # entry, so a bounded body's section is drawn at any scale, with exact corners.
+        a, b = halfwidths[:2]
+        poly = section_polygon(HPolytope.box(halfwidths), (0, 1))
+        assert sorted(map(tuple, poly)) == sorted((sa * a, sb * b) for sa in (1, -1) for sb in (1, -1))
+
+    def test_huge_cross_polytope_section(self):
+        # Its 8 plane rows (+-1e-15, +-1e-15) go to Qhull, which places the corners to 1 ulp.
+        poly = section_polygon(VPolytope(1e15 * np.eye(3)), (0, 1))
+        diamond = 1e15 * np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        assert np.allclose(poly, diamond, rtol=0, atol=1e15 * 2 * np.finfo(float).eps)
+
+    def test_product_section_axes_follow_the_plane_order(self):
+        x, p = HPolytope.box([1.0, 2.0]), HPolytope.box([3.0, 5.0])
+        extents = {(1, 0): [2.0, 1.0], (2, 0): [3.0, 1.0], (3, 2): [5.0, 3.0],
+                   (0, 1): [1.0, 2.0], (0, 2): [1.0, 3.0], (2, 3): [3.0, 5.0]}
+        for plane, extent in extents.items():
+            assert np.abs(product_section_rectangle(x, p, plane)).max(axis=0).tolist() == extent
+
+    @pytest.mark.parametrize("make", [random_ellipsoid, random_hpolytope, random_vpolytope], ids=["E", "H", "V"])
+    @pytest.mark.parametrize("plane", [(0, 2), (3, 5), (1, 4), (5, 0)], ids=["x-x", "p-p", "x-p", "p-x"])
+    def test_reversed_plane_swaps_the_columns(self, make, plane, rng):
+        # The same point set with its columns swapped, to rounding: a polygon's vertices, or
+        # an ellipse's samples (the sample angles are symmetric under the swap).
+        x, p = make(3, rng), make(3, rng)
+        forward = product_section_rectangle(x, p, plane)
+        swapped = product_section_rectangle(x, p, plane[::-1])[:, ::-1]
+        gaps = np.linalg.norm(forward[:, None] - swapped[None], axis=2)
+        assert len(forward) == len(swapped)
+        assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= 1e-13 * np.abs(forward).max()
+
+    def test_conjugate_plane_corners_are_the_axis_sections(self, rng):
+        # The box of 1/g_x and 1/g_p, g_k the factor's gauge at its axis, bit for bit.
+        makers = [random_ellipsoid, random_hpolytope, random_vpolytope]
+        checked = 0
+        for n, _ in itertools.product((1, 2, 3), range(4)):
+            axes = np.eye(n)
+            for make_x, make_p in itertools.product(makers, repeat=2):
+                x, p = make_x(n, rng), make_p(n, rng)
+                for i, j in itertools.product(range(n), range(n, 2 * n)):
+                    a, b = 1.0 / gauge(x, axes[i]), 1.0 / gauge(p, axes[j - n])
+                    expected = _order_by_angle(np.array([[a, b], [-a, b], [-a, -b], [a, -b]]))
+                    assert product_section_rectangle(x, p, (i, j)).tobytes() == expected.tobytes()
+                    checked += 1
+        assert checked == 4 * 9 * (1 + 4 + 9)
+
+
+@pytest.mark.parametrize("plane, error, message", [
+    ((0, 1), DimensionError, "dimension mismatch: X is 2-dim, P is 3-dim"),
+    ((1, 1), IndexError, "plane indices must be distinct and within 0..3, got (1, 1)"),
+    ((0, 4), IndexError, "plane indices must be distinct and within 0..3, got (0, 4)"),
+    ((-1, 2), IndexError, "plane indices must be distinct and within 0..3, got (-1, 2)"),
+], ids=["dimension-mismatch", "same-index", "index-past-2n", "negative-index"])
+def test_product_section_input_checks(plane, error, message):
+    p = Ellipsoid.ball(3 if error is DimensionError else 2)
+    assert_raises_exactly(lambda: product_section_rectangle(Ellipsoid.ball(2), p, plane), error, message)

@@ -18,6 +18,8 @@ from qpolar.hardy import (
     minkowski_envelope_experiment,
 )
 
+from conftest import assert_raises_exactly
+
 
 def symmetric_grid(half_extent=20.0, n=1024):
     return np.linspace(-half_extent, half_extent, n, endpoint=False)
@@ -232,3 +234,15 @@ class TestMinkowskiExperiment:
         psi = np.exp(-x_grid**2)
         with pytest.raises(GridError):
             minkowski_envelope_experiment(psi, x_grid, HPolytope.box([1, 1]), HPolytope([[1.0]]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: hbar_fourier_1d(np.zeros(8), np.linspace(-1.0, 1.0, 16)), GridError,
+     "samples shape (8,) does not match grid shape (16,)"),
+    (lambda: hbar_fourier_1d(np.zeros((2, 4)), np.zeros((2, 4))), GridError,
+     "grid must be a one-dimensional array with at least two points"),
+    (lambda: hbar_fourier_1d(np.zeros(8), np.linspace(-1.0, 1.0, 8), sign=0), ValueError,
+     "sign must be -1 or +1, got 0"),
+], ids=["shape-mismatch", "grid-not-1d", "bad-sign"])
+def test_input_checks(call, error, message):
+    assert_raises_exactly(call, error, message)

@@ -15,6 +15,8 @@ from qpolar.io import (
     load_samples,
 )
 
+from conftest import assert_raises_exactly
+
 
 class TestBodyDocuments:
     def test_round_trip_all_types(self, tmp_path):
@@ -155,3 +157,10 @@ def test_byte_order_mark_ignored(tmp_path, text, load):
     plain.write_text(text, encoding="utf-8")
     marked.write_text("\ufeff" + text, encoding="utf-8")
     assert np.array_equal(load(marked), load(plain))
+
+
+def test_non_numeric_cloud_samples_keep_the_parse_error(tmp_path):
+    # Rows of one length that do not parse re-raise numpy's own error, not the ragged-row one.
+    path = tmp_path / "cloud.json"
+    path.write_text(json.dumps({"x": [["a", 1.0], [0.0, 1.0]], "p": [[0.0, 1.0], [1.0, 0.0]]}))
+    assert_raises_exactly(lambda: load_cloud(path), ValueError, "could not convert string to float: 'a'")

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -120,3 +121,52 @@ def test_unread_helper_check_finds_one():
 
 def test_no_unread_helpers():
     assert _unread_helpers({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+
+
+def _defined_names(sources: dict[str, str]) -> dict[str, set[str]]:
+    """The names each module defines: its functions, classes and assignments, and the
+    fields and methods of its classes (no local names)."""
+    defined = {}
+    for module, source in sources.items():
+        names, nodes = set(), list(ast.parse(source).body)
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+                nodes += node.body if isinstance(node, ast.ClassDef) else []
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+        defined[module] = names
+    return defined
+
+
+def _unresolved(paths: list[str], defined: dict[str, set[str]]) -> list[str]:
+    """The dotted names among paths that the package does not define: in ``module.name``
+    the name must be that module's, and every other part a name of some module."""
+    everywhere = set().union(*defined.values())
+
+    def resolves(path):
+        head, *rest = path.split(".")
+        if head in defined and rest:
+            return rest[0] in defined[head] and set(rest[1:]) <= everywhere
+        return {head, *rest} <= everywhere
+
+    return sorted({path for path in paths if not resolves(path)})
+
+
+def test_doc_reference_check_finds_one():
+    defined = _defined_names({"a": "X = 1\nclass K:\n    f: int\n    def m(self):\n        y = 2\n"})
+    assert _unresolved(["X", "a.K", "K.f", "a.K.m", "a.y", "y", "b.X"], defined) == ["a.y", "b.X", "y"]
+
+
+def test_doc_references_resolve():
+    # A name a docstring or the README points at must exist: a fold or a rename that
+    # moves it updates the text too.
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    in_sources = [name for source in sources.values()
+                  for name in re.findall(r"``([A-Za-z_]\w*(?:\.\w+)*)(?:``|\()", source)]
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    in_readme = re.findall(r"\bqpolar\.(\w+\.\w+)", readme) + re.findall(r"`(_\w+)`", readme)
+    assert len(in_sources) > 50 and len(in_readme) > 3
+    assert _unresolved(in_sources + in_readme, _defined_names(sources)) == []

@@ -31,7 +31,7 @@ from qpolar.quantum import (
 )
 from qpolar.symplectic import block_diagonalize, random_symplectic, symplectic_eigenvalues
 
-from conftest import covariance_with_spectrum, random_spd
+from conftest import assert_raises_exactly, covariance_with_spectrum, random_spd
 
 
 def mixed_covariance_samples(count, rng, max_n=3):
@@ -551,3 +551,11 @@ class TestRandomQuantumCovariance:
             hbar = float(rng.uniform(0.5, 2.0))
             cov = random_quantum_covariance(n, 700 + i, hbar=hbar, slack=float(rng.uniform(0, 2)))
             assert is_quantum_covariance(cov, hbar=hbar)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: random_quantum_covariance(0, 0), DimensionError, "need n >= 1 modes, got n=0"),
+    (lambda: random_quantum_covariance(1, 0, slack=-0.5), ValueError, "slack must be nonnegative, got -0.5"),
+], ids=["no-modes", "negative-slack"])
+def test_input_checks(call, error, message):
+    assert_raises_exactly(call, error, message)

@@ -22,7 +22,7 @@ from qpolar.symplectic import (
     symplectic_form,
 )
 
-from conftest import covariance_with_spectrum, random_spd
+from conftest import assert_raises_exactly, covariance_with_spectrum, random_spd
 
 
 class TestStandardForm:
@@ -257,3 +257,11 @@ class TestPencilEigenvalues:
     def test_not_positive_definite_raises(self):
         with pytest.raises(NotPositiveDefiniteError):
             _pencil_eigenvalues(np.eye(2), np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: is_symplectic(np.zeros((2, 4))), DimensionError, "expected a square matrix, got shape (2, 4)"),
+    (lambda: random_symplectic(0), DimensionError, "need n >= 1 modes, got n=0"),
+], ids=["not-square", "no-modes"])
+def test_input_checks(call, error, message):
+    assert_raises_exactly(call, error, message)
