@@ -51,7 +51,7 @@ from .errors import (
     SingularMatrixError,
     UndecidedError,
 )
-from .symplectic import _spd_cholesky, require_symmetric
+from .symplectic import _check_tol, _spd_cholesky, require_symmetric
 
 # H-polytope vertex enumeration is refused when its count bound (``_vertex_bound``)
 # exceeds this budget: an inclusion scale or a section that needs the vertices is
@@ -538,12 +538,6 @@ def _accepts(r: float, tol: float) -> bool:
     for a finite tol >= 0 (``_check_tol``)."""
     _check_tol(tol)
     return bool(r >= 1.0 / (1.0 + tol))
-
-
-def _check_tol(tol: float) -> None:
-    """The one tol check: ValueError unless tol is finite and non-negative."""
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
 
 
 def _check_hbar(hbar: float) -> None:

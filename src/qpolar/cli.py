@@ -16,22 +16,15 @@ import click
 import numpy as np
 
 from . import __version__, io as qio
-from .bodies import DEFAULT_TOL, Ellipsoid, _check_hbar, _check_tol, polar_dual
+from .bodies import DEFAULT_TOL, Ellipsoid, _check_hbar, polar_dual
 from .capacities import ellipsoid_capacity, product_capacity
 from .cloud import FIT_MODES, body_to_dict, cloud_analyze, cloud_generate_disk, disk_demo
 from .errors import QPolarError
 from .hardy import HardyInput, _check_widths, hardy_check
 from .polarity import is_quantum_pair
-from .quantum import (
-    _projection_pair,
-    capacity_criterion,
-    covariance_ellipsoid,
-    is_quantum_covariance,
-    rs_check,
-    section_area,
-)
+from .quantum import _covariance_verdicts, _projection_pair, covariance_ellipsoid, section_area
 from .sections import emit_section_plot
-from .symplectic import _factor_symplectic_eigenvalues
+from .symplectic import _check_tol
 
 PASS, FAIL, ERROR = 0, 2, 1
 
@@ -211,15 +204,9 @@ def capacity(x_path, p_path, body_path, sigma_path, mode_index, hbar, tol, fmt):
 def covariance(sigma_path, hbar, tol, fmt):
     """Run every quantum-covariance verdict on a matrix; exit 2 if invalid."""
     cov = qio.load_covariance(sigma_path)
-    valid = is_quantum_covariance(cov, hbar, tol)
-    spectrum = None if cov.factor is None else _factor_symplectic_eigenvalues(cov.factor)
-    doc = {
-        "quantum_covariance": valid,
-        "rs_per_mode": rs_check(cov, hbar, tol),
-        "capacity_criterion": capacity_criterion(cov, hbar, tol),
-        "symplectic_spectrum": spectrum,
-        "half_hbar": 0.5 * hbar,
-    }
+    valid, rs, criterion, spectrum = _covariance_verdicts(cov, hbar, tol)
+    doc = {"quantum_covariance": valid, "rs_per_mode": rs, "capacity_criterion": criterion,
+           "symplectic_spectrum": spectrum, "half_hbar": 0.5 * hbar}
     if valid:
         verdict = _projection_pair(cov, hbar, tol)  # theorem2_check's verdict, validity decided above
         doc["projection_pair"] = {
@@ -249,15 +236,13 @@ def hardy(a_path, b_path, sigma_x, sigma_p, hbar, tol, fmt):
         _check_widths(sigma_x, sigma_p)
         inp = HardyInput(np.array([[sigma_x**2]]), np.array([[sigma_p**2]]))
     verdict = hardy_check(inp, hbar, tol)
-    # The induced pair's inclusion scale is the first ratio, 2 sqrt(eig_1(A B)) / hbar,
-    # and it is a pair exactly when that ratio is accepted, i.e. unless "violates".
     is_pair = verdict.classification != "violates"
     _emit(
         {
             "classification": verdict.classification,
             "eigenvalues": verdict.eigenvalues,
             "quarter_hbar_squared": 0.25 * hbar**2,
-            "pair": {"is_pair": is_pair, "lambda_max": 2.0 * np.sqrt(verdict.eigenvalues[0]) / hbar},
+            "pair": {"is_pair": is_pair, "lambda_max": verdict.lambda_max},
         },
         fmt,
     )

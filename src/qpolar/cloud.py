@@ -11,13 +11,7 @@ from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, HPolytope, VPolytope, _c
 from .capacities import CapacityReport, _capacity_of
 from .errors import DegenerateBodyError, DimensionError
 from .polarity import PairVerdict, is_quantum_pair
-from .quantum import (
-    CovarianceMatrix,
-    capacity_criterion,
-    is_quantum_covariance,
-    rs_check,
-)
-from .symplectic import _factor_symplectic_eigenvalues
+from .quantum import CovarianceMatrix, _covariance_verdicts
 
 FIT_MODES = ("ball", "mvee", "interval-box")
 # The disk demo's measured variance matches a figure within this relative band.
@@ -36,12 +30,12 @@ class MeasurementCloud:
     def __post_init__(self):
         x, p = (np.asarray(s, dtype=float) for s in (self.x_samples, self.p_samples))
         x, p = (s[:, None] if s.ndim == 1 else np.atleast_2d(s) for s in (x, p))
+        if x.ndim > 2 or p.ndim > 2:
+            raise DimensionError(f"sample arrays must have at most two dimensions, got {x.ndim} and {p.ndim}")
         if x.size == 0 or p.size == 0:
             raise DegenerateBodyError("both sample sets must be non-empty")
         if x.shape[1] != p.shape[1]:
-            raise DimensionError(
-                f"position samples have {x.shape[1]} coordinates, momentum samples {p.shape[1]}"
-            )
+            raise DimensionError(f"position samples have {x.shape[1]} coordinates, momentum samples {p.shape[1]}")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
             raise ValueError("samples must be finite")
         object.__setattr__(self, "x_samples", x)
@@ -125,7 +119,7 @@ def cloud_generate_disk(rx: float, rp: float, n_samples: int, seed: int) -> Meas
     Deterministic per seed. The per-coordinate variance of a uniform disk of
     radius R is R^2 / 4.
     """
-    if rx <= 0 or rp <= 0:
+    if not (0 < rx < np.inf and 0 < rp < np.inf):
         raise ValueError("disk radii must be positive")
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
@@ -173,8 +167,8 @@ def cloud_analyze(cloud: MeasurementCloud, hbar: float = 1.0, fit: str = "ball",
     sample sets are paired (equal counts) the joint 2n x 2n sample covariance
     and its quantum verdicts are included; otherwise the cross block is not
     estimable and the covariance section is built block-diagonal with a note.
-    The verdicts are those of `qpolar covariance`: a singular sample covariance
-    is invalid and has no symplectic spectrum (None).
+    The verdicts are the bundle `qpolar covariance` reads (``_covariance_verdicts``): a
+    singular sample covariance is invalid and has no symplectic spectrum (None).
     """
     if fit not in FIT_MODES:
         raise ValueError(f"unknown fit mode {fit!r}; expected one of {FIT_MODES}")
@@ -208,7 +202,7 @@ def cloud_analyze(cloud: MeasurementCloud, hbar: float = 1.0, fit: str = "ball",
         sigma[:n, :n] = (xs.T @ xs) / xs.shape[0]
         sigma[n:, n:] = (ps.T @ ps) / ps.shape[0]
     cov = CovarianceMatrix(sigma)
-
+    valid, rs, criterion, spectrum = _covariance_verdicts(cov, hbar, tol)
     return AnalysisReport(
         x_center=x_center,
         p_center=p_center,
@@ -223,10 +217,10 @@ def cloud_analyze(cloud: MeasurementCloud, hbar: float = 1.0, fit: str = "ball",
         trim=trim,
         kept_x=xs_kept.shape[0],
         kept_p=ps_kept.shape[0],
-        rs_per_mode=rs_check(cov, hbar, tol),
-        sigpos_ok=is_quantum_covariance(cov, hbar, tol),
-        capacity_criterion_ok=capacity_criterion(cov, hbar, tol),
-        symplectic_spectrum=None if cov.factor is None else _factor_symplectic_eigenvalues(cov.factor),
+        rs_per_mode=rs,
+        sigpos_ok=valid,
+        capacity_criterion_ok=criterion,
+        symplectic_spectrum=spectrum,
         sample_covariance=cov,
         notes=tuple(notes),
     )

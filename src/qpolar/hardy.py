@@ -205,11 +205,12 @@ class HardyVerdict:
     sit at hbar^2/4 (r_1 and 1/r_n accepted; psi is the matching Gaussian), and
     "hermite_subcritical" otherwise (psi is a finite Hermite combination).
     pair is the induced ellipsoid pair (X, P), a polar quantum pair iff the
-    classification is not "violates".
+    classification is not "violates"; lambda_max is r_1, that pair's inclusion scale.
     """
 
     eigenvalues: np.ndarray
     classification: HardyClass
+    lambda_max: float
     pair: tuple[Ellipsoid, Ellipsoid] = field(repr=False)
 
 
@@ -225,7 +226,7 @@ def hardy_check(inp: HardyInput, hbar: float = 1.0, tol: float = DEFAULT_TOL) ->
     else:
         kind = "hermite_subcritical"
     pair = tuple(Ellipsoid._from_factor(np.linalg.inv(f).T / math.sqrt(2.0)) for f in (c, g))
-    return HardyVerdict(eigenvalues=eigs, classification=kind, pair=pair)
+    return HardyVerdict(eigenvalues=eigs, classification=kind, lambda_max=float(scales[0]), pair=pair)
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ from .bodies import DEFAULT_TOL, Ellipsoid, _accepts, _check_hbar, _freeze, _inv
 from .capacities import ellipsoid_capacity
 from .errors import DimensionError, InvalidCovarianceError, NotPositiveDefiniteError
 from .polarity import PairVerdict
-from .symplectic import (_factor_pencil_eigenvalues, _spd_cholesky, _spd_pair, _symplectic_j,
-                         random_symplectic, require_symmetric)
+from .symplectic import (_factor_pencil_eigenvalues, _factor_symplectic_eigenvalues, _spd_cholesky, _spd_pair,
+                         _symplectic_j, random_symplectic, require_symmetric)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +126,13 @@ def capacity_criterion(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> bool:
     except NotPositiveDefiniteError:  # not positive definite: invalid, as in is_quantum_covariance
         return _accepts(0.0, tol)
     return _accepts(ellipsoid_capacity(ell) / (np.pi * hbar), tol)
+
+
+def _covariance_verdicts(cov: CovarianceMatrix, hbar: float, tol: float) -> tuple:
+    """The bundle `qpolar covariance` and cloud_analyze report: (validity, Robertson-Schrodinger flag
+    per mode, capacity criterion, Williamson spectrum off ``CovarianceMatrix.factor``, None without one)."""
+    return (is_quantum_covariance(cov, hbar, tol), rs_check(cov, hbar, tol), capacity_criterion(cov, hbar, tol),
+            None if cov.factor is None else _factor_symplectic_eigenvalues(cov.factor))
 
 
 def section_area(s, j: int) -> float:

@@ -51,8 +51,15 @@ def symplectic_form(z: np.ndarray, zp: np.ndarray) -> float:
     return float(zp @ (j @ z))
 
 
+def _check_tol(tol: float) -> None:
+    """The one tol check: ValueError unless tol is finite and non-negative."""
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+
+
 def is_symplectic(m: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff ||M^T J M - J||_max <= tol."""
+    """True iff ||M^T J M - J||_max <= tol, for a finite tol >= 0 (``_check_tol``)."""
+    _check_tol(tol)
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")

@@ -208,7 +208,6 @@ class TestCovariance:
 
     @pytest.mark.parametrize("scale", [1.0, 0.25])
     def test_validity_decided_once(self, runner, tmp_path, monkeypatch, scale):
-        import qpolar.cli
         import qpolar.quantum
 
         sigma = scale * qpolar.random_quantum_covariance(2, 3, slack=0.5).sigma
@@ -220,8 +219,7 @@ class TestCovariance:
             calls.append(args)
             return decide(*args, **kwargs)
 
-        for module in (qpolar.cli, qpolar.quantum):
-            monkeypatch.setattr(module, "is_quantum_covariance", counted)
+        monkeypatch.setattr(qpolar.quantum, "is_quantum_covariance", counted)
         result = runner.invoke(cli, ["covariance", "--sigma", path, "--format", "structured"])
         assert len(calls) == 1
         doc = json.loads(result.output)
@@ -269,6 +267,16 @@ class TestHardy:
         assert doc["is_pair"] is pair.is_pair
         assert result.exit_code == (0 if pair.is_pair else 2)
         assert doc["lambda_max"] == pytest.approx(pair.lambda_max, rel=1e-12, abs=0.0)
+
+    def test_lambda_max_survives_underflow(self, runner):
+        # sigma_x^2 sigma_p^2 = 1e-400 underflows to 0, but r_1 = 2 sigma_x sigma_p / hbar is 2.
+        result = runner.invoke(cli, ["hardy", "--sigma-x", "1e-100", "--sigma-p", "1e-100", "--hbar", "1e-200",
+                                     "--format", "structured"])
+        assert result.exit_code == 0
+        verdict = qpolar.hardy_check(qpolar.HardyInput(np.array([[1e-200]]), np.array([[1e-200]])), 1e-200)
+        lam = qpolar.is_quantum_pair(*verdict.pair, 1e-200).lambda_max
+        assert json.loads(result.output)["pair"] == {"is_pair": True, "lambda_max": 2.0}
+        assert verdict.lambda_max == pytest.approx(lam, rel=1e-12, abs=0.0)
 
 
 class TestCloudCommands:

@@ -44,7 +44,11 @@ class TestCloudGeneration:
     (lambda: MeasurementCloud(np.empty((0, 2)), np.eye(2)), DegenerateBodyError, "both sample sets must be non-empty"),
     (lambda: MeasurementCloud(np.eye(2), [[0.0, np.nan], [1.0, 0.0]]), ValueError, "samples must be finite"),
     (lambda: body_to_dict(np.eye(2)), TypeError, "not a convex body: <class 'numpy.ndarray'>"),
+    (lambda: MeasurementCloud(np.ones((4, 2, 2)), np.ones((4, 2, 2))), DimensionError,
+     "sample arrays must have at most two dimensions, got 3 and 3"),
     (lambda: cloud_generate_disk(0.0, 1.0, 10, 0), ValueError, "disk radii must be positive"),
+    (lambda: cloud_generate_disk(np.nan, 1.0, 10, 0), ValueError, "disk radii must be positive"),
+    (lambda: cloud_generate_disk(1.0, np.inf, 10, 0), ValueError, "disk radii must be positive"),
     (lambda: cloud_generate_disk(1.0, 1.0, 0, 0), ValueError, "need at least one sample, got 0"),
     (lambda: cloud_analyze(MeasurementCloud([[1.0, 2.0], [-1.0, 2.0]], np.eye(2)), fit="interval-box"),
      DegenerateBodyError, "samples are flat along a coordinate; box fit is degenerate"),
@@ -54,7 +58,8 @@ class TestCloudGeneration:
      "trim quantile must lie in [0, 0.5), got 0.5"),
     (lambda: cloud_analyze(cloud_generate_disk(1.0, 1.0, 10, 0), trim=-0.1), ValueError,
      "trim quantile must lie in [0, 0.5), got -0.1"),
-], ids=["empty-samples", "non-finite-samples", "not-a-body", "zero-radius", "no-samples", "flat-box-fit",
+], ids=["empty-samples", "non-finite-samples", "not-a-body", "3-d-samples", "zero-radius", "nan-radius",
+        "inf-radius", "no-samples", "flat-box-fit",
         "unknown-fit", "trim-half", "trim-negative"])
 def test_cloud_input_checks(call, error, message):
     assert_raises_exactly(call, error, message)
@@ -167,7 +172,7 @@ class TestCloudAnalyze:
         def broken(*args, **kwargs):
             raise RuntimeError("bug in a covariance verdict")
 
-        monkeypatch.setattr("qpolar.cloud.rs_check", broken)
+        monkeypatch.setattr("qpolar.quantum.rs_check", broken)
         with pytest.raises(RuntimeError, match="bug in a covariance verdict"):
             cloud_analyze(cloud_generate_disk(1.0, 1.0, 500, seed=22))
 

@@ -170,3 +170,22 @@ def test_doc_references_resolve():
     in_readme = re.findall(r"\bqpolar\.(\w+\.\w+)", readme) + re.findall(r"`(_\w+)`", readme)
     assert len(in_sources) > 50 and len(in_readme) > 3
     assert _unresolved(in_sources + in_readme, _defined_names(sources)) == []
+
+
+def test_readme_library_example_holds():
+    # The README's library block runs, and each claim its comments make holds.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    namespace, shown = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            shown.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    hbar = 1.0
+    assert namespace["verdict"].lambda_max == 1.0
+    assert namespace["report"].value == 4 * hbar
+    valid, pair, spectrum, envelope = shown
+    assert valid is True and pair is True
+    assert spectrum == pytest.approx([0.75, 0.75], rel=1e-12, abs=0.0)
+    assert envelope is True

@@ -261,7 +261,9 @@ class TestPencilEigenvalues:
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: is_symplectic(np.zeros((2, 4))), DimensionError, "expected a square matrix, got shape (2, 4)"),
+    (lambda: is_symplectic(np.eye(2), tol=-1), ValueError, "tol must be finite and non-negative, got -1"),
+    (lambda: is_symplectic(np.eye(2), tol=np.nan), ValueError, "tol must be finite and non-negative, got nan"),
     (lambda: random_symplectic(0), DimensionError, "need n >= 1 modes, got n=0"),
-], ids=["not-square", "no-modes"])
+], ids=["not-square", "tol-negative", "tol-nan", "no-modes"])
 def test_input_checks(call, error, message):
     assert_raises_exactly(call, error, message)
