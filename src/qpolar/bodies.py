@@ -24,8 +24,8 @@ V-polytope's gauge is max |w . x| over its facet normals w, the vertices of its 
 polar, which ``_enumerate_vertices`` (the one polytope conversion) reads off its own
 vertices, unless there may be so many that one HiGHS LP per row costs less. ``gauge``
 checks its rows and the internal ``_gauge`` does not: its callers pass a body's own rows
-or vertices, validated when it was built, and check the vertices they enumerate, which
-can overflow. The support function is the gauge of the unit polar, h_K = ||.||_{K°}. An
+or vertices, validated when it was built, or vertices ``_enumerate_vertices`` checked (they
+can overflow). The support function is the gauge of the unit polar, h_K = ||.||_{K°}. An
 H-polytope with n rows A (a parallelotope) has the vertices A^-1 s over the 2^n sign
 vectors s; Qhull runs only for more rows, and no enumeration starts whose vertex count
 bound exceeds ``VERTEX_BUDGET``.
@@ -292,15 +292,20 @@ def _gauge(body: ConvexBody, rows: np.ndarray) -> np.ndarray:
         return _row_norms(rows, _enumerate_vertices(body.vertices).T, np.inf)
     from scipy.optimize import linprog
 
-    # One LP per nonzero row: min sum(c+ + c-)  s.t.  V^T (c+ - c-) = x, c+- >= 0.
-    w = body.vertices.T
+    # One LP per nonzero row: min sum(c+ + c-)  s.t.  W^T (c+ - c-) = x', c+- >= 0, on
+    # W = 2^-e V and x' = 2^-f x, scaled exactly to max |entry| in [0.5, 1): HiGHS drops
+    # entries below 1e-9 and its feasibility tolerance is absolute. ||x||_V = 2^(f-e) ||x'||_W.
+    e = frexp(body.row_range[1])[1]
+    w = np.ldexp(body.vertices.T, -e)
     a_eq = np.hstack([w, -w])
     g = np.zeros(rows.shape[0])
     for i in nonzero:
-        res = linprog(np.ones(a_eq.shape[1]), A_eq=a_eq, b_eq=rows[i], bounds=(0, None), method="highs")
+        f = frexp(np.abs(rows[i]).max())[1]
+        res = linprog(np.ones(a_eq.shape[1]), A_eq=a_eq, b_eq=np.ldexp(rows[i], -f), bounds=(0, None),
+                      method="highs")
         if not res.success:
             raise DegenerateBodyError(f"gauge LP failed: {res.message}")
-        g[i] = res.fun
+        g[i] = np.ldexp(res.fun, f - e)
     return g
 
 
@@ -424,24 +429,33 @@ def _enumerate_vertices(rows: np.ndarray) -> np.ndarray:
     closed form for dim 1 and for n rows A (a parallelotope): A^-1 s over the 2^n sign
     vectors s, solved per block of ``_sign_blocks``. Otherwise by Qhull; where it fails,
     nearly coincident rows are merged (``ROW_MERGE_RTOL``) and Qhull runs once more;
-    ``UndecidedError`` if it fails again.
+    ``UndecidedError`` if it fails again. Each route runs on the rows scaled exactly by
+    2^-e to max |entry| in [0.5, 1), whose vertices are 2^e times the body's; scaled back,
+    vertices that overflow raise ValueError, as an outside vector would.
     """
     m, n = rows.shape
+    e = frexp(np.abs(rows).max())[1]
+    rows = np.ldexp(rows, -e)
     if n == 1:
-        a = 1.0 / np.max(np.abs(rows))
-        return np.array([[a], [-a]])
-    if m == n:
+        vertices = np.array([[1.0], [-1.0]]) / np.max(np.abs(rows))
+    elif m == n:
         # A parallelotope (the rows span, so A is invertible): A v = s over the sign vectors s.
-        return np.concatenate([np.linalg.solve(rows, s.T).T for s in _sign_blocks(n, 2**n)])
-    from scipy.spatial import QhullError
+        vertices = np.concatenate([np.linalg.solve(rows, s.T).T for s in _sign_blocks(n, 2**n)])
+    else:
+        from scipy.spatial import QhullError
 
-    try:
-        return _halfspace_vertices(rows)
-    except QhullError:
         try:
-            return _halfspace_vertices(_merge_close_rows(rows))
-        except QhullError as exc:
-            raise UndecidedError(f"undecided: Qhull vertex enumeration failed: {exc}".splitlines()[0]) from None
+            vertices = _halfspace_vertices(rows)
+        except QhullError:
+            try:
+                vertices = _halfspace_vertices(_merge_close_rows(rows))
+            except QhullError as exc:
+                raise UndecidedError(f"undecided: Qhull vertex enumeration failed: {exc}".splitlines()[0]) from None
+    with np.errstate(over="ignore"):
+        vertices = np.ldexp(vertices, -e)
+    if not isfinite(np.abs(vertices).max()):
+        raise ValueError("vector entries must be finite")
+    return vertices
 
 
 def _sign_blocks(n: int, count: int) -> Iterator[np.ndarray]:
@@ -507,7 +521,7 @@ def _polar_pairing(a: ConvexBody, b: ConvexBody) -> float:
     n = b.dim
     if len(b.vertices) > n:
         _check_budget(_vertex_bound(*b.vertices.shape))
-        return float(np.max(gauge(a, _enumerate_vertices(b.vertices))))
+        return float(np.max(_gauge(a, _enumerate_vertices(b.vertices))))
     _check_budget(2**n)
     g = _linear_gauge(b)[0].T
     m, q = _linear_gauge(a) or (None, None)

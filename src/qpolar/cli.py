@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, io as qio
 from .bodies import DEFAULT_TOL, Ellipsoid, _check_hbar, polar_dual
 from .capacities import ellipsoid_capacity, product_capacity
-from .cloud import FIT_MODES, body_to_dict, cloud_analyze, cloud_generate_disk, disk_demo
+from .cloud import FIT_MODES, cloud_analyze, cloud_generate_disk, disk_demo
 from .errors import QPolarError
 from .hardy import HardyInput, _check_widths, hardy_check
 from .polarity import is_quantum_pair
@@ -66,14 +66,6 @@ def _jsonify(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _write_out(text: str, output) -> None:
-    if output is None or output == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(output, "w") as fh:
-            fh.write(text)
-
-
 def _check_one_input(*groups: dict) -> None:
     """The one input rule: exactly one group of flags (flag -> value, None when absent) is
     given, in full. Else a usage error names the groups; the command branches on its own."""
@@ -98,7 +90,7 @@ class _Cli(click.Group):
         except click.UsageError as exc:
             exc.exit_code = ERROR
             raise
-        except (QPolarError, ValueError, IndexError) as exc:
+        except (QPolarError, ValueError, IndexError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -112,12 +104,11 @@ def cli():
 @click.option("--body", "body_path", required=True, type=click.Path(exists=True),
               help="Body document to dualize.")
 @hbar_option
-@click.option("-o", "--output", default=None, help="Output file (default stdout).")
+@click.option("-o", "--output", type=click.File("w", lazy=True), default="-", help="Output file (default stdout).")
 def polar(body_path, hbar, output):
     """Write the hbar-polar dual of a body."""
     dual = polar_dual(qio.load_body(body_path), hbar)
-    text = json.dumps(body_to_dict(dual), indent=2) + "\n"
-    _write_out(text, output)
+    output.write(json.dumps(qio.body_to_dict(dual), indent=2) + "\n")
 
 
 @cli.command("pair-check")
@@ -363,7 +354,7 @@ def plot():
               help="Covariance matrix: section of its phase-space ellipsoid.")
 @click.option("--plane", default="0,1", show_default=True,
               help="Comma-separated 0-based coordinate indices i,j.")
-@click.option("-o", "--output", default=None, help="Output file (default stdout).")
+@click.option("-o", "--output", type=click.File("w", lazy=True), default="-", help="Output file (default stdout).")
 def plot_section(body_path, x_path, p_path, sigma_path, plane, output):
     """Emit a closed-polyline section boundary with its annotated area."""
     try:
@@ -380,7 +371,7 @@ def plot_section(body_path, x_path, p_path, sigma_path, plane, output):
         text = emit_section_plot(
             (qio.load_body(x_path), qio.load_body(p_path)), (i, j), label="product"
         )
-    _write_out(text, output)
+    output.write(text)
 
 
 def main():

@@ -1,4 +1,4 @@
-"""Measurement clouds: generation, fitting, and full pair/capacity/covariance reports."""
+"""Measurement clouds: generation, fitting, and full pair/capacity/covariance reports (file formats: io)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, HPolytope, VPolytope, _check_hbar, enclosing_ellipsoid, gauge
+from .bodies import DEFAULT_TOL, ConvexBody, HPolytope, _check_hbar, enclosing_ellipsoid, gauge
 from .capacities import CapacityReport, _capacity_of
 from .errors import DegenerateBodyError, DimensionError
 from .polarity import PairVerdict, is_quantum_pair
@@ -76,7 +76,8 @@ class AnalysisReport:
     notes: tuple = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        """JSON-ready dictionary with stable field names."""
+        """JSON-ready dictionary with stable field names; the bodies as body documents."""
+        from .io import body_to_dict  # a local import: io imports this module
         spectrum = self.symplectic_spectrum
         return {
             "x_center": self.x_center.tolist(),
@@ -101,16 +102,6 @@ class AnalysisReport:
                 "symplectic_spectrum": None if spectrum is None else spectrum.tolist(),
             },
         }
-
-
-def body_to_dict(body: ConvexBody) -> dict:
-    if isinstance(body, Ellipsoid):
-        return {"type": "ellipsoid", "matrix": body.matrix.tolist()}
-    if isinstance(body, HPolytope):
-        return {"type": "hpoly", "rows": body.rows.tolist()}
-    if isinstance(body, VPolytope):
-        return {"type": "vpoly", "vertices": body.vertices.tolist()}
-    raise TypeError(f"not a convex body: {type(body)!r}")
 
 
 def cloud_generate_disk(rx: float, rp: float, n_samples: int, seed: int) -> MeasurementCloud:

@@ -1,10 +1,9 @@
 """File formats: body documents, covariance matrices, and sample clouds.
 
-Bodies are JSON documents {"type": "ellipsoid"|"hpoly"|"vpoly",
-"matrix"|"rows"|"vertices": [[...]]}; a structured cloud is JSON with "x" and
-"p" record lists. A covariance matrix is a JSON object {"sigma": [[...]]} or
-matrix text, not a JSON list. Every file is read as UTF-8, a leading
-byte-order mark ignored.
+Bodies are JSON documents {"type": "ellipsoid"|"hpoly"|"vpoly", "matrix"|"rows"|"vertices":
+[[...]]}, one table for ``body_to_dict`` and ``body_from_dict``; a structured cloud is JSON
+with "x" and "p" record lists. A covariance matrix is a JSON object {"sigma": [[...]]} or
+matrix text, not a JSON list. Every file is read as UTF-8, a leading byte-order mark ignored.
 
 Sample (and matrix) text holds one row of numbers per line, separated by
 commas, whitespace or both (trailing separators and CR LF allowed). Lines that
@@ -34,15 +33,24 @@ def _field(doc, key: str, what: str):
     return doc[key]
 
 
+# The body document of each body class: its type tag and the key of its array field.
+_BODY_DOCUMENTS = {Ellipsoid: ("ellipsoid", "matrix"), HPolytope: ("hpoly", "rows"), VPolytope: ("vpoly", "vertices")}
+
+
 def body_from_dict(doc: dict) -> ConvexBody:
     kind = _field(doc, "type", "body document")
-    if kind == "ellipsoid":
-        return Ellipsoid(_field(doc, "matrix", "ellipsoid document"))
-    if kind == "hpoly":
-        return HPolytope(_field(doc, "rows", "hpoly document"))
-    if kind == "vpoly":
-        return VPolytope(_field(doc, "vertices", "vpoly document"))
+    for cls, (tag, key) in _BODY_DOCUMENTS.items():
+        if kind == tag:
+            return cls(_field(doc, key, f"{tag} document"))
     raise ValueError(f"unknown body type {kind!r}; expected ellipsoid, hpoly, or vpoly")
+
+
+def body_to_dict(body: ConvexBody) -> dict:
+    """The body document of a body, which ``body_from_dict`` reads back."""
+    if type(body) not in _BODY_DOCUMENTS:
+        raise TypeError(f"not a convex body: {type(body)!r}")
+    tag, key = _BODY_DOCUMENTS[type(body)]
+    return {"type": tag, key: getattr(body, key).tolist()}
 
 
 def load_body(path) -> ConvexBody:

@@ -290,6 +290,24 @@ class TestGauge:
         with pytest.raises(UndecidedError, match="Qhull"):
             gauge(VPolytope(np.vstack([np.eye(3), [[1.0, 1.0, 1.0]]])), np.eye(3))
 
+    @pytest.mark.parametrize("c", [1e-9, 1e-10, 1e16, 1e-300, 1e300])
+    def test_lp_gauge_is_the_same_at_every_scale(self, c, monkeypatch):
+        # HiGHS drops matrix entries below 1e-9 and its feasibility tolerance is
+        # absolute. On the data as given, this scale (0.1742 at c = 1) read 1.490 at
+        # c = 1e-9, a false pass, inf at 1e-10, and a model error at 1e16. The LP
+        # runs on the vertices and each row scaled by powers of two.
+        import scipy.spatial
+
+        gen = np.random.default_rng(2)
+        v, b = gen.standard_normal((8, 3)), gen.standard_normal((3, 3))
+        monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection", forbid_qhull)
+        want = inclusion_scale(VPolytope(v), HPolytope(b))
+        assert want == pytest.approx(0.1742, abs=1e-4)
+        assert inclusion_scale(VPolytope(c * v), HPolytope(c * b)) == pytest.approx(want, rel=1e-14)
+        assert not is_quantum_pair(VPolytope(c * v), HPolytope(c * b)).is_pair
+        x = np.array([0.3, -0.2, 0.5])
+        assert gauge(VPolytope(v), c * x) == pytest.approx(c * gauge(VPolytope(v), x), rel=1e-14)
+
     def test_membership_criterion(self, rng):
         for _ in range(20):
             body = random_body(2, rng)
@@ -396,6 +414,35 @@ class TestHPolytopeVertices:
             body = random_hpolytope(3, rng)
             for v in hpolytope_vertices(body):
                 assert gauge(body, v) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("s", [1e80, 1e150, 1e300, 2.0**900, 2.0**-900])
+    def test_qhull_vertices_at_every_scale(self, s):
+        # Qhull ran on the rows as given and was undecided for s A at every s from
+        # 1e80 to 1e300. It runs on the rows scaled by 2^-e, and the vertices are
+        # scaled back: bit for bit those of A at a power of two, to rounding elsewhere.
+        a = np.random.default_rng(2).standard_normal((8, 3))
+        want, got = hpolytope_vertices(HPolytope(a)), s * hpolytope_vertices(HPolytope(s * a))
+        assert got.shape == want.shape == (12, 3)
+        want, got = (v[np.lexsort(v.T)] for v in (want, got))
+        if np.log2(s) % 1 == 0:
+            assert np.array_equal(got, want)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("rows", [1e-309 * np.eye(2), 1e-309 * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                                      np.diag([1e-310, 1.0])], ids=["parallelotope", "qhull", "mixed"])
+    def test_overflowed_vertices_are_refused_at_the_source(self, rows):
+        # The vertices lie near 1e309, past the float range. They were returned as inf
+        # and NaN, and a section plot printed '# area: nan'; the enumeration now
+        # refuses them, as an outside vector is refused, and warns of nothing.
+        import warnings
+
+        from qpolar.sections import emit_section_plot
+
+        body = HPolytope(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: hpolytope_vertices(body), lambda: emit_section_plot(body, (0, 1))):
+                assert_raises_exactly(call, ValueError, "vector entries must be finite")
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("cond", [None, 1e6])

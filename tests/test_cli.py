@@ -458,6 +458,12 @@ def test_import_leaves_scipy_stats_unloaded():
     assert _scipy_modules_after("import qpolar.cli") == "[]"
 
 
+def test_import_leaves_io_and_json_unloaded():
+    # AnalysisReport.to_dict imports body_to_dict where it is called, since io imports cloud.
+    out = _python("-c", "import sys, qpolar; print('qpolar.io' in sys.modules, 'json' in sys.modules)")
+    assert out.stdout.split() == ["False", "False"], out.stderr
+
+
 def test_import_leaves_the_collector_alone():
     out = _python("-c", "import gc, qpolar, qpolar.cli; print(gc.isenabled(), gc.get_freeze_count())")
     assert out.stdout.split() == ["True", "0"], out.stderr
@@ -669,6 +675,24 @@ def test_malformed_document_exits_one(runner, tmp_path, doc, args, key):
     result = runner.invoke(cli, [path if a == "{doc}" else a for a in args])
     assert result.exit_code == 1
     assert "Error:" in result.output and key in result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["pair-check", "-x", "{dir}", "-p", "{x}"], "Is a directory"),
+    (["covariance", "--sigma", "{dir}"], "Is a directory"),
+    (["cloud", "analyze", "-x", "{dir}", "-p", "{dir}"], "Is a directory"),
+    (["cloud", "generate", "--rx", "1", "--rp", "1", "-n", "10", "-o", "{missing}"], "No such file or directory"),
+    (["polar", "--body", "{x}", "-o", "{missing}"], "Could not open file"),
+    (["plot", "section", "--body", "{x}", "-o", "{missing}"], "Could not open file"),
+], ids=["pair-check-dir", "covariance-dir", "cloud-analyze-dir", "cloud-generate-missing", "polar-missing",
+        "plot-section-missing"])
+def test_unreadable_or_unwritable_path_exits_one(runner, tmp_path, disk_x, args, message):
+    # An Error: line, not a traceback: the runner sees click's own exit, not a raised OSError.
+    paths = {"{dir}": str(tmp_path), "{x}": disk_x, "{missing}": str(tmp_path / "missing" / "out.json")}
+    result = runner.invoke(cli, [paths.get(a, a) for a in args])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: ") and message in result.output
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("args", [[], ["-j", "1"]], ids=["capacity", "section-area"])

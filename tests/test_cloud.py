@@ -6,12 +6,12 @@ import pytest
 from qpolar.bodies import Ellipsoid, HPolytope, VPolytope, gauge
 from qpolar.cloud import (
     MeasurementCloud,
-    body_to_dict,
     cloud_analyze,
     cloud_generate_disk,
     disk_demo,
 )
 from qpolar.errors import DegenerateBodyError, DimensionError
+from qpolar.io import body_to_dict
 from qpolar.sections import _order_by_angle, emit_section_plot, product_section_rectangle, section_polygon
 
 from conftest import assert_raises_exactly, random_ellipsoid, random_hpolytope, random_vpolytope

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from qpolar.bodies import Ellipsoid, HPolytope, VPolytope
-from qpolar.cloud import body_to_dict
 from qpolar.io import (
     body_from_dict,
+    body_to_dict,
     dump_samples,
     load_body,
     load_cloud,
@@ -30,6 +30,9 @@ class TestBodyDocuments:
             path.write_text(json.dumps(body_to_dict(body)))
             again = load_body(path)
             assert type(again) is type(body)
+            # Each array comes back bit for bit, not only the type.
+            key = {Ellipsoid: "matrix", HPolytope: "rows", VPolytope: "vertices"}[type(body)]
+            assert getattr(again, key).tobytes() == getattr(body, key).tobytes()
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):

@@ -91,6 +91,12 @@ def test_no_unused_imports(module):
     assert _unused_imports((PACKAGE / module).read_text()) == []
 
 
+def test_body_document_tags_live_in_io():
+    # One table in io reads and writes body documents; no other module spells its tags.
+    spelled = {p.name for p in PACKAGE.glob("*.py") if '"hpoly"' in p.read_text() or '"vpoly"' in p.read_text()}
+    assert spelled == {"io.py"}
+
+
 def _unread_helpers(sources: dict[str, str]) -> list[str]:
     """``module.name`` for each module-level private function, class or constant, and each
     upper-case constant, that no other top-level statement of these modules reads: a
