@@ -11,24 +11,24 @@ ellipsoid carries a factor F of its matrix, and a derived one is built from a fa
 checked again: F^-T / hbar for a polar, L^-T F for a linear image (``scale`` is one), C^-T
 for (d M)^-1 with d M = C C^T (``_inverse_ellipsoid``). Errors are of order cond(F) eps, so
 ``linear_image`` decides up to its cond(L) <= 1e12 guard. A polytope carries the least
-and greatest of its row maxima, and ``polar_dual`` scales them with the array: rounding
-is monotone, so they are the polar's own, and its finiteness and nonzero-row checks read
-them (no pass over the new array, no rank SVD); ``linear_image`` validates a polytope in
-full.
+and greatest of its row maxima, which ``polar_dual`` scales with the array (rounding is
+monotone) for the polar's finiteness and nonzero-row checks: no rank SVD. One rule
+brings data into range before a solver, a product or a norm: ``_pow2_scaled``
+scales an array exactly by powers of two to max |entry| in [0.5, 1), over the whole array,
+per row or per column, and keeps the exponents. A range like 1 to 1e-310 within one row or
+column stays out of reach.
 
 The Minkowski gauge is the one body kernel. ``_linear_gauge`` writes each closed form
-once, as ||x||_body = ||x M||_q over row vectors x: (F, 2) for an ellipsoid, (A^T, inf)
-for an H-polytope and (V^-1, 1) for a V-polytope with n vertices V (a cross-polytope
-image), at every dimension, and ``_row_norms`` is its one blocked kernel. Any other
-V-polytope's gauge is max |w . x| over its facet normals w, the vertices of its unit
-polar, which ``_enumerate_vertices`` (the one polytope conversion) reads off its own
-vertices, unless there may be so many that one HiGHS LP per row costs less. ``gauge``
-checks its rows and the internal ``_gauge`` does not: its callers pass a body's own rows
-or vertices, validated when it was built, or vertices ``_enumerate_vertices`` checked (they
-can overflow). The support function is the gauge of the unit polar, h_K = ||.||_{K°}. An
-H-polytope with n rows A (a parallelotope) has the vertices A^-1 s over the 2^n sign
-vectors s; Qhull runs only for more rows, and no enumeration starts whose vertex count
-bound exceeds ``VERTEX_BUDGET``.
+once, ||x||_body = ||x M||_q over row vectors x, and ``_row_norms`` is its one blocked
+kernel. Any other V-polytope's gauge is max |w . x| over its facet normals w, the vertices
+of its unit polar, which ``_enumerate_vertices`` (the one polytope conversion) reads off
+its own vertices, unless there may be so many that one HiGHS LP per row costs less.
+``gauge`` checks its rows and the internal ``_gauge`` does not: its callers pass a body's
+own rows or vertices, validated when it was built, or vertices ``_enumerate_vertices``
+checked (they can overflow). The support function is the gauge of the unit polar, h_K =
+||.||_{K°}. An H-polytope with n rows A (a parallelotope) has the vertices A^-1 s over
+the 2^n sign vectors s; Qhull runs only for more rows, and no enumeration starts whose
+vertex count bound exceeds ``VERTEX_BUDGET``.
 
 Containment, the quantum-pair verdict and the product capacity all read one inclusion
 scale, ``inclusion_scale``: 1 / (hbar sigma) for the one symmetric pairing sigma of
@@ -85,6 +85,15 @@ _SIGN_TABLE_ENTRIES = 2**14
 _EPS = np.finfo(float).eps
 
 
+def _pow2_scaled(arr, axis=None, top=None, e=None):
+    """(arr 2^-e, e), exact. Unless given, e brings top into [0.5, 1): max |entry| of the whole
+    array (axis None: e an int, and top may be a bound the caller has), each row (1) or column (0)."""
+    if e is None:
+        top = np.abs(arr).max(axis=axis, keepdims=axis is not None) if top is None else top
+        e = np.frexp(top)[1] if axis is not None else frexp(top)[1]
+    return np.ldexp(arr, -e), e
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     """arr made read-only in place: an array its caller has just computed and owns."""
     arr.setflags(write=False)
@@ -96,7 +105,8 @@ _POLYTOPE_WORDS = {"H": ("rows", "bounded body"), "V": ("vertices", "full-dimens
 
 def _polytope_array(arr, kind: str) -> tuple[np.ndarray, tuple[float, float]]:
     """The one polytope validator: arr as frozen finite nonzero rows spanning the space
-    (matrix_rank's test, sigma_n > sigma_1 max(m, n) eps, on rows scaled to max-abs 1),
+    (matrix_rank's test, sigma_n > sigma_1 max(m, n) eps, on rows scaled to max-abs 1, and
+    where they fall short, their columns scaled too: no row or column scale refuses a body),
     of an H- or V-polytope (kind), and the least and greatest of its row maxima
     max_j |a_ij|, which carry the finiteness and nonzero-row checks (``_check_row_range``).
     One copy of the input; the row maxima are taken once."""
@@ -104,7 +114,9 @@ def _polytope_array(arr, kind: str) -> tuple[np.ndarray, tuple[float, float]]:
     row_max = np.abs(arr).max(axis=1, initial=0.0)
     row_range = (float(row_max.min()), float(row_max.max())) if row_max.size else (0.0, 0.0)
     _check_row_range(row_range, kind)
-    svals = np.linalg.svd(arr / row_max[:, None], compute_uv=False)
+    svals = np.linalg.svd(unit := arr / row_max[:, None], compute_uv=False)
+    if svals[-1] <= svals[0] * max(arr.shape) * _EPS:  # short of rank: its columns scaled decide
+        svals = np.linalg.svd(unit / np.abs(unit).max(axis=0, initial=np.finfo(float).tiny), compute_uv=False)
     if len(arr) < arr.shape[1] or svals[-1] <= svals[0] * max(arr.shape) * _EPS:
         what, spans = _POLYTOPE_WORDS[kind]
         raise DegenerateBodyError(f"{kind}-polytope {what} must span the space ({spans})")
@@ -154,10 +166,11 @@ class Ellipsoid:
 
     @classmethod
     def ball(cls, dim: int, radius: float = 1.0) -> "Ellipsoid":
-        """The Euclidean ball |x| <= radius."""
-        if not 0 < radius < np.inf:
-            raise ValueError(f"radius must be positive and finite, got {radius}")
-        return cls(np.eye(dim) / radius**2)
+        """The Euclidean ball |x| <= radius, for a radius whose 1/radius^2 is a finite nonzero float."""
+        sq = float(radius) * float(radius) if 0 < radius < np.inf else 0.0
+        if not (0 < sq < np.inf and 1.0 / sq < np.inf):
+            raise ValueError(f"radius must be positive and finite, from 7.458e-155 to 1.341e+154, got {radius}")
+        return cls(np.eye(dim) / sq)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,23 +245,23 @@ def _vertex_bound(rows: int, n: int) -> int:
     return 2**n if rows == n else _max_facets(2 * rows, n)
 
 
-def _linear_gauge(body: ConvexBody) -> tuple[np.ndarray, float] | None:
-    """(M, q) with ||x||_body = ||x M||_q for every row vector x, where the gauge has this
-    closed form: (F, 2) for an ellipsoid with Q = F F^T, (A^T, inf) for an H-polytope
-    with rows A and (V^-1, 1) for a V-polytope with n vertices V. None for any other
-    V-polytope (``_gauge`` takes its facets or LPs). ValueError where a row sum of |V^-1|,
-    the largest entry of the unit polar's vertices s V^-T, overflows."""
+def _linear_gauge(body: ConvexBody) -> tuple[np.ndarray, float, float | None] | None:
+    """(M, q, top) with ||x||_body = ||x M||_q for every row vector x and top >= max |M| if at
+    hand: (F, 2, None) for an ellipsoid with Q = F F^T, (A^T, inf, max |A|) for an H-polytope
+    with rows A and (V^-1, 1, its largest abs row sum) for a V-polytope with n vertices V. None
+    for any other V-polytope (``_gauge`` takes its facets or LPs). ValueError where that row
+    sum, the largest entry of the unit polar's vertices s V^-T, overflows."""
     if isinstance(body, Ellipsoid):
-        return body.factor, 2
+        return body.factor, 2, None
     if isinstance(body, HPolytope):
-        return body.rows.T, np.inf
+        return body.rows.T, np.inf, body.row_range[1]
     if body.vertices.shape[0] == body.dim:
         # A linear image of the cross-polytope: x = c V has the one solution
         # c = x V^-1, so the least ||c||_1 over x's representations is its own.
         inv = np.linalg.inv(body.vertices)
-        if not isfinite(np.abs(inv).sum(axis=1).max()):
+        if not isfinite(top := np.abs(inv).sum(axis=1).max()):
             raise ValueError("vector entries must be finite")
-        return inv, 1
+        return inv, 1, top
     return None
 
 
@@ -257,20 +270,21 @@ def _row_norms(x: np.ndarray, m: np.ndarray, q: float) -> np.ndarray:
     out = np.empty(x.shape[0])
     step = max(1, _BLOCK_ENTRIES // m.shape[1])
     for i in range(0, x.shape[0], step):
-        out[i:i + step] = np.linalg.norm(x[i:i + step] @ m, ord=q, axis=1)
+        y = x[i:i + step] @ m
+        y = np.abs(y, out=y)  # in place: at most two blocks at once
+        out[i:i + step] = np.sqrt((y * y).sum(axis=1)) if q == 2 else y.sum(axis=1) if q == 1 else y.max(axis=1)
     return out
 
 
 def gauge(body: ConvexBody, x) -> float | np.ndarray:
     """Minkowski gauge ||x||_body = inf{t > 0 : x/t in body}; 0 at the origin.
 
-    x is one vector (returns a float) or a (k, n) array of rows (returns the
-    k gauges). Closed forms ||x M||_q for ellipsoids, H-polytopes and V-polytopes
-    with n vertices, ||V^-T x||_1 (``_linear_gauge``). Any other V-polytope's gauge
-    is max|w . x| over the vertices w of its unit polar (||.||_K = h_{K°}), its facet
-    normals, when their count bound is within ``VERTEX_BUDGET`` and at most
-    ``LP_COST_FACETS`` per row; otherwise it solves one HiGHS LP per nonzero row.
-    Raises ``UndecidedError`` where Qhull fails twice (``_enumerate_vertices``).
+    x is one vector (returns a float) or a (k, n) array of rows (returns the k gauges).
+    Closed forms ||x M||_q for ellipsoids, H-polytopes and V-polytopes with n vertices,
+    ||V^-T x||_1 (``_linear_gauge``). Any other V-polytope's gauge is max|w . x| over the
+    vertices w of its unit polar (||.||_K = h_{K°}), its facet normals, when their count
+    bound is within ``VERTEX_BUDGET`` and at most ``LP_COST_FACETS`` per row; otherwise it
+    solves one HiGHS LP per nonzero row. ``UndecidedError`` where Qhull fails twice.
     """
     rows, single = _check_rows(body, x)
     g = _gauge(body, rows)
@@ -281,7 +295,7 @@ def _gauge(body: ConvexBody, rows: np.ndarray) -> np.ndarray:
     """The gauges of a (k, n) array of finite rows, not checked again: ``gauge``'s kernel."""
     linear = _linear_gauge(body)
     if linear is not None:
-        return _row_norms(rows, *linear)
+        return _row_norms(rows, *linear[:2])
     m, n = body.vertices.shape
     nonzero = np.flatnonzero(np.any(rows, axis=1))
     # Enumerate the facets within the budget when their bound is at most, per
@@ -292,21 +306,19 @@ def _gauge(body: ConvexBody, rows: np.ndarray) -> np.ndarray:
         return _row_norms(rows, _enumerate_vertices(body.vertices).T, np.inf)
     from scipy.optimize import linprog
 
-    # One LP per nonzero row: min sum(c+ + c-)  s.t.  W^T (c+ - c-) = x', c+- >= 0, on
-    # W = 2^-e V and x' = 2^-f x, scaled exactly to max |entry| in [0.5, 1): HiGHS drops
-    # entries below 1e-9 and its feasibility tolerance is absolute. ||x||_V = 2^(f-e) ||x'||_W.
-    e = frexp(body.row_range[1])[1]
-    w = np.ldexp(body.vertices.T, -e)
-    a_eq = np.hstack([w, -w])
+    # One LP per nonzero row, min w . (c+ + c-) s.t. W^T (c+ - c-) = x', c+- >= 0 (HiGHS drops
+    # entries below 1e-9; its tolerances are absolute): W is V scaled per column, x with it, then
+    # per vertex, whose coefficient costs w_j = 2^-e_j; x' is x scaled by 2^-f: ||x||_V = 2^f g'.
+    v, ec = _pow2_scaled(body.vertices, 0)
+    (v, ev), (x, f) = _pow2_scaled(v, 1), _pow2_scaled(_pow2_scaled(rows, e=ec)[0], 1)
+    cost, a_eq = np.tile(_pow2_scaled(np.ones(m), e=ev[:, 0])[0], 2), np.hstack([v.T, -v.T])
     g = np.zeros(rows.shape[0])
     for i in nonzero:
-        f = frexp(np.abs(rows[i]).max())[1]
-        res = linprog(np.ones(a_eq.shape[1]), A_eq=a_eq, b_eq=np.ldexp(rows[i], -f), bounds=(0, None),
-                      method="highs")
+        res = linprog(cost, A_eq=a_eq, b_eq=x[i], bounds=(0, None), method="highs")
         if not res.success:
             raise DegenerateBodyError(f"gauge LP failed: {res.message}")
-        g[i] = np.ldexp(res.fun, f - e)
-    return g
+        g[i] = res.fun
+    return _pow2_scaled(g, e=-f[:, 0])[0]
 
 
 def support(body: ConvexBody, u) -> float | np.ndarray:
@@ -391,18 +403,18 @@ def _merge_close_rows(rows: np.ndarray) -> np.ndarray:
     from scipy.spatial import KDTree
 
     m = rows.shape[0]
-    # Norms and gaps are taken in units of a row's max-abs entry, so no square underflows.
-    top = np.abs(rows).max(axis=1)[:, None]
-    unit_norms = np.linalg.norm(rows / top, axis=1)
-    units = rows / top / unit_norms[:, None]
+    # Norms and gaps are taken on rows scaled by ``_pow2_scaled``, so no square underflows.
+    scaled, e = _pow2_scaled(rows, 1)
+    unit_norms = np.linalg.norm(scaled, axis=1)
+    units = scaled / unit_norms[:, None]
     # Such rows have unit directions within 2 * ROW_MERGE_RTOL of each other.
     tree = KDTree(np.vstack([units, -units]))
     keep = np.ones(m, dtype=bool)
-    for i in np.argsort(-(top[:, 0] * unit_norms), kind="stable"):
+    for i in np.argsort(-_pow2_scaled(unit_norms, e=-e[:, 0])[0], kind="stable"):
         if keep[i]:
             near = np.asarray(tree.query_ball_point(units[i], 2 * ROW_MERGE_RTOL), dtype=int) % m
             near = near[(near != i) & keep[near]]
-            a, b = rows[near] / top[near], rows[i] / top[near]
+            a, b = scaled[near], _pow2_scaled(rows[i], e=e[near])[0]
             gap = np.minimum(np.linalg.norm(a - b, axis=1), np.linalg.norm(a + b, axis=1))
             keep[near[gap <= ROW_MERGE_RTOL * unit_norms[near]]] = False
     return rows[keep]
@@ -429,13 +441,11 @@ def _enumerate_vertices(rows: np.ndarray) -> np.ndarray:
     closed form for dim 1 and for n rows A (a parallelotope): A^-1 s over the 2^n sign
     vectors s, solved per block of ``_sign_blocks``. Otherwise by Qhull; where it fails,
     nearly coincident rows are merged (``ROW_MERGE_RTOL``) and Qhull runs once more;
-    ``UndecidedError`` if it fails again. Each route runs on the rows scaled exactly by
-    2^-e to max |entry| in [0.5, 1), whose vertices are 2^e times the body's; scaled back,
-    vertices that overflow raise ValueError, as an outside vector would.
+    ``UndecidedError`` if it fails again. Each route runs on the rows' columns scaled, and
+    maps the vertices back; those that overflow raise ValueError, as an outside vector would.
     """
     m, n = rows.shape
-    e = frexp(np.abs(rows).max())[1]
-    rows = np.ldexp(rows, -e)
+    rows, e = _pow2_scaled(rows, 0)
     if n == 1:
         vertices = np.array([[1.0], [-1.0]]) / np.max(np.abs(rows))
     elif m == n:
@@ -452,7 +462,7 @@ def _enumerate_vertices(rows: np.ndarray) -> np.ndarray:
             except QhullError as exc:
                 raise UndecidedError(f"undecided: Qhull vertex enumeration failed: {exc}".splitlines()[0]) from None
     with np.errstate(over="ignore"):
-        vertices = np.ldexp(vertices, -e)
+        vertices = _pow2_scaled(vertices, e=e)[0]
     if not isfinite(np.abs(vertices).max()):
         raise ValueError("vector entries must be finite")
     return vertices
@@ -487,9 +497,10 @@ def _kind_order(body: ConvexBody) -> int:
     return 3 if isinstance(body, Ellipsoid) else 0 if isinstance(body, HPolytope) else 1 + (len(body.vertices) > body.dim)
 
 
-def _polar_pairing(a: ConvexBody, b: ConvexBody) -> float:
+def _polar_pairing(a: ConvexBody, b: ConvexBody) -> tuple[float, int]:
     """sigma(a, b) = max{x . y : x in a°, y in b°} = max ||y||_a over y in b°, exact or
-    UndecidedError; no polar body is built.
+    UndecidedError; no polar body is built. It is s 2^e for the returned (s, e): each route
+    runs on its operands scaled by ``_pow2_scaled``, so sigma may lie past the float range.
 
     max{lambda : lambda * b° in a} = 1 / sigma(a, b) (``inclusion_scale``): 1 / sigma(outer,
     inner°) for containment, 1 / (hbar sigma(X, P)) for P^hbar = hbar P° in X. sigma is
@@ -509,25 +520,30 @@ def _polar_pairing(a: ConvexBody, b: ConvexBody) -> float:
     So only E or V against V can be refused by the budget (2^n for n vertices, refused above
     n = 20; McMullen's bound for more), and only a pairing with a V-polytope with more than n
     vertices (its polar's vertices, or its facets) is undecided where Qhull fails twice.
-    Overflowed products give inf, or NaN with opposite signs, which np.maximum (unlike max)
-    keeps across blocks and ``inclusion_scale`` reads as inf.
+    Overflowed products give inf or NaN, which np.maximum keeps and ``inclusion_scale`` reads as inf.
     """
     if _kind_order(a) < _kind_order(b):
         a, b = b, a
     if isinstance(b, Ellipsoid):
-        return float(np.linalg.svd(b.factor.T @ a.factor, compute_uv=False)[0])
+        (fb, eb), (fa, ea) = _pow2_scaled(b.factor), _pow2_scaled(a.factor)
+        return float(np.linalg.svd(fb.T @ fa, compute_uv=False)[0]), eb + ea
+    n, signs = b.dim, None
     if isinstance(b, HPolytope):
-        return float(np.max(_gauge(a, b.rows)))
-    n = b.dim
-    if len(b.vertices) > n:
+        y, top = b.rows, b.row_range[1]
+    elif len(b.vertices) > n:
         _check_budget(_vertex_bound(*b.vertices.shape))
-        return float(np.max(_gauge(a, _enumerate_vertices(b.vertices))))
-    _check_budget(2**n)
-    g = _linear_gauge(b)[0].T
-    m, q = _linear_gauge(a) or (None, None)
-    g = g if m is None else g @ m
+        y, top = _enumerate_vertices(b.vertices), None
+    else:
+        _check_budget(2**n)
+        y, _, top = _linear_gauge(b)
+        y, signs = y.T, _sign_blocks(n, 2 ** (n - 1))
+    (y, e), (m, q, top) = _pow2_scaled(y, top=top), _linear_gauge(a) or (None, None, None)
+    m, em = (None, 0) if m is None else _pow2_scaled(m, top=top)
+    if signs is None:
+        return float((_gauge(a, y) if m is None else _row_norms(y, m, q)).max()), e + em
+    g = y if m is None else y @ m
     return float(reduce(np.maximum, ((_gauge(a, s @ g) if m is None else _row_norms(s, g, q)).max()
-                                     for s in _sign_blocks(n, 2 ** (n - 1)))))
+                                     for s in signs))), e + em
 
 
 def inclusion_scale(x: ConvexBody, p: ConvexBody, hbar: float = 1.0) -> float:
@@ -540,7 +556,8 @@ def inclusion_scale(x: ConvexBody, p: ConvexBody, hbar: float = 1.0) -> float:
     if x.dim != p.dim:
         raise DimensionError(f"dimension mismatch: X is {x.dim}-dim, P is {p.dim}-dim")
     _check_hbar(hbar)
-    t = float(hbar) * _polar_pairing(x, p)
+    s, e = _polar_pairing(x, p)
+    t = float(_pow2_scaled(float(hbar) * s, e=-e)[0])
     return 0.0 if not t < np.inf else 1.0 / t if t else np.inf
 
 
@@ -582,26 +599,21 @@ def enclosing_ellipsoid(points, mode: str = "ball") -> Ellipsoid:
     away and drop steps, and a scan of all m points only to certify the factor or
     to add the worst violators.
 
-    Both fits run on the points scaled by 2^-e into max |entry| in [0.5, 1), which
-    is exact, and the result's factor is scaled back by 2^-e; where its matrix then
-    leaves the normal float range, DegenerateBodyError.
+    Both fit the points scaled by ``_pow2_scaled``, and the factor is scaled back; where
+    its matrix then leaves the normal float range, DegenerateBodyError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise DegenerateBodyError("empty point set")
-    top = np.abs(pts).max()
-    if not isfinite(top):  # NaN or inf exactly when an entry is not finite
+    if not isfinite(top := np.abs(pts).max()):  # NaN or inf exactly when an entry is not finite
         raise ValueError("points must be finite")
-    e = frexp(top)[1]
-    fit = _unit_scale_fit(np.ldexp(pts, -e), mode)
-    # Scaled back, the matrix is the fit's times 2^-2e: the binary exponents of its
-    # diagonal, the largest entries of each row, must stay in the normal range.
-    diag = fit.matrix.diagonal()
-    lo, hi = (frexp(d)[1] - 2 * e for d in (diag.min(), diag.max()))
-    if not (np.finfo(float).minexp < lo and hi <= np.finfo(float).maxexp):
+    pts, e = _pow2_scaled(pts, top=top)
+    with np.errstate(over="ignore"):
+        fit = Ellipsoid._from_factor(_pow2_scaled(_unit_scale_fit(pts, mode).factor, e=e)[0])
+    if not (np.finfo(float).tiny <= fit.matrix.diagonal().min() and fit.matrix.diagonal().max() < np.inf):
         raise DegenerateBodyError(f"the enclosing ellipsoid of points of magnitude 2^{e} "
                                   "has a matrix outside the float range")
-    return Ellipsoid._from_factor(np.ldexp(fit.factor, -e))
+    return fit
 
 
 def _unit_scale_fit(pts: np.ndarray, mode: str) -> Ellipsoid:

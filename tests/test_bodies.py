@@ -89,6 +89,21 @@ class TestConstruction:
         with pytest.raises(DegenerateBodyError):
             HPolytope([[1.0, 0.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("radius", [1e-300, 7e-155, 2e154, 1e200])
+    def test_ball_radius_range(self, radius):
+        # 1/radius^2 must be a finite nonzero float. 1e-300 warned twice (divide by zero,
+        # invalid value) and then raised "matrix entries must be finite"; 1e200 raised an
+        # OverflowError. Now a ValueError names the range, and nothing warns.
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^radius must be positive and finite, from 7\.458e-155 to "
+                                                 r"1\.341e\+154, got "):
+                Ellipsoid.ball(3, radius)
+        assert Ellipsoid.ball(3, 1e-150).matrix[0, 0] == pytest.approx(1e300, rel=1e-15)
+        assert Ellipsoid.ball(3, 1e150).matrix[0, 0] == pytest.approx(1e-300, rel=1e-15)
+
     def test_ball_and_box_helpers(self):
         assert np.allclose(Ellipsoid.ball(3, 2.0).matrix, np.eye(3) / 4)
         assert np.allclose(HPolytope.box([2.0, 1.0]).rows, np.diag([0.5, 1.0]))
@@ -1023,14 +1038,17 @@ def test_overflowed_vertices_are_refused():
 
 def test_overflowed_outer_gauges_give_a_zero_scale():
     # The box of half-width 1e200 has finite vertices, but their gauges overflow in
-    # these outer bodies: the scale is 0, not NaN, and the pair verdict reads it. So
-    # does a ball of radius 1e150 in a turned box of half-width 1e-200.
+    # the tiny box and cross-polytope: the scale, about 1e-400, is 0, not NaN, and the
+    # pair verdict reads it. So does a ball of radius 1e150 in a turned box of
+    # half-width 1e-200. In the unit ball the scale 1e-200 / sqrt(2) is a normal float:
+    # sigma is taken on scaled operands, and the q = 2 norms on scaled rows.
     inner = HPolytope.box([1e200, 1e200])
-    for outer in (Ellipsoid.ball(2), HPolytope.box([1e-200, 1e-200]), VPolytope(1e-200 * np.eye(2))):
+    for outer, want in ((Ellipsoid.ball(2), 1e-200 / np.sqrt(2.0)), (HPolytope.box([1e-200, 1e-200]), 0.0),
+                        (VPolytope(1e-200 * np.eye(2)), 0.0)):
         with np.errstate(over="ignore"):
-            assert fit_scale(inner, outer) == 0.0
+            assert fit_scale(inner, outer) == pytest.approx(want, rel=1e-15, abs=0.0)
             verdict = is_quantum_pair(outer, polar_dual(inner))
-        assert verdict.lambda_max == 0.0 and not verdict.is_pair
+        assert verdict.lambda_max == pytest.approx(want, rel=1e-15, abs=0.0) and not verdict.is_pair
     c, s = np.cos(0.3), np.sin(0.3)
     with np.errstate(over="ignore"):
         assert fit_scale(Ellipsoid.ball(2, 1e150), HPolytope(1e200 * np.array([[c, -s], [s, c]]))) == 0.0
@@ -1057,16 +1075,21 @@ def test_overflowed_products_never_give_nan():
 
 def test_row_merge_takes_norms_without_underflow():
     # Squares of rows of 1e-300 underflow. The merge before Qhull's retry measures rows
-    # in units of their max-abs entry: a near copy of a tiny row is dropped, and where
-    # Qhull fails again the scale is undecided, not a bare ValueError from KDTree.
+    # scaled by powers of two: a near copy of a tiny row is dropped, and where Qhull
+    # fails again the scale is undecided, not a bare ValueError from KDTree. Rows of
+    # 1e-300 and 1 within one column fail twice; where the tiny entries fill their own
+    # column, Qhull runs on the columns scaled and decides (it failed twice on them as
+    # given): the vertices are near (1e300, +-1).
     from qpolar.bodies import _merge_close_rows
 
     rows = np.array([[1e-300, 0.0], [0.0, 1.0], [1.000000000001e-300, 0.0]])
     assert np.array_equal(_merge_close_rows(rows), rows[1:])
-    h = HPolytope([[1e-300, 0.0], [0.0, 1.0], [1e-300, 1e-300]])
+    flat = HPolytope([[1.0, 1.0], [1e-300, 0.0], [0.0, 1e-300]])
+    columns = HPolytope([[1e-300, 0.0], [0.0, 1.0], [1e-300, 1e-300]])
     for outer in (Ellipsoid.ball(2), HPolytope.box([1.0, 1.0]), VPolytope(np.eye(2))):
         with pytest.raises(UndecidedError, match="^undecided: Qhull vertex enumeration failed"):
-            fit_scale(h, outer)
+            fit_scale(flat, outer)
+        assert fit_scale(columns, outer) == pytest.approx(1e-300, rel=1e-14, abs=0.0)
 
 
 def _with_condition(n, cond, rng):
@@ -1259,7 +1282,8 @@ def test_rank_test_does_not_depend_on_row_scale():
 def test_rank_test_is_matrix_rank():
     # The validator rejects exactly the arrays with a zero row or numerical rank
     # below n (matrix_rank's tolerance) once each row is scaled by its max-abs
-    # entry: tall, wide and near-singular arrays.
+    # entry, and also once each column of that is scaled by its own (a zero column
+    # kept): tall, wide and near-singular arrays.
     rng = np.random.default_rng(13)
     rejected = 0
     for trial in range(3000):
@@ -1274,7 +1298,11 @@ def test_rank_test_is_matrix_rank():
         a *= 10.0 ** rng.uniform(-100, 100)
         if trial % 300 == 0:
             a[rng.integers(m)] *= 1e-70  # a row far below the others, whose squares may underflow
-        degenerate = not a.any(axis=1).all() or np.linalg.matrix_rank(a / np.abs(a).max(axis=1, keepdims=True)) < n
+        degenerate = not a.any(axis=1).all()
+        if not degenerate:
+            u = a / np.abs(a).max(axis=1, keepdims=True)
+            cols = u / np.abs(u).max(axis=0, initial=np.finfo(float).tiny)
+            degenerate = np.linalg.matrix_rank(u) < n and np.linalg.matrix_rank(cols) < n
         try:
             _polytope_array(a, "H")
         except DegenerateBodyError:

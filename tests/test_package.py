@@ -97,6 +97,31 @@ def test_body_document_tags_live_in_io():
     assert spelled == {"io.py"}
 
 
+def _power_of_two_sites(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each top-level function or class that reads frexp or ldexp (from
+    math or numpy), and ``module`` where module-level code outside imports does."""
+    sites = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    getattr(n, "id", getattr(n, "attr", None)) in ("frexp", "ldexp") for n in ast.walk(node)):
+                sites.add(f"{module}.{node.name}" if hasattr(node, "name") else module)
+    return sorted(sites)
+
+
+def test_power_of_two_check_finds_one():
+    sources = {"a": "import numpy as np\nfrom math import frexp\ndef _pow2_scaled(x):\n    return np.ldexp(x, -frexp(x)[1])\n"
+                    "def fit(x):\n    return np.frexp(x)[1]\n",
+               "b": "import math\nE = math.ldexp(1.0, 3)\n"}
+    assert _power_of_two_sites(sources) == ["a._pow2_scaled", "a.fit", "b"]
+
+
+def test_power_of_two_scaling_lives_in_one_helper():
+    # One helper scales arrays by powers of two and reads their exponents; every other
+    # kernel calls it.
+    assert _power_of_two_sites({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == ["bodies._pow2_scaled"]
+
+
 def _unread_helpers(sources: dict[str, str]) -> list[str]:
     """``module.name`` for each module-level private function, class or constant, and each
     upper-case constant, that no other top-level statement of these modules reads: a
