@@ -12,8 +12,9 @@ checked again: F^-T / hbar for a polar, L^-T F for a linear image (``scale`` is 
 for (d M)^-1 with d M = C C^T (``_inverse_ellipsoid``). Errors are of order cond(F) eps, so
 ``linear_image`` decides up to its cond(L) <= 1e12 guard. A polytope carries the least
 and greatest of its row maxima, which ``polar_dual`` scales with the array (rounding is
-monotone) for the polar's finiteness and nonzero-row checks: no rank SVD. One rule
-brings data into range before a solver, a product or a norm: ``_pow2_scaled``
+monotone) for the polar's finiteness and nonzero-row checks: no rank test. A square array
+is certified by its inverse, which a V-polytope keeps for its gauge (``_square_inverse``).
+One rule brings data into range before a solver, a product or a norm: ``_pow2_scaled``
 scales an array exactly by powers of two to max |entry| in [0.5, 1), over the whole array,
 per row or per column, and keeps the exponents. A range like 1 to 1e-310 within one row or
 column stays out of reach.
@@ -37,6 +38,7 @@ scale, ``inclusion_scale``: 1 / (hbar sigma) for the one symmetric pairing sigma
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import comb, frexp, isfinite
@@ -103,24 +105,35 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 _POLYTOPE_WORDS = {"H": ("rows", "bounded body"), "V": ("vertices", "full-dimensional body")}
 
 
-def _polytope_array(arr, kind: str) -> tuple[np.ndarray, tuple[float, float]]:
+def _polytope_array(arr, kind: str) -> tuple[np.ndarray, tuple[float, float], tuple[np.ndarray, float] | None]:
     """The one polytope validator: arr as frozen finite nonzero rows spanning the space
     (matrix_rank's test, sigma_n > sigma_1 max(m, n) eps, on rows scaled to max-abs 1, and
     where they fall short, their columns scaled too: no row or column scale refuses a body),
-    of an H- or V-polytope (kind), and the least and greatest of its row maxima
-    max_j |a_ij|, which carry the finiteness and nonzero-row checks (``_check_row_range``).
-    One copy of the input; the row maxima are taken once."""
+    of an H- or V-polytope (kind), its least and greatest row maxima (``_check_row_range``), and
+    for n rows U, ``_square_inverse``'s (X, top) where n eps n^1.5 hi top <= 1e-3 (hi the greatest
+    row maximum; so n eps cond(U) is 1000 times within the test); else the SVD decides (None)."""
     arr = np.array(arr, dtype=float, ndmin=2)
     row_max = np.abs(arr).max(axis=1, initial=0.0)
     row_range = (float(row_max.min()), float(row_max.max())) if row_max.size else (0.0, 0.0)
     _check_row_range(row_range, kind)
+    if len(arr) == arr.shape[1]:
+        with suppress(np.linalg.LinAlgError):
+            if row_range[1] * (inverse := _square_inverse(arr))[1] * len(arr) ** 2.5 * _EPS <= 1e-3:
+                return _freeze(arr), row_range, inverse
     svals = np.linalg.svd(unit := arr / row_max[:, None], compute_uv=False)
     if svals[-1] <= svals[0] * max(arr.shape) * _EPS:  # short of rank: its columns scaled decide
         svals = np.linalg.svd(unit / np.abs(unit).max(axis=0, initial=np.finfo(float).tiny), compute_uv=False)
     if len(arr) < arr.shape[1] or svals[-1] <= svals[0] * max(arr.shape) * _EPS:
         what, spans = _POLYTOPE_WORDS[kind]
         raise DegenerateBodyError(f"{kind}-polytope {what} must span the space ({spans})")
-    return _freeze(arr), row_range
+    return _freeze(arr), row_range, None
+
+
+def _square_inverse(arr: np.ndarray) -> tuple[np.ndarray, float]:
+    """(arr^-1 frozen, its largest abs row sum): a polytope's one inverse (LinAlgError from LU)."""
+    with np.errstate(all="ignore"):
+        inv = np.linalg.inv(arr)
+        return _freeze(inv), float(np.abs(inv).sum(axis=1).max())
 
 
 def _check_row_range(row_range: tuple[float, float], kind: str) -> None:
@@ -182,9 +195,7 @@ class HPolytope:
     row_range: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows, row_range = _polytope_array(self.rows, "H")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "row_range", row_range)
+        self.__dict__.update(zip(("rows", "row_range"), _polytope_array(self.rows, "H")))  # no inverse kept
 
     @property
     def dim(self) -> int:
@@ -208,9 +219,7 @@ class VPolytope:
     row_range: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        vertices, row_range = _polytope_array(self.vertices, "V")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "row_range", row_range)
+        self.__dict__.update(zip(("vertices", "row_range", "_inverse"), _polytope_array(self.vertices, "V")))
 
     @property
     def dim(self) -> int:
@@ -258,8 +267,10 @@ def _linear_gauge(body: ConvexBody) -> tuple[np.ndarray, float, float | None] | 
     if body.vertices.shape[0] == body.dim:
         # A linear image of the cross-polytope: x = c V has the one solution
         # c = x V^-1, so the least ||c||_1 over x's representations is its own.
-        inv = np.linalg.inv(body.vertices)
-        if not isfinite(top := np.abs(inv).sum(axis=1).max()):
+        if body.__dict__.get("_inverse") is None:  # none kept (derived unchecked, or not certified)
+            body.__dict__["_inverse"] = _square_inverse(body.vertices)
+        inv, top = body._inverse
+        if not isfinite(top):
             raise ValueError("vector entries must be finite")
         return inv, 1, top
     return None
@@ -281,13 +292,19 @@ def gauge(body: ConvexBody, x) -> float | np.ndarray:
 
     x is one vector (returns a float) or a (k, n) array of rows (returns the k gauges).
     Closed forms ||x M||_q for ellipsoids, H-polytopes and V-polytopes with n vertices,
-    ||V^-T x||_1 (``_linear_gauge``). Any other V-polytope's gauge is max|w . x| over the
-    vertices w of its unit polar (||.||_K = h_{K°}), its facet normals, when their count
-    bound is within ``VERTEX_BUDGET`` and at most ``LP_COST_FACETS`` per row; otherwise it
-    solves one HiGHS LP per nonzero row. ``UndecidedError`` where Qhull fails twice.
-    """
+    ||V^-T x||_1 (``_linear_gauge``); an ellipsoid's rows whose sum of squares leaves
+    [2^-1022, inf) again on x and x M scaled. Any other V-polytope's gauge is max|w . x| over
+    the vertices w of its unit polar (||.||_K = h_{K°}), its facet normals, when their count
+    bound is within ``VERTEX_BUDGET`` and at most ``LP_COST_FACETS`` per row; otherwise one
+    HiGHS LP per nonzero row. ``UndecidedError`` where Qhull fails twice."""
     rows, single = _check_rows(body, x)
-    g = _gauge(body, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _gauge(body, rows)
+        if isinstance(body, Ellipsoid) and not 2.0**-511 <= g.min(initial=1.0) <= g.max(initial=1.0) < np.inf:
+            redo = np.flatnonzero(~((g >= 2.0**-511) & (g < np.inf)))
+            x, ex = _pow2_scaled(rows[redo], 1)
+            y, ey = _pow2_scaled(x @ body.factor, 1)
+            g[redo] = _pow2_scaled(np.sqrt((y * y).sum(axis=1)), e=-(ex + ey)[:, 0])[0]
     return float(g[0]) if single else g
 
 

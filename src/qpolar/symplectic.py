@@ -84,6 +84,9 @@ def require_symmetric(s: np.ndarray) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     if scale > 0 and np.abs(s - s.T).max() > SYMMETRY_RTOL * scale:
         raise NotSymmetricError("matrix is not symmetric within tolerance")
+    if 2.0 * float(scale) == math.inf:  # s + s.T may overflow: those entries halved first
+        with np.errstate(over="ignore"):
+            return np.where(np.isfinite(half := 0.5 * (s + s.T)), half, 0.5 * s + 0.5 * s.T)
     return 0.5 * (s + s.T)
 
 

@@ -354,6 +354,27 @@ class TestGauge:
         assert np.allclose(got, [gauge(body, r) for r in rows], rtol=1e-12, atol=0.0)
         assert np.allclose(support(body, rows), [support(body, r) for r in rows], rtol=1e-12, atol=0.0)
 
+    def test_ellipsoid_gauges_out_of_the_range_of_squares(self, rng):
+        # A q = 2 gauge is a square root of a sum of squares, which overflowed (inf for
+        # a row of 1e200) or underflowed (0 for a row of 1e-170). Those rows are taken
+        # again on scaled rows, exact by homogeneity; rows in range keep their bits.
+        import warnings
+
+        ball, turned = Ellipsoid.ball(2), Ellipsoid([[4.25, -3.75], [-3.75, 4.25]])
+        body = random_ellipsoid(3, rng)
+        rows = rng.standard_normal((5, 3))
+        in_range = np.sqrt(((rows @ body.factor) ** 2).sum(axis=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gauge(ball, [1e200, 1e200]) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+            assert gauge(ball, [1e-170, 0.0]) == 1e-170
+            assert gauge(turned, [1e308, 1e308]) == pytest.approx(1e308, rel=1e-14)
+            assert gauge(body, rows).tobytes() == in_range.tobytes()
+            for k in (-1100, -600, -520, 520, 600):
+                got = gauge(body, np.vstack([np.ldexp(rows, k), rows, np.zeros((1, 3))]))
+                assert np.allclose(got[:5], np.ldexp(in_range, k), rtol=1e-15, atol=0.0)
+                assert got[5:10].tobytes() == in_range.tobytes() and got[10] == 0.0
+
     def test_scalar_is_a_vector_in_one_dimension(self):
         body = VPolytope([[2.0]])
         assert isinstance(gauge(body, 3.0), float)
@@ -944,15 +965,14 @@ def test_symmetry_is_checked_on_inputs_only(monkeypatch, rng):
 
 @contextlib.contextmanager
 def full_polytope_checks():
-    """Record every array that goes through the full polytope validator, rank SVD included."""
+    """Record every array that goes through the full polytope validator, rank test included."""
     seen = []
     bodies = sys.modules["qpolar.bodies"]
     check = bodies._polytope_array
 
-    def recording(arr, *args, **kwargs):
-        if kwargs.get("rank", True):
-            seen.append(np.array(arr, dtype=float))
-        return check(arr, *args, **kwargs)
+    def recording(arr, *args):
+        seen.append(np.array(arr, dtype=float))
+        return check(arr, *args)
 
     with mock.patch.object(bodies, "_polytope_array", recording):
         yield seen
@@ -1009,18 +1029,48 @@ def polar_matches_the_validator(body, hbar):
 
 
 def test_pair_verdict_linalg_budget(linalg_calls):
-    # One rank SVD per polytope a caller constructs, none for a polar, and the
-    # ellipsoid-in-ellipsoid scale from singular values alone (no norm call).
-    calls = linalg_calls("svd", "norm")
-    h, v = HPolytope([[1.0, 0.5], [0.0, 2.0], [1.0, -1.0]]), VPolytope([[1.0, 0.2], [0.3, 1.0]])
-    assert calls == {"svd": 2, "norm": 0}
+    # A square polytope a caller constructs is certified by one inverse and no SVD, a
+    # non-square one by one rank SVD; a polar is not checked again. A verdict or a gauge
+    # on a constructed V-polytope with n vertices reads the inverse it keeps, and the
+    # ellipsoid-in-ellipsoid scale comes from singular values alone (no norm call).
+    calls = linalg_calls("svd", "inv", "norm")
+    h = HPolytope([[1.0, 0.5], [0.0, 2.0], [1.0, -1.0]])
+    assert calls == {"svd": 1, "inv": 0, "norm": 0}
+    v, box = VPolytope([[1.0, 0.2], [0.3, 1.0]]), HPolytope([[2.0, 0.1], [0.4, 1.0]])
+    assert calls == {"svd": 1, "inv": 2, "norm": 0}
     polar_dual(h, hbar=0.7)
     polar_dual(v, hbar=0.7)
-    assert calls == {"svd": 2, "norm": 0}
+    for x, p in ((v, box), (box, v), (v, v), (h, v)):
+        is_quantum_pair(x, p, hbar=0.7)
+    gauge(v, [[1.0, 2.0], [0.5, 0.1]])
+    assert calls == {"svd": 1, "inv": 2, "norm": 0}
     x, p = Ellipsoid(np.diag([1.0, 4.0])), Ellipsoid(np.diag([0.5, 2.0]))
-    calls.update(svd=0)
+    calls.update(svd=0, inv=0)
     assert is_quantum_pair(x, p, hbar=0.7).lambda_max == pytest.approx(0.5 / (0.7 * np.sqrt(2.0)))
-    assert calls == {"svd": 1, "norm": 0}
+    assert calls == {"svd": 1, "inv": 0, "norm": 0}
+
+
+def test_derived_square_v_polytopes_invert_once(linalg_calls):
+    # A V-polytope with n vertices that is derived, not constructed (the polar of a
+    # parallelotope), inverts its vertices on first use and keeps the inverse; a linear
+    # image is constructed and keeps the validator's. Repeated gauges and verdicts
+    # invert no more, and the kept inverse gives the gauges a fresh body gives.
+    rng = np.random.default_rng(7)
+    n = 3
+    l = rng.standard_normal((n, n)) + 3 * np.eye(n)
+    box = linear_image(HPolytope.box([1.0, 2.0, 0.5]), l)
+    cross = polar_dual(box, hbar=0.9)
+    image = linear_image(VPolytope(np.eye(n) + 0.1 * rng.standard_normal((n, n))), l)
+    ball, rows = Ellipsoid.ball(n), rng.standard_normal((4, n))
+    calls = linalg_calls("inv")
+    for _ in range(3):
+        for body in (cross, image):
+            gauge(body, rows)
+            for other in (ball, box, cross, image):
+                is_quantum_pair(body, other)
+                is_quantum_pair(other, body)
+    assert calls == {"inv": 1}
+    assert gauge(VPolytope(cross.vertices), rows).tobytes() == gauge(cross, rows).tobytes()
 
 
 def test_overflowed_vertices_are_refused():
@@ -1311,6 +1361,38 @@ def test_rank_test_is_matrix_rank():
         else:
             assert not degenerate, a
     assert 500 < rejected < 2500
+
+
+def test_square_rank_test_is_matrix_rank(linalg_calls):
+    # A square array is certified by its inverse where that bound holds, and by the SVD
+    # otherwise: the decision is still matrix_rank's on the rows scaled to max-abs 1 or
+    # on their columns scaled too, near the rank boundary (relative noise 1e-10 to
+    # 1e-17), at row scales up to 1e+-100 and with one column at 1e-15.
+    rng = np.random.default_rng(29)
+    calls = linalg_calls("svd")
+    rejected = certified = 0
+    for trial in range(3000):
+        n = int(rng.integers(1, 10))
+        r = rng.integers(1, n + 1)
+        a = rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
+        a += 10.0 ** -rng.uniform(10, 17) * np.abs(a).max() * rng.standard_normal((n, n))
+        if trial % 3 == 0:
+            a *= 10.0 ** rng.uniform(-100, 100, size=(n, 1))
+        if trial % 4 == 0:
+            a[:, rng.integers(n)] *= 1e-15
+        u = a / np.abs(a).max(axis=1, keepdims=True)
+        cols = u / np.abs(u).max(axis=0, initial=np.finfo(float).tiny)
+        degenerate = np.linalg.matrix_rank(u) < n and np.linalg.matrix_rank(cols) < n
+        calls.update(svd=0)
+        try:
+            _polytope_array(a, "V")
+        except DegenerateBodyError:
+            rejected += 1
+            assert degenerate, a
+        else:
+            assert not degenerate, a
+            certified += calls["svd"] == 0
+    assert 500 < rejected < 2500 and certified > 500
 
 
 @pytest.mark.parametrize("call, error, message", [

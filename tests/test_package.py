@@ -122,6 +122,33 @@ def test_power_of_two_scaling_lives_in_one_helper():
     assert _power_of_two_sites({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == ["bodies._pow2_scaled"]
 
 
+def _polytope_inverse_sites(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each top-level function or class that calls ``inv`` on an
+    expression reading a polytope's array: ``rows``, ``vertices`` or the validator's ``arr``."""
+    sites = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call) and getattr(call.func, "attr", getattr(call.func, "id", None)) == "inv"
+                        and any(getattr(n, "id", getattr(n, "attr", None)) in ("rows", "vertices", "arr")
+                                for arg in call.args for n in ast.walk(arg))):
+                    sites.add(f"{module}.{node.name}")
+    return sorted(sites)
+
+
+def test_polytope_inverse_check_finds_one():
+    sources = {"a": "import numpy as np\ndef _factor(body):\n    return np.linalg.inv(body.factor)\n"
+                    "def _solve(rows, s):\n    return np.linalg.solve(rows, s)\n",
+               "b": "from numpy.linalg import inv\ndef gauge(body, x):\n    return x @ inv(body.vertices)\n"}
+    assert _polytope_inverse_sites(sources) == ["b.gauge"]
+
+
+def test_a_polytope_is_inverted_in_one_place():
+    # One factorization per square polytope: the validator's inverse certifies the rank
+    # and is kept as a V-polytope's gauge, so no verdict inverts a body's array again.
+    assert _polytope_inverse_sites({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == ["bodies._square_inverse"]
+
+
 def _unread_helpers(sources: dict[str, str]) -> list[str]:
     """``module.name`` for each module-level private function, class or constant, and each
     upper-case constant, that no other top-level statement of these modules reads: a

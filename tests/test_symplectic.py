@@ -74,6 +74,24 @@ class TestRequireSymmetric:
             require_symmetric(np.array([[2.0, 1.0], [1.0 + 1e-9, 3.0]]))
         assert np.array_equal(require_symmetric(np.zeros((2, 2))), np.zeros((2, 2)))
 
+    def test_entries_near_the_float_max_do_not_overflow(self):
+        # (S + S^T)/2 overflowed above about 9e307: Ellipsoid(1e308 I) and the ball of
+        # radius 1e-154 warned and built an inf matrix. Those entries are halved first;
+        # the others keep the bits of (S + S^T)/2.
+        import warnings
+
+        big = np.array([[1.7e308, 5e-324, 3.0], [5e-324, 1e308, 1.0 + 1e-11], [3.0, 1.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = require_symmetric(big)
+            assert np.array_equal(Ellipsoid(1e308 * np.eye(3)).matrix, 1e308 * np.eye(3))
+            assert np.array_equal(Ellipsoid.ball(3, 1e-154).matrix, np.eye(3) / 1e-308)
+        with np.errstate(over="ignore"):
+            want = 0.5 * (big + big.T)
+        want[0, 0], want[1, 1] = 1.7e308, 1e308
+        assert want[0, 1] == 5e-324  # halved first, it would round to 0
+        assert np.array_equal(got, want)
+
 
 class TestSymplecticForm:
     def test_basis_pair_sign(self):
