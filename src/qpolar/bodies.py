@@ -13,7 +13,8 @@ for (d M)^-1 with d M = C C^T (``_inverse_ellipsoid``). Errors are of order cond
 ``linear_image`` decides up to its cond(L) <= 1e12 guard. A polytope carries the least
 and greatest of its row maxima, which ``polar_dual`` scales with the array (rounding is
 monotone) for the polar's finiteness and nonzero-row checks: no rank test. A square array
-is certified by its inverse, which a V-polytope keeps for its gauge (``_square_inverse``).
+is certified by its inverse (``_square_inverse``), which the polytope keeps and its unit
+polar, the same array, shares: a V-polytope's gauge reads it.
 One rule brings data into range before a solver, a product or a norm: ``_pow2_scaled``
 scales an array exactly by powers of two to max |entry| in [0.5, 1), over the whole array,
 per row or per column, and keeps the exponents. A range like 1 to 1e-310 within one row or
@@ -195,7 +196,7 @@ class HPolytope:
     row_range: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.__dict__.update(zip(("rows", "row_range"), _polytope_array(self.rows, "H")))  # no inverse kept
+        self.__dict__.update(zip(("rows", "row_range", "_inverse"), _polytope_array(self.rows, "H")))
 
     @property
     def dim(self) -> int:
@@ -267,7 +268,7 @@ def _linear_gauge(body: ConvexBody) -> tuple[np.ndarray, float, float | None] | 
     if body.vertices.shape[0] == body.dim:
         # A linear image of the cross-polytope: x = c V has the one solution
         # c = x V^-1, so the least ||c||_1 over x's representations is its own.
-        if body.__dict__.get("_inverse") is None:  # none kept (derived unchecked, or not certified)
+        if body._inverse is None:  # none kept: derived at hbar != 1, or not certified
             body.__dict__["_inverse"] = _square_inverse(body.vertices)
         inv, top = body._inverse
         if not isfinite(top):
@@ -364,19 +365,20 @@ def polar_dual(body: ConvexBody, hbar: float = 1.0) -> ConvexBody:
         return Ellipsoid._from_factor(np.linalg.inv(body.factor).T / hbar)
     c = float(hbar)
     lo, hi = body.row_range
+    inverse = body._inverse if c == 1.0 else None  # the unit polar's array is the body's, bit for bit
     if isinstance(body, HPolytope):
-        return _scaled_polytope(VPolytope, c * body.rows, (c * lo, c * hi))
-    return _scaled_polytope(HPolytope, body.vertices / c, (lo / c, hi / c))
+        return _scaled_polytope(VPolytope, c * body.rows, (c * lo, c * hi), inverse)
+    return _scaled_polytope(HPolytope, body.vertices / c, (lo / c, hi / c), inverse)
 
 
-def _scaled_polytope(cls, arr: np.ndarray, row_range: tuple[float, float]):
+def _scaled_polytope(cls, arr: np.ndarray, row_range: tuple[float, float], inverse: tuple[np.ndarray, float] | None):
     """A polytope of class cls from arr = c * (a validated array), just computed, given
-    c times the least and greatest of its row maxima. Rounding is monotone, so those are
-    exactly arr's, and the finiteness and nonzero-row checks read them; scaling keeps
-    the rank."""
+    c times the least and greatest of its row maxima and, for c = 1, the array's kept
+    inverse. Rounding is monotone, so those are exactly arr's, and the finiteness and
+    nonzero-row checks read them; scaling keeps the rank."""
     kind = cls.__name__[0]
     _check_row_range(row_range, kind)
-    return _unchecked(cls, **{_POLYTOPE_WORDS[kind][0]: _freeze(arr)}, row_range=row_range)
+    return _unchecked(cls, **{_POLYTOPE_WORDS[kind][0]: _freeze(arr)}, row_range=row_range, _inverse=inverse)
 
 
 def linear_image(body: ConvexBody, l: np.ndarray) -> ConvexBody:
@@ -570,8 +572,7 @@ def inclusion_scale(x: ConvexBody, p: ConvexBody, hbar: float = 1.0) -> float:
     the routes); symmetric in its body arguments; 0 where hbar sigma overflows (inf or
     NaN), inf where it underflows. K in L is ``inclusion_scale(L, polar_dual(K)) >= 1``.
     """
-    if x.dim != p.dim:
-        raise DimensionError(f"dimension mismatch: X is {x.dim}-dim, P is {p.dim}-dim")
+    _check_pair_dims(x, p)
     _check_hbar(hbar)
     s, e = _polar_pairing(x, p)
     t = float(_pow2_scaled(float(hbar) * s, e=-e)[0])
@@ -592,6 +593,12 @@ def _check_hbar(hbar: float) -> None:
     """The one hbar check: ValueError unless hbar is positive and finite."""
     if not 0 < hbar < np.inf:
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
+
+
+def _check_pair_dims(x: ConvexBody, p: ConvexBody) -> None:
+    """The one X/P dimension check: DimensionError unless X and P have the same dimension."""
+    if x.dim != p.dim:
+        raise DimensionError(f"dimension mismatch: X is {x.dim}-dim, P is {p.dim}-dim")
 
 
 def contains(outer: ConvexBody, inner: ConvexBody, tol: float = DEFAULT_TOL) -> bool:

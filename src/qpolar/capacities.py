@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, _accepts, support
+from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, _accepts, _check_pair_dims, support
 from .errors import DimensionError
 from .polarity import PairVerdict, is_quantum_pair
 from .symplectic import _factor_symplectic_eigenvalues
@@ -81,8 +81,7 @@ def product_projection_area(x: ConvexBody, p: ConvexBody, j: int) -> float:
     The projection is the rectangle [-h_X(e_j), h_X(e_j)] x [-h_P(e_j), h_P(e_j)];
     for a quantum pair it is at least 4 * hbar.
     """
-    if x.dim != p.dim:
-        raise DimensionError(f"dimension mismatch: X is {x.dim}-dim, P is {p.dim}-dim")
+    _check_pair_dims(x, p)
     if not 1 <= j <= x.dim:
         raise IndexError(f"mode index must satisfy 1 <= j <= {x.dim}, got {j}")
     e = np.eye(x.dim)[j - 1]

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit status: 0 on pass verdicts, 2 on fail verdicts, 1 on errors, usage
-errors included, so the commands compose in shell scripts. All configuration
+errors included, so the commands compose in shell scripts. Each verdict is one
+the library returned, and ``_verdict`` prints it and exits. All configuration
 is via flags; no environment variables are read.
 """
 
@@ -11,6 +12,7 @@ import gc
 import json
 import sys
 from dataclasses import asdict
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -35,19 +37,28 @@ tol_option = click.option("--tol", type=float, default=DEFAULT_TOL, show_default
 format_option = click.option("--format", "fmt", type=click.Choice(["text", "structured"]),
                              default="text", show_default=True,
                              help="Human-readable text or machine-readable JSON.")
+output_option = click.option("-o", "--output", type=click.File("w", lazy=True), default="-",
+                             help="Output file (default stdout).")
 
 
-def _emit(doc: dict, fmt: str) -> None:
+def input_option(*decls: str, **attrs):
+    """The one input-file option: an existing path, None when absent."""
+    return click.option(*decls, type=click.Path(exists=True), **attrs)
+
+
+def _verdict(doc: dict, fmt: str, passed: bool) -> NoReturn:
+    """The one exit rule: print what the library decided, then exit PASS if it passed, else FAIL."""
     if fmt == "structured":
         click.echo(json.dumps(doc, indent=2, default=_jsonify))
-        return
-    for key, value in doc.items():
-        if isinstance(value, dict):
-            click.echo(f"{key}:")
-            for k, v in value.items():
-                click.echo(f"  {k}: {_fmt_value(v)}")
-        else:
-            click.echo(f"{key}: {_fmt_value(value)}")
+    else:
+        for key, value in doc.items():
+            if isinstance(value, dict):
+                click.echo(f"{key}:")
+                for k, v in value.items():
+                    click.echo(f"  {k}: {_fmt_value(v)}")
+            else:
+                click.echo(f"{key}: {_fmt_value(value)}")
+    sys.exit(PASS if passed else FAIL)
 
 
 def _fmt_value(v):
@@ -101,10 +112,9 @@ def cli():
 
 
 @cli.command()
-@click.option("--body", "body_path", required=True, type=click.Path(exists=True),
-              help="Body document to dualize.")
+@input_option("--body", "body_path", required=True, help="Body document to dualize.")
 @hbar_option
-@click.option("-o", "--output", type=click.File("w", lazy=True), default="-", help="Output file (default stdout).")
+@output_option
 def polar(body_path, hbar, output):
     """Write the hbar-polar dual of a body."""
     dual = polar_dual(qio.load_body(body_path), hbar)
@@ -112,29 +122,22 @@ def polar(body_path, hbar, output):
 
 
 @cli.command("pair-check")
-@click.option("-x", "x_path", required=True, type=click.Path(exists=True),
-              help="Position body document.")
-@click.option("-p", "p_path", required=True, type=click.Path(exists=True),
-              help="Momentum body document.")
+@input_option("-x", "x_path", required=True, help="Position body document.")
+@input_option("-p", "p_path", required=True, help="Momentum body document.")
 @hbar_option
 @tol_option
 @format_option
 def pair_check(x_path, p_path, hbar, tol, fmt):
     """Decide whether (X, P) is an hbar-polar quantum pair; exit 2 if not."""
     verdict = is_quantum_pair(qio.load_body(x_path), qio.load_body(p_path), hbar, tol)
-    _emit({**asdict(verdict), "hbar": hbar}, fmt)
-    sys.exit(PASS if verdict.is_pair else FAIL)
+    _verdict({**asdict(verdict), "hbar": hbar}, fmt, verdict.is_pair)
 
 
 @cli.command()
-@click.option("-x", "x_path", type=click.Path(exists=True), default=None,
-              help="Position body (with -p: product capacity).")
-@click.option("-p", "p_path", type=click.Path(exists=True), default=None,
-              help="Momentum body (with -x: product capacity).")
-@click.option("--body", "body_path", type=click.Path(exists=True), default=None,
-              help="Phase-space ellipsoid document (ellipsoid capacity).")
-@click.option("--sigma", "sigma_path", type=click.Path(exists=True), default=None,
-              help="Covariance matrix (capacity of its ellipsoid; with -j, section area).")
+@input_option("-x", "x_path", help="Position body (with -p: product capacity).")
+@input_option("-p", "p_path", help="Momentum body (with -x: product capacity).")
+@input_option("--body", "body_path", help="Phase-space ellipsoid document (ellipsoid capacity).")
+@input_option("--sigma", "sigma_path", help="Covariance matrix (capacity of its ellipsoid; with -j, section area).")
 @click.option("-j", "mode_index", type=int, default=None,
               help="1-based mode index for a conjugate-plane section area.")
 @hbar_option
@@ -154,24 +157,16 @@ def capacity(x_path, p_path, body_path, sigma_path, mode_index, hbar, tol, fmt):
         ell = qio.load_body(body_path)
         if not isinstance(ell, Ellipsoid):
             raise click.UsageError("--body expects an ellipsoid document")
-        _emit({"capacity": ellipsoid_capacity(ell), "kind": "ellipsoid", "hbar": hbar}, fmt)
-        sys.exit(PASS)
+        _verdict({"capacity": ellipsoid_capacity(ell), "kind": "ellipsoid", "hbar": hbar}, fmt, True)
     if sigma_path:
         sigma = qio.load_covariance(sigma_path)
         if mode_index is not None:
-            _emit(
-                {"section_area": section_area(sigma, mode_index),
-                 "kind": "section", "mode": mode_index,
-                 "half_h": float(np.pi * hbar), "hbar": hbar},
-                fmt,
-            )
-        else:
-            value = ellipsoid_capacity(covariance_ellipsoid(sigma))
-            _emit({"capacity": value, "kind": "ellipsoid", "half_h": float(np.pi * hbar),
-                   "hbar": hbar}, fmt)
-        sys.exit(PASS)
+            _verdict({"section_area": section_area(sigma, mode_index), "kind": "section", "mode": mode_index,
+                      "half_h": float(np.pi * hbar), "hbar": hbar}, fmt, True)
+        value = ellipsoid_capacity(covariance_ellipsoid(sigma))
+        _verdict({"capacity": value, "kind": "ellipsoid", "half_h": float(np.pi * hbar), "hbar": hbar}, fmt, True)
     report = product_capacity(qio.load_body(x_path), qio.load_body(p_path), hbar, tol)
-    _emit(
+    _verdict(
         {
             "capacity": report.value,
             "kind": report.kind,
@@ -182,13 +177,12 @@ def capacity(x_path, p_path, body_path, sigma_path, mode_index, hbar, tol, fmt):
             "exact": report.exact,
         },
         fmt,
+        report.lower_bound_4hbar_met,
     )
-    sys.exit(PASS if report.lower_bound_4hbar_met else FAIL)
 
 
 @cli.command()
-@click.option("--sigma", "sigma_path", required=True, type=click.Path(exists=True),
-              help="Covariance matrix document or whitespace matrix text.")
+@input_option("--sigma", "sigma_path", required=True, help="Covariance matrix document or whitespace matrix text.")
 @hbar_option
 @tol_option
 @format_option
@@ -200,19 +194,13 @@ def covariance(sigma_path, hbar, tol, fmt):
            "symplectic_spectrum": spectrum, "half_hbar": 0.5 * hbar}
     if valid:
         verdict = _projection_pair(cov, hbar, tol)  # theorem2_check's verdict, validity decided above
-        doc["projection_pair"] = {
-            "is_pair": verdict.is_pair,
-            "lambda_max": verdict.lambda_max,
-        }
-    _emit(doc, fmt)
-    sys.exit(PASS if valid else FAIL)
+        doc["projection_pair"] = {"is_pair": verdict.is_pair, "lambda_max": verdict.lambda_max}
+    _verdict(doc, fmt, valid)
 
 
 @cli.command()
-@click.option("--a", "a_path", type=click.Path(exists=True), default=None,
-              help="Position envelope matrix A.")
-@click.option("--b", "b_path", type=click.Path(exists=True), default=None,
-              help="Momentum envelope matrix B.")
+@input_option("--a", "a_path", help="Position envelope matrix A.")
+@input_option("--b", "b_path", help="Momentum envelope matrix B.")
 @click.option("--sigma-x", type=float, default=None, help="Scalar position width (n = 1).")
 @click.option("--sigma-p", type=float, default=None, help="Scalar momentum width (n = 1).")
 @hbar_option
@@ -227,17 +215,16 @@ def hardy(a_path, b_path, sigma_x, sigma_p, hbar, tol, fmt):
         _check_widths(sigma_x, sigma_p)
         inp = HardyInput(np.array([[sigma_x**2]]), np.array([[sigma_p**2]]))
     verdict = hardy_check(inp, hbar, tol)
-    is_pair = verdict.classification != "violates"
-    _emit(
+    _verdict(
         {
             "classification": verdict.classification,
             "eigenvalues": verdict.eigenvalues,
             "quarter_hbar_squared": 0.25 * hbar**2,
-            "pair": {"is_pair": is_pair, "lambda_max": verdict.lambda_max},
+            "pair": {"is_pair": verdict.is_pair, "lambda_max": verdict.lambda_max},
         },
         fmt,
+        verdict.is_pair,
     )
-    sys.exit(PASS if is_pair else FAIL)
 
 
 @cli.group()
@@ -268,12 +255,9 @@ def cloud_generate(rx, rp, n_samples, seed, output, x_out, p_out):
 
 
 @cloud.command("analyze")
-@click.option("--cloud", "cloud_path", type=click.Path(exists=True), default=None,
-              help="Structured cloud file.")
-@click.option("-x", "x_path", type=click.Path(exists=True), default=None,
-              help="Position sample text file.")
-@click.option("-p", "p_path", type=click.Path(exists=True), default=None,
-              help="Momentum sample text file.")
+@input_option("--cloud", "cloud_path", help="Structured cloud file.")
+@input_option("-x", "x_path", help="Position sample text file.")
+@input_option("-p", "p_path", help="Momentum sample text file.")
 @click.option("--fit", type=click.Choice(FIT_MODES),
               default="ball", show_default=True)
 @click.option("--trim", type=float, default=0.0, show_default=True,
@@ -290,8 +274,7 @@ def cloud_analyze_cmd(cloud_path, x_path, p_path, fit, trim, hbar, tol, fmt):
     if fmt == "text":
         doc.pop("body_x")
         doc.pop("body_p")
-    _emit(doc, fmt)
-    sys.exit(PASS if report.pair.is_pair else FAIL)
+    _verdict(doc, fmt, report.pair.is_pair)
 
 
 @cli.group()
@@ -314,12 +297,7 @@ def disk_example(rx, rp, n_samples, seed, hbar, fmt):
     Carlo oracle rx^2/4 by more than 4%.
     """
     report = disk_demo(rx, rp, n_samples, seed, hbar)
-    _emit(report.to_dict() if fmt == "structured" else _demo_text_doc(report), fmt)
-    consistent = (
-        report.measured_matches_uniform
-        and report.analysis.pair.is_pair == report.pair_expected
-    )
-    sys.exit(PASS if consistent else FAIL)
+    _verdict(report.to_dict() if fmt == "structured" else _demo_text_doc(report), fmt, report.consistent)
 
 
 def _demo_text_doc(report):
@@ -344,17 +322,13 @@ def plot():
 
 
 @plot.command("section")
-@click.option("--body", "body_path", type=click.Path(exists=True), default=None,
-              help="Single body document.")
-@click.option("-x", "x_path", type=click.Path(exists=True), default=None,
-              help="Position body (with -p: product section).")
-@click.option("-p", "p_path", type=click.Path(exists=True), default=None,
-              help="Momentum body (with -x: product section).")
-@click.option("--sigma", "sigma_path", type=click.Path(exists=True), default=None,
-              help="Covariance matrix: section of its phase-space ellipsoid.")
+@input_option("--body", "body_path", help="Single body document.")
+@input_option("-x", "x_path", help="Position body (with -p: product section).")
+@input_option("-p", "p_path", help="Momentum body (with -x: product section).")
+@input_option("--sigma", "sigma_path", help="Covariance matrix: section of its phase-space ellipsoid.")
 @click.option("--plane", default="0,1", show_default=True,
               help="Comma-separated 0-based coordinate indices i,j.")
-@click.option("-o", "--output", type=click.File("w", lazy=True), default="-", help="Output file (default stdout).")
+@output_option
 def plot_section(body_path, x_path, p_path, sigma_path, plane, output):
     """Emit a closed-polyline section boundary with its annotated area."""
     try:

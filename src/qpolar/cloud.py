@@ -240,6 +240,12 @@ class DiskDemoReport:
     pair_expected: bool
 
     @property
+    def consistent(self) -> bool:
+        """The demo's verdict: the analyzed pair verdict agrees with the radius criterion
+        rx * rp >= hbar, and the measured variance is within DISK_VARIANCE_RTOL of rx^2/4."""
+        return self.measured_matches_uniform and self.analysis.pair.is_pair == self.pair_expected
+
+    @property
     def quoted_variance_flag(self) -> str:
         return "consistent" if self.measured_matches_quoted else "inconsistent with Monte Carlo oracle"
 

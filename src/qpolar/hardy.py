@@ -213,6 +213,11 @@ class HardyVerdict:
     lambda_max: float
     pair: tuple[Ellipsoid, Ellipsoid] = field(repr=False)
 
+    @property
+    def is_pair(self) -> bool:
+        """Whether pair is a polar quantum pair: the classification is not "violates"."""
+        return self.classification != "violates"
+
 
 def hardy_check(inp: HardyInput, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> HardyVerdict:
     """Classify a Hardy envelope pair on the ratios r_j = 2 sqrt(eig_j(A B)) / hbar, ascending.

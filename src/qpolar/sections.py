@@ -21,9 +21,9 @@ axis sections; a plane row is tested against its own largest entry (scale-free).
 from __future__ import annotations
 
 import numpy as np
-from .bodies import (ConvexBody, Ellipsoid, HPolytope, VPolytope, _enumerate_vertices, gauge,
-                     hpolytope_vertices, polar_dual)
-from .errors import DegenerateBodyError, DimensionError
+from .bodies import (ConvexBody, Ellipsoid, HPolytope, VPolytope, _check_pair_dims, _enumerate_vertices,
+                     gauge, hpolytope_vertices, polar_dual)
+from .errors import DegenerateBodyError
 
 CURVE_POINTS = 256
 
@@ -78,9 +78,8 @@ def product_section_rectangle(x_body: ConvexBody, p_body: ConvexBody,
     conjugate plane to the box |s| <= 1/g_i, |t| <= 1/g_j of the axis sections,
     g_k the factor's gauge at its axis. Axes follow the plane in the order given.
     """
+    _check_pair_dims(x_body, p_body)
     n = x_body.dim
-    if p_body.dim != n:
-        raise DimensionError(f"dimension mismatch: X is {n}-dim, P is {p_body.dim}-dim")
     i, j = plane
     if not (0 <= i < 2 * n and 0 <= j < 2 * n) or i == j:
         raise IndexError(f"plane indices must be distinct and within 0..{2 * n - 1}, got {plane}")

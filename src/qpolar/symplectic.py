@@ -82,9 +82,11 @@ def require_symmetric(s: np.ndarray) -> np.ndarray:
     scale = np.abs(s).max()
     if not math.isfinite(scale):
         raise ValueError("matrix entries must be finite")
-    if scale > 0 and np.abs(s - s.T).max() > SYMMETRY_RTOL * scale:
+    big = 2.0 * float(scale) == math.inf  # s - s.T and s + s.T may overflow: then taken on halves
+    gap, bound = (np.abs(0.5 * s - 0.5 * s.T).max(), 0.5 * scale) if big else (np.abs(s - s.T).max(), scale)
+    if gap > SYMMETRY_RTOL * bound:
         raise NotSymmetricError("matrix is not symmetric within tolerance")
-    if 2.0 * float(scale) == math.inf:  # s + s.T may overflow: those entries halved first
+    if big:  # those entries of s + s.T that overflow are halved first
         with np.errstate(over="ignore"):
             return np.where(np.isfinite(half := 0.5 * (s + s.T)), half, 0.5 * s + 0.5 * s.T)
     return 0.5 * (s + s.T)

@@ -117,6 +117,33 @@ def area_oracle_1d(x, p):
     return 4.0 * _interval_halfwidth(x) * _interval_halfwidth(p)
 
 
+# Hardy envelope pairs A = I, B = diag(r_j hbar / 2)^2 at hbar = 0.7, so r_j = 2 sqrt(eig_j(A B)) / hbar,
+# with the class ``hardy_check`` gives them: each class, and the tolerance band (tol = 1e-9)
+# on both sides of r = 1, one mode and two.
+HARDY_RATIOS = [
+    ((0.5,), "violates"), ((1 - 3e-9,), "violates"), ((1 - 5e-10,), "gaussian_boundary"),
+    ((1.0,), "gaussian_boundary"), ((1 + 5e-10,), "gaussian_boundary"), ((1 + 3e-9,), "hermite_subcritical"),
+    ((2.0,), "hermite_subcritical"), ((1 - 3e-9, 2.0), "violates"), ((1.0, 1 - 5e-10), "gaussian_boundary"),
+    ((1.0, 1 + 3e-9), "hermite_subcritical"),
+]
+
+# demo disk-example inputs (rx, rp, samples, seed, hbar) with the report's (pair verdict, pair
+# expected from the radii, variance within 4%): consistent both ways, and failing each way. A
+# centered cloud's fitted balls reach just past the disks, so at hbar just above rx rp the
+# pair passes while the radius criterion fails; 200 samples miss the variance band.
+DISK_DEMO_CASES = [
+    ((2.0, 1.0, 20_000, 3, 1.0), (True, True, True)),
+    ((0.5, 1.0, 20_000, 3, 1.0), (False, False, True)),
+    ((1.0, 1.0, 20_000, 3, 1.005), (True, False, True)),
+    ((2.0, 1.0, 200, 0, 1.0), (True, True, False)),
+]
+
+
+def hardy_pair(ratios, hbar=0.7):
+    """(A, B) of HARDY_RATIOS: A = I and B = diag(r_j hbar / 2)^2."""
+    return np.eye(len(ratios)), np.diag((0.5 * hbar * np.asarray(ratios)) ** 2)
+
+
 def assert_raises_exactly(call, error, message):
     """call() raises this exception type itself (not a subclass) with exactly this message."""
     with pytest.raises(error) as exc:

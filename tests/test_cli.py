@@ -11,7 +11,7 @@ from click.testing import CliRunner
 import qpolar
 from qpolar.cli import cli
 
-from conftest import spd_with_condition
+from conftest import DISK_DEMO_CASES, HARDY_RATIOS, hardy_pair, spd_with_condition
 
 
 @pytest.fixture
@@ -278,6 +278,15 @@ class TestHardy:
         assert json.loads(result.output)["pair"] == {"is_pair": True, "lambda_max": 2.0}
         assert verdict.lambda_max == pytest.approx(lam, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("ratios, kind", HARDY_RATIOS)
+    def test_exit_reads_is_pair(self, runner, tmp_path, ratios, kind):
+        a, b = hardy_pair(ratios)
+        paths = [write_json(tmp_path / f"{k}.json", {"matrix": m.tolist()}) for k, m in (("a", a), ("b", b))]
+        result = runner.invoke(cli, ["hardy", "--a", paths[0], "--b", paths[1], "--hbar", "0.7"])
+        verdict = qpolar.hardy_check(qpolar.HardyInput(a, b), 0.7)
+        assert f"classification: {kind}" in result.output and f"is_pair: {verdict.is_pair}" in result.output
+        assert result.exit_code == (0 if verdict.is_pair else 2) == (2 if kind == "violates" else 0)
+
 
 class TestCloudCommands:
     def test_generate_then_analyze(self, runner, tmp_path):
@@ -364,6 +373,14 @@ class TestCloudCommands:
         doc = json.loads(result.output)
         assert doc["measured_matches_uniform"] is True
         assert doc["quoted_variance_flag"] == "inconsistent with Monte Carlo oracle"
+
+    @pytest.mark.parametrize("args, fields", DISK_DEMO_CASES)
+    def test_demo_exit_reads_consistent(self, runner, args, fields):
+        rx, rp, n, seed, hbar = args
+        result = runner.invoke(cli, ["demo", "disk-example", "--rx", repr(rx), "--rp", repr(rp), "-n", str(n),
+                                     "--seed", str(seed), "--hbar", repr(hbar)])
+        consistent = qpolar.disk_demo(*args).consistent
+        assert result.exit_code == (0 if consistent else 2) == (0 if fields[0] == fields[1] and fields[2] else 2)
 
     def test_demo_disk_example_text_is_the_structured_report(self, runner):
         args = ["demo", "disk-example", "--rx", "2.0", "--rp", "1.0", "-n", "20000", "--seed", "3"]

@@ -14,7 +14,7 @@ from qpolar.errors import DegenerateBodyError, DimensionError
 from qpolar.io import body_to_dict
 from qpolar.sections import _order_by_angle, emit_section_plot, product_section_rectangle, section_polygon
 
-from conftest import assert_raises_exactly, random_ellipsoid, random_hpolytope, random_vpolytope
+from conftest import DISK_DEMO_CASES, assert_raises_exactly, random_ellipsoid, random_hpolytope, random_vpolytope
 
 
 class TestCloudGeneration:
@@ -209,6 +209,14 @@ class TestDiskDemo:
         n = 100_000
         assert not disk_demo(0.98, 1.0, n, seed=8).analysis.pair.is_pair
         assert disk_demo(1.02, 1.0, n, seed=8).analysis.pair.is_pair
+
+    @pytest.mark.parametrize("args, fields", DISK_DEMO_CASES)
+    def test_consistent_reads_the_pair_and_the_variance(self, args, fields):
+        # The demo's verdict: the pair verdict agrees with rx * rp >= hbar, and the
+        # variance is within 4% of rx^2/4; each failure alone makes it inconsistent.
+        report = disk_demo(*args)
+        assert (report.analysis.pair.is_pair, report.pair_expected, report.measured_matches_uniform) == fields
+        assert report.consistent is (fields[0] == fields[1] and fields[2])
 
 
 class TestSections:

@@ -10,15 +10,18 @@ from qpolar.errors import BoundaryDecayWarning, GridError, HardyInconsistencyWar
 from qpolar.hardy import (
     ENVELOPE_C_FACTOR,
     RELATIVE_FLOOR,
+    HardyInput,
     _checked_samples,
     _envelope_fit,
     _transform_magnitudes,
+    hardy_check,
     hardy_envelope_verify,
     hbar_fourier_1d,
     minkowski_envelope_experiment,
 )
+from qpolar.polarity import is_quantum_pair
 
-from conftest import assert_raises_exactly
+from conftest import HARDY_RATIOS, assert_raises_exactly, hardy_pair
 
 
 def symmetric_grid(half_extent=20.0, n=1024):
@@ -178,6 +181,16 @@ def test_envelope_verdicts_agree_with_the_phased_transform_on_the_band(hbar, k, 
     want = phased_envelope_fit(psi, x, hbar, sx, sp)
     assert (pos_ok, mom_ok) == want[:2] and verdict == (pos_ok and mom_ok)
     assert abs(log_c - want[2]) <= 1e-14 * max(abs(want[2]), 1.0)
+
+
+@pytest.mark.parametrize("ratios, kind", HARDY_RATIOS)
+def test_is_pair_reads_the_classification(ratios, kind):
+    # The induced pair is a polar quantum pair iff the classification is not "violates",
+    # the HardyVerdict docstring's rule, in the tolerance band as well.
+    verdict = hardy_check(HardyInput(*hardy_pair(ratios)), 0.7)
+    assert verdict.classification == kind
+    assert verdict.is_pair is (kind != "violates")
+    assert is_quantum_pair(*verdict.pair, 0.7).is_pair is verdict.is_pair
 
 
 class TestMinkowskiExperiment:

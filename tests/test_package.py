@@ -149,6 +149,32 @@ def test_a_polytope_is_inverted_in_one_place():
     assert _polytope_inverse_sites({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == ["bodies._square_inverse"]
 
 
+def _cli_rule_sites(source: str) -> list[str]:
+    """``name: call`` for each top-level function or statement (``<module>``) of a CLI module
+    that calls ``sys.exit`` or builds ``click.Path(exists=True)``, decorators included."""
+    sites = []
+    for node in ast.parse(source).body:
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute):
+                name = f"{getattr(call.func.value, 'id', None)}.{call.func.attr}"
+                if name == "sys.exit" or name == "click.Path" and any(k.arg == "exists" for k in call.keywords):
+                    sites.append(f"{getattr(node, 'name', '<module>')}: {name}")
+    return sorted(sites)
+
+
+def test_cli_rule_check_finds_one():
+    source = ("import sys\nimport click\ndef _verdict(ok):\n    sys.exit(0 if ok else 2)\n"
+              "@click.option('-x', type=click.Path(exists=True))\ndef run(x):\n    if x:\n        sys.exit(2)\n"
+              "out = click.option('-o', type=click.Path())\n")
+    assert _cli_rule_sites(source) == ["_verdict: sys.exit", "run: click.Path", "run: sys.exit"]
+
+
+def test_cli_exit_rule_and_input_option_are_written_once():
+    # Every command exits through _verdict on a verdict the library returned, and every
+    # input-file option is input_option's.
+    assert _cli_rule_sites((PACKAGE / "cli.py").read_text()) == ["_verdict: sys.exit", "input_option: click.Path"]
+
+
 def _unread_helpers(sources: dict[str, str]) -> list[str]:
     """``module.name`` for each module-level private function, class or constant, and each
     upper-case constant, that no other top-level statement of these modules reads: a

@@ -92,6 +92,21 @@ class TestRequireSymmetric:
         assert want[0, 1] == 5e-324  # halved first, it would round to 0
         assert np.array_equal(got, want)
 
+    def test_asymmetry_near_the_float_max_raises_without_overflow(self):
+        # S - S^T overflowed for antisymmetric pairs near the float max, and under
+        # warnings-as-errors that RuntimeWarning was raised in place of NotSymmetricError.
+        # Where 2 max|S| overflows the difference is taken on halves, against half the bound.
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in ([[0.0, 1e308], [-1e308, 0.0]], [[1e308, -1.7e308], [1.7e308, 1.0]],
+                      [[1.7e308, 1.7e308], [1.7e308 * (1 - 1e-9), 1.0]]):
+                with pytest.raises(NotSymmetricError, match="^matrix is not symmetric within tolerance$"):
+                    require_symmetric(np.array(s))
+            ok = np.array([[1.7e308, 1e308], [1e308 * (1 + 1e-12), 1.0]])
+            assert np.array_equal(require_symmetric(ok), 0.5 * ok + 0.5 * ok.T)
+
 
 class TestSymplecticForm:
     def test_basis_pair_sign(self):
