@@ -9,7 +9,7 @@ All bodies are origin-centered (body = -body by construction):
 Operations are pure functions over these immutable values, which compare by identity. An
 ellipsoid carries a factor F of its matrix, and a derived one is built from a factor, not
 checked again: F^-T / hbar for a polar, L^-T F for a linear image (``scale`` is one), C^-T
-for (d M)^-1 with d M = C C^T (``_inverse_ellipsoid``). Errors are of order cond(F) eps, so
+for (d M)^-1 with d M = C C^T (``_inverse_factor``). Errors are of order cond(F) eps, so
 ``linear_image`` decides up to its cond(L) <= 1e12 guard. A polytope carries the least
 and greatest of its row maxima, which ``polar_dual`` scales with the array (rounding is
 monotone) for the polar's finiteness and nonzero-row checks: no rank test. A square array
@@ -347,9 +347,14 @@ def support(body: ConvexBody, u) -> float | np.ndarray:
     return gauge(polar_dual(body), u)
 
 
+def _inverse_factor(m: np.ndarray, d: float) -> np.ndarray:
+    """C^-T for d M = C C^T, M SPD: a factor of (d M)^-1, the one place that factors and inverts it."""
+    return np.linalg.inv(_spd_cholesky(d * m, "ellipsoid matrix")).T
+
+
 def _inverse_ellipsoid(m: np.ndarray, d: float) -> Ellipsoid:
-    """The ellipsoid with matrix (d M)^-1 for SPD M: the factor C^-T of d M = C C^T."""
-    return Ellipsoid._from_factor(np.linalg.inv(_spd_cholesky(d * m, "ellipsoid matrix")).T)
+    """The ellipsoid with matrix (d M)^-1 for SPD M, built on ``_inverse_factor``."""
+    return Ellipsoid._from_factor(_inverse_factor(m, d))
 
 
 def polar_dual(body: ConvexBody, hbar: float = 1.0) -> ConvexBody:
@@ -582,11 +587,12 @@ def inclusion_scale(x: ConvexBody, p: ConvexBody, hbar: float = 1.0) -> float:
 DEFAULT_TOL = 1e-9
 
 
-def _accepts(r: float, tol: float) -> bool:
+def _accepts(r: float | np.ndarray, tol: float) -> bool | list[bool]:
     """The one acceptance rule: a ratio r (>= 1 iff the bound holds) passes when r >= 1/(1 + tol),
-    for a finite tol >= 0 (``_check_tol``)."""
+    for a finite tol >= 0 (``_check_tol``). An array of ratios gets a list of verdicts, one each."""
     _check_tol(tol)
-    return bool(r >= 1.0 / (1.0 + tol))
+    ok = r >= 1.0 / (1.0 + tol)
+    return ok.tolist() if isinstance(ok, np.ndarray) else bool(ok)
 
 
 def _check_hbar(hbar: float) -> None:
@@ -694,4 +700,4 @@ def _unit_scale_fit(pts: np.ndarray, mode: str) -> Ellipsoid:
             u *= 1.0 + step
             u[k] = 0.0 if step == drop else u[k] - step
     # Scale by the worst gauge so containment of every input point is exact; undo the whitening.
-    return Ellipsoid._from_factor(white @ _inverse_ellipsoid(mat, np.max(g_all)).factor)
+    return Ellipsoid._from_factor(white @ _inverse_factor(mat, np.max(g_all)))

@@ -48,8 +48,12 @@ def ellipsoid_capacity(ell: Ellipsoid) -> float:
     """
     if ell.dim % 2:
         raise DimensionError(f"phase-space ellipsoids have even dimension, got {ell.dim}")
-    mu = _factor_symplectic_eigenvalues(ell.factor)
-    return float(np.pi / mu[-1])
+    return _factor_capacity(ell.factor)
+
+
+def _factor_capacity(f: np.ndarray) -> float:
+    """pi / mu_max for the ellipsoid with an even-dimensional factor F, no Ellipsoid built."""
+    return float(np.pi / _factor_symplectic_eigenvalues(f)[-1])
 
 
 def product_capacity(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,

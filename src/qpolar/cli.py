@@ -24,7 +24,7 @@ from .cloud import FIT_MODES, cloud_analyze, cloud_generate_disk, disk_demo
 from .errors import QPolarError
 from .hardy import HardyInput, _check_widths, hardy_check
 from .polarity import is_quantum_pair
-from .quantum import _covariance_verdicts, _projection_pair, covariance_ellipsoid, section_area
+from .quantum import _covariance_verdicts, covariance_ellipsoid, section_area, theorem2_check
 from .sections import emit_section_plot
 from .symplectic import _check_tol
 
@@ -193,7 +193,7 @@ def covariance(sigma_path, hbar, tol, fmt):
     doc = {"quantum_covariance": valid, "rs_per_mode": rs, "capacity_criterion": criterion,
            "symplectic_spectrum": spectrum, "half_hbar": 0.5 * hbar}
     if valid:
-        verdict = _projection_pair(cov, hbar, tol)  # theorem2_check's verdict, validity decided above
+        verdict = theorem2_check(cov, hbar, tol)  # its gate reads the validity ratio cov kept above
         doc["projection_pair"] = {"is_pair": verdict.is_pair, "lambda_max": verdict.lambda_max}
     _verdict(doc, fmt, valid)
 

@@ -9,7 +9,9 @@ exp(-p^2 / 4 sigma_P^2) with sigma_X sigma_P = hbar / 2. The discrete version
 is exactly unitary on the grid (Parseval), and applying it twice with the
 kernel sign flipped recovers the input on symmetric grids.
 
-Gaussian envelope pairs are classified by the eigenvalues of A B (hardy_check).
+Gaussian envelope pairs are classified by the eigenvalues of A B (hardy_check, which checks hbar
+and tol before it factors A and B); the verdict builds its ellipsoid pair from the kept factors
+on first read (``HardyVerdict.pair``), so a caller that reads only the class inverts nothing.
 
 Envelope checks compare |f| against C * exp(-E(x)) pointwise in log space,
 restricted to grid points with |f| >= 1e-12 * max|f|: below that relative
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -30,14 +33,14 @@ from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, _accepts, _check_hbar, g
 from .errors import BoundaryDecayWarning, GridError, HardyInconsistencyWarning
 from .polarity import PairVerdict, is_quantum_pair
 from .quantum import _mode_scales
-from .symplectic import _spd_pair, require_symmetric
+from .symplectic import _check_tol, _spd_pair, require_symmetric
 
 RELATIVE_FLOOR = 1e-12
 ENVELOPE_C_FACTOR = 10.0
 
 
-def _checked_samples(samples, grid, hbar: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(psi, |psi|, grid, dx) for samples on a uniform power-of-two grid, the transform's
+def _checked_samples(samples, grid, hbar: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """(psi, |psi|, grid, dx, max |psi|) for samples on a uniform power-of-two grid, the transform's
     preconditions: GridError for a bad grid, ValueError for non-finite samples, and a
     BoundaryDecayWarning where |psi| does not decay below 1e-12 (relative) at the edges.
     """
@@ -68,20 +71,20 @@ def _checked_samples(samples, grid, hbar: float) -> tuple[np.ndarray, np.ndarray
             BoundaryDecayWarning,
             stacklevel=3,
         )
-    return psi, mags, grid, dx
+    return psi, mags, grid, dx, float(peak)
 
 
 def _fft_core(psi: np.ndarray, dx: float, hbar: float, sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p_grid, frequencies f_j, core): the transform is dx / sqrt(2 pi hbar) * exp(sign 2 pi i f_j x0) * core."""
+    """(p_grid, frequencies f_j, core): the transform is dx / sqrt(2 pi hbar) * exp(sign 2 pi i f_j x0) * core,
+    core the FFT of (-1)^j psi_j, which centers the frequencies (j - N/2) / (N dx)."""
     n = psi.size
-    k = np.arange(n)
-    freqs = (k - n / 2) / (n * dx)
-    alternate = np.ones(n)
-    alternate[1::2] = -1.0
+    freqs = np.arange(-n / 2, n / 2) / (n * dx)
+    alternated = psi.copy()
+    alternated[1::2] *= -1
     if sign == -1:
-        core = np.fft.fft(alternate * psi)
+        core = np.fft.fft(alternated)
     else:
-        core = n * np.fft.ifft(alternate * psi)
+        core = n * np.fft.ifft(alternated)
     return 2.0 * np.pi * hbar * freqs, freqs, core
 
 
@@ -108,7 +111,7 @@ def hbar_fourier_1d(samples, grid, hbar: float = 1.0,
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
-    psi, _, grid, dx = _checked_samples(samples, grid, hbar)
+    psi, _, grid, dx, _ = _checked_samples(samples, grid, hbar)
     p_grid, freqs, core = _fft_core(psi, dx, hbar, sign)
     phase = np.exp(sign * 2.0j * np.pi * freqs * float(grid[0]))
     transformed = dx / np.sqrt(2.0 * np.pi * hbar) * phase * core
@@ -121,9 +124,8 @@ def _transform_magnitudes(psi: np.ndarray, dx: float, hbar: float) -> tuple[np.n
     return p_grid, np.abs(core) * (dx / np.sqrt(2.0 * np.pi * hbar))
 
 
-def _log_envelope_constant(mags: np.ndarray, exponent: np.ndarray) -> float:
-    """log of the smallest C with mags <= C exp(-exponent), above the noise floor."""
-    peak = mags.max()
+def _log_envelope_constant(mags: np.ndarray, peak: float, exponent: np.ndarray) -> float:
+    """log of the smallest C with mags <= C exp(-exponent), above the noise floor; peak is max(mags)."""
     if peak == 0:
         return -np.inf
     mask = mags >= RELATIVE_FLOOR * peak
@@ -136,11 +138,10 @@ def _envelope_fit(samples, grid, hbar: float, x_exponent, p_exponent) -> tuple[b
     C is ENVELOPE_C_FACTOR * max|psi|; also returns the log of the least C serving both.
     Only magnitudes enter, so psi^ is taken without its unit-modulus phase.
     """
-    psi, mags, grid, dx = _checked_samples(samples, grid, hbar)
+    psi, mags, grid, dx, peak = _checked_samples(samples, grid, hbar)
     p_grid, hat_mags = _transform_magnitudes(psi, dx, hbar)
-    log_cx = _log_envelope_constant(mags, x_exponent(grid))
-    log_cp = _log_envelope_constant(hat_mags, p_exponent(p_grid))
-    peak = float(mags.max())
+    log_cx = _log_envelope_constant(mags, peak, x_exponent(grid))
+    log_cp = _log_envelope_constant(hat_mags, hat_mags.max(), p_exponent(p_grid))
     bound = np.log(ENVELOPE_C_FACTOR * peak) if peak > 0 else np.inf
     return bool(log_cx <= bound), bool(log_cp <= bound), max(log_cx, log_cp)
 
@@ -206,12 +207,19 @@ class HardyVerdict:
     "hermite_subcritical" otherwise (psi is a finite Hermite combination).
     pair is the induced ellipsoid pair (X, P), a polar quantum pair iff the
     classification is not "violates"; lambda_max is r_1, that pair's inclusion scale.
+    The verdict holds the Cholesky factors (C, G) of A and B (``_factors``), and pair is
+    built from them on its first read and kept.
     """
 
     eigenvalues: np.ndarray
     classification: HardyClass
     lambda_max: float
-    pair: tuple[Ellipsoid, Ellipsoid] = field(repr=False)
+    _factors: tuple[np.ndarray, np.ndarray] = field(repr=False)
+
+    @cached_property
+    def pair(self) -> tuple[Ellipsoid, Ellipsoid]:
+        """(X, P): X has the factor C^-T / sqrt(2) of (2 A)^-1 for A = C C^T, and P likewise."""
+        return tuple(Ellipsoid._from_factor(np.linalg.inv(f).T / math.sqrt(2.0)) for f in self._factors)
 
     @property
     def is_pair(self) -> bool:
@@ -220,8 +228,10 @@ class HardyVerdict:
 
 
 def hardy_check(inp: HardyInput, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> HardyVerdict:
-    """Classify a Hardy envelope pair on the ratios r_j = 2 sqrt(eig_j(A B)) / hbar, ascending.
-    The pair's X has the factor C^-T / sqrt(2) of (2 A)^-1 for A = C C^T, and P likewise."""
+    """Classify a Hardy envelope pair on the ratios r_j = 2 sqrt(eig_j(A B)) / hbar, ascending;
+    hbar and tol are checked before A and B are factored."""
+    _check_hbar(hbar)
+    _check_tol(tol)
     c, g = _spd_pair(inp.a, inp.b)  # symmetrized by HardyInput
     eigs, scales = _mode_scales(c, g, hbar)
     if not _accepts(scales[0], tol):
@@ -230,8 +240,7 @@ def hardy_check(inp: HardyInput, hbar: float = 1.0, tol: float = DEFAULT_TOL) ->
         kind = "gaussian_boundary"
     else:
         kind = "hermite_subcritical"
-    pair = tuple(Ellipsoid._from_factor(np.linalg.inv(f).T / math.sqrt(2.0)) for f in (c, g))
-    return HardyVerdict(eigenvalues=eigs, classification=kind, lambda_max=float(scales[0]), pair=pair)
+    return HardyVerdict(eigenvalues=eigs, classification=kind, lambda_max=float(scales[0]), _factors=(c, g))
 
 
 @dataclass(frozen=True)

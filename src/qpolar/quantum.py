@@ -8,6 +8,10 @@ equivalently the symplectic capacity of the covariance ellipsoid
 separately (is_quantum_covariance, symplectic spectrum, capacity_criterion) and
 must agree; the test suite enforces the triangle.
 
+A ``CovarianceMatrix`` is factored once, when built, and keeps the validity ratio it finds
+at each hbar (``CovarianceMatrix._validity_ratio``, keyed by hbar), which theorem2_check's
+gate reads. capacity_criterion reads the factor of (2 Sigma)^-1 and builds no Ellipsoid.
+
 The position/momentum projections of the covariance ellipsoid form an
 hbar-polar quantum pair whenever Sigma is valid (theorem2_check), which reduces
 to the eigenvalues of Delta(x,x) Delta(p,p) being >= hbar^2/4
@@ -18,7 +22,9 @@ by the same eigenvalues: the squared singular values of C^T G for A = C C^T, B =
 Each verdict is the threshold hbar/2 on one dimensionless ratio r (>= 1 iff the
 bound holds), accepted by bodies._accepts: 2 nu_min / hbar for validity,
 c / (pi hbar) for the capacity criterion, 2 sqrt(det_j) / hbar per
-Robertson-Schrodinger mode and 2 sqrt(eig_j(A B)) / hbar per eigenvalue.
+Robertson-Schrodinger mode and 2 sqrt(eig_j(A B)) / hbar per eigenvalue. Every verdict
+checks hbar before it factors its input; heisenberg_eigen_check and hardy_check check tol
+then too.
 """
 
 from __future__ import annotations
@@ -27,12 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, Ellipsoid, _accepts, _check_hbar, _freeze, _inverse_ellipsoid
-from .capacities import ellipsoid_capacity
+from .bodies import DEFAULT_TOL, Ellipsoid, _accepts, _check_hbar, _freeze, _inverse_ellipsoid, _inverse_factor
+from .capacities import _factor_capacity
 from .errors import DimensionError, InvalidCovarianceError, NotPositiveDefiniteError
 from .polarity import PairVerdict
-from .symplectic import (_factor_pencil_eigenvalues, _factor_symplectic_eigenvalues, _spd_cholesky, _spd_pair,
-                         _symplectic_j, random_symplectic, require_symmetric)
+from .symplectic import (_check_tol, _factor_pencil_eigenvalues, _factor_symplectic_eigenvalues, _spd_cholesky,
+                         _spd_pair, _symplectic_j, random_symplectic, require_symmetric)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +66,7 @@ class CovarianceMatrix:
             c = None
         object.__setattr__(self, "factor", c)
         object.__setattr__(self, "sigma", _freeze(s))
+        object.__setattr__(self, "_ratios", {})  # hbar -> 2 nu_min / hbar
 
     @property
     def n(self) -> int:
@@ -77,6 +84,18 @@ class CovarianceMatrix:
     def dpp(self) -> np.ndarray:
         return self.sigma[self.n:, self.n:]
 
+    def _validity_ratio(self, hbar: float) -> float:
+        """2 nu_min / hbar = -1 / (smallest eigenvalue of C^{-1} (i hbar / 2) J C^{-T}), 0 without a
+        factor; computed at the first check at this hbar, then read."""
+        if self.factor is None:
+            return 0.0
+        hbar = float(hbar)
+        ratio = self._ratios.get(hbar)
+        if ratio is None:
+            smallest = _factor_pencil_eigenvalues(0.5j * hbar * _symplectic_j(self.n), self.factor)[0]
+            ratio = self._ratios[hbar] = -1.0 / smallest
+        return ratio
+
 
 def _as_cov(s) -> CovarianceMatrix:
     return s if isinstance(s, CovarianceMatrix) else CovarianceMatrix(np.asarray(s, dtype=float))
@@ -87,16 +106,12 @@ def is_quantum_covariance(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> boo
 
     With Sigma = C C^T (Cholesky, ``CovarianceMatrix.factor``), the Hermitian
     C^{-1} (i hbar / 2) J C^{-T} has eigenvalues +-hbar / (2 nu_j), so the ratio
-    is 2 nu_min / hbar = -1 / (smallest of them). Boundary states count as valid,
+    is 2 nu_min / hbar = -1 / (smallest of them), kept per hbar. Boundary states count as valid,
     a Sigma that is not positive definite (no Cholesky factor) as invalid (ratio 0).
     Agrees with the Williamson threshold and the capacity criterion on every SPD input.
     """
     _check_hbar(hbar)
-    cov = _as_cov(s)
-    if cov.factor is None:
-        return _accepts(0.0, tol)
-    smallest = _factor_pencil_eigenvalues(0.5j * hbar * _symplectic_j(cov.n), cov.factor)[0]
-    return _accepts(-1.0 / smallest, tol)
+    return _accepts(_as_cov(s)._validity_ratio(hbar), tol)
 
 
 def rs_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> list[bool]:
@@ -108,9 +123,10 @@ def rs_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> list[bool]:
     """
     _check_hbar(hbar)
     cov = _as_cov(s)
-    dx, dp = np.diag(cov.dxx), np.diag(cov.dpp)
-    det = np.where((dx > 0) & (dp > 0), dx * dp - np.diag(cov.dxp) ** 2, 0.0)
-    return [_accepts(r, tol) for r in 2.0 * np.sqrt(np.maximum(det, 0.0)) / hbar]
+    variances = cov.sigma.diagonal()
+    dx, dp = variances[: cov.n], variances[cov.n:]
+    det = np.where((dx > 0) & (dp > 0), dx * dp - cov.sigma.diagonal(cov.n) ** 2, 0.0)
+    return _accepts(2.0 * np.sqrt(np.maximum(det, 0.0)) / hbar, tol)
 
 
 def covariance_ellipsoid(s) -> Ellipsoid:
@@ -119,13 +135,14 @@ def covariance_ellipsoid(s) -> Ellipsoid:
 
 
 def capacity_criterion(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the covariance ellipsoid has capacity >= pi * hbar (= h/2); False if Sigma has none."""
+    """True iff the covariance ellipsoid has capacity >= pi * hbar (= h/2); False if Sigma has none.
+    The capacity is read off the factor of (2 Sigma)^-1, with no Ellipsoid built."""
     _check_hbar(hbar)
     try:
-        ell = covariance_ellipsoid(s)
+        f = _inverse_factor(_as_cov(s).sigma, 2.0)
     except NotPositiveDefiniteError:  # not positive definite: invalid, as in is_quantum_covariance
         return _accepts(0.0, tol)
-    return _accepts(ellipsoid_capacity(ell) / (np.pi * hbar), tol)
+    return _accepts(_factor_capacity(f) / (np.pi * hbar), tol)
 
 
 def _covariance_verdicts(cov: CovarianceMatrix, hbar: float, tol: float) -> tuple:
@@ -161,28 +178,24 @@ def project_xp(s) -> tuple[Ellipsoid, Ellipsoid]:
 def theorem2_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> PairVerdict:
     """Quantum-pair verdict on the (X, P) projections of a valid covariance matrix.
 
-    Rejects invalid covariance input; for every valid quantum covariance
-    matrix the verdict is a pair (lambda_max >= 1), hence the product
+    Rejects invalid covariance input, on the validity ratio the CovarianceMatrix keeps; for
+    every valid quantum covariance matrix the verdict is a pair (lambda_max >= 1), hence the product
     capacity of X x P is at least 4 * hbar. lambda_max is the inclusion scale of
     ``project_xp``'s pair in closed form, 2 sigma_min(C11^T G) / hbar: C11, the leading
     n x n block of Sigma's factor, is chol(Delta(x,x)), and G is chol(Delta(p,p)).
     """
+    _check_hbar(hbar)
     cov = _as_cov(s)
-    if not is_quantum_covariance(cov, hbar, tol):
+    if not _accepts(cov._validity_ratio(hbar), tol):  # is_quantum_covariance's verdict
         raise InvalidCovarianceError("input is not a quantum covariance matrix at this hbar")
-    return _projection_pair(cov, hbar, tol)
-
-
-def _projection_pair(cov: CovarianceMatrix, hbar: float, tol: float) -> PairVerdict:
-    """theorem2_check's verdict for a Sigma already found valid."""
     lam = float(_mode_scales(cov.factor[: cov.n, : cov.n], _spd_cholesky(cov.dpp, "B"), hbar)[1][0])
     return PairVerdict(is_pair=_accepts(lam, tol), lambda_max=lam, margin=lam - 1.0)
 
 
 def _mode_scales(c: np.ndarray, g: np.ndarray, hbar: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues eig_j of A B = C C^T G G^T, ascending, and their ratios 2 sqrt(eig_j) / hbar:
-    the s_j in eig_j = s_j^2 are the singular values of C^T G (``_spd_pair``)."""
-    _check_hbar(hbar)
+    the s_j in eig_j = s_j^2 are the singular values of C^T G (``_spd_pair``). hbar is checked
+    by the caller."""
     s = np.linalg.svd(c.T @ g, compute_uv=False)[::-1]
     return s**2, 2.0 * s / hbar
 
@@ -192,10 +205,13 @@ def heisenberg_eigen_check(a, b, hbar: float = 1.0, tol: float = DEFAULT_TOL) ->
 
     All-true coincides with the quantum-pair property of the induced
     ellipsoid pair {x A^{-1} x / 2 <= 1}, {p B^{-1} p / 2 <= 1}: the first
-    ratio 2 sqrt(eig_1) / hbar is that pair's inclusion scale.
+    ratio 2 sqrt(eig_1) / hbar is that pair's inclusion scale. hbar and tol are checked
+    before A and B.
     """
+    _check_hbar(hbar)
+    _check_tol(tol)
     c, g = _spd_pair(require_symmetric(a), require_symmetric(b))
-    return [_accepts(r, tol) for r in _mode_scales(c, g, hbar)[1]]
+    return _accepts(_mode_scales(c, g, hbar)[1], tol)
 
 
 def random_quantum_covariance(n: int, seed: int, hbar: float = 1.0,

@@ -98,6 +98,32 @@ class TestTransform:
             hbar_fourier_1d(psi, x, 1.0)
 
 
+def ones_array_transform(psi, grid, hbar, sign):
+    """hbar_fourier_1d as it was first written: the alternation a ones array with its odd
+    entries set to -1, multiplied into psi, and the index arange(N) - N/2."""
+    n, dx = grid.size, float(grid[1] - grid[0])
+    freqs = (np.arange(n) - n / 2) / (n * dx)
+    alternate = np.ones(n)
+    alternate[1::2] = -1.0
+    core = np.fft.fft(alternate * psi) if sign == -1 else n * np.fft.ifft(alternate * psi)
+    phase = np.exp(sign * 2.0j * np.pi * freqs * float(grid[0]))
+    return 2.0 * np.pi * hbar * freqs, dx / np.sqrt(2.0 * np.pi * hbar) * phase * core
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_transform_matches_the_ones_array_alternation_bit_for_bit(sign):
+    rng = np.random.default_rng(44)
+    for log_n in range(1, 13):
+        x = symmetric_grid(6.0, 2**log_n) + 0.1
+        gaussian = np.exp(-x**2 / 4)
+        for psi in (gaussian, gaussian * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", BoundaryDecayWarning)
+                got = hbar_fourier_1d(psi, x, 0.7, sign)
+            want = ones_array_transform(psi.astype(complex), x, 0.7, sign)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), (log_n, sign)
+
+
 class TestHardyEnvelope:
     def setup_method(self):
         self.x = symmetric_grid()

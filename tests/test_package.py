@@ -122,6 +122,36 @@ def test_power_of_two_scaling_lives_in_one_helper():
     assert _power_of_two_sites({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == ["bodies._pow2_scaled"]
 
 
+def _threshold_sites(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each top-level function or class that writes ``1 + tol`` (either
+    order, 1 as an int or a float), the acceptance threshold's denominator, and ``module``
+    where module-level code does."""
+    sites = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            for n in ast.walk(node):
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add):
+                    operands = (n.left, n.right)
+                    if (any(isinstance(o, ast.Constant) and o.value == 1 for o in operands)
+                            and any(getattr(o, "id", getattr(o, "attr", None)) == "tol" for o in operands)):
+                        sites.add(f"{module}.{node.name}" if hasattr(node, "name") else module)
+    return sorted(sites)
+
+
+def test_threshold_check_finds_one():
+    sources = {"a": "def _accepts(r, tol):\n    return r >= 1.0 / (1.0 + tol)\n"
+                    "def each(rs, tol):\n    return [r >= 1 / (tol + 1) for r in rs]\n"
+                    "def band(tol):\n    return 2 + tol\n",
+               "b": "import cfg\nT = 1.0 / (1 + cfg.tol)\n"}
+    assert _threshold_sites(sources) == ["a._accepts", "a.each", "b"]
+
+
+def test_acceptance_threshold_is_written_once():
+    # Every verdict, scalar or one per mode, passes its ratios to _accepts; none spells the
+    # threshold 1/(1 + tol) itself.
+    assert _threshold_sites({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == ["bodies._accepts"]
+
+
 def _polytope_inverse_sites(sources: dict[str, str]) -> list[str]:
     """``module.name`` for each top-level function or class that calls ``inv`` on an
     expression reading a polytope's array: ``rows``, ``vertices`` or the validator's ``arr``."""

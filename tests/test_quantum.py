@@ -164,7 +164,52 @@ def test_valid_state_factorization_budget(linalg_calls):
     assert hardy_check(HardyInput(cov.dxx, cov.dpp)).classification == "hermite_subcritical"
     assert all(heisenberg_eigen_check(cov.dxx, cov.dpp))
     block_diagonalize(cov.dxx, cov.dpp)
-    assert calls["cholesky"] <= 10 and calls["inv"] <= 5 and calls["solve"] <= 1, calls
+    assert calls["cholesky"] <= 10 and calls["inv"] <= 2 and calls["solve"] <= 1, calls
+
+
+def test_validity_is_computed_once_per_hbar(linalg_calls):
+    # is_quantum_covariance keeps its ratio on the CovarianceMatrix and theorem2_check's gate
+    # reads it: one pencil eigvalsh for both. Another hbar is another pencil.
+    cov = CovarianceMatrix(covariance_with_spectrum(np.array([0.6, 0.9]), np.random.default_rng(5)))
+    calls = linalg_calls("eigvalsh")
+    assert is_quantum_covariance(cov) and theorem2_check(cov).is_pair
+    assert calls["eigvalsh"] == 1
+    assert is_quantum_covariance(cov, 1.1) and theorem2_check(cov, 1.1).is_pair
+    assert calls["eigvalsh"] == 2
+    assert is_quantum_covariance(cov) and theorem2_check(cov, 1.1).is_pair
+    assert calls["eigvalsh"] == 2
+
+
+def test_kept_validity_matches_a_fresh_state(rng):
+    # Boundary states (nu_min = hbar0 / 2) checked at hbar0 (1 +- k tol), k = 0.5 and 2, on
+    # either side of the tolerance: each verdict a state keeps, computed or read back, is
+    # the verdict of a state never checked before.
+    hbar0, verdicts = 0.7, set()
+    hbars = [hbar0 * (1.0 + sign * k * DEFAULT_TOL) for k in (0.5, 2.0) for sign in (-1, 1)]
+    for n in (1, 2, 3):
+        nu = 0.5 * hbar0 * np.concatenate([[1.0], 1.0 + rng.uniform(0.1, 1.0, n - 1)])
+        sigma = covariance_with_spectrum(nu, rng)
+        kept = CovarianceMatrix(sigma)
+        for hbar in [hbar0, *hbars, *hbars[::-1], hbar0]:
+            got = is_quantum_covariance(kept, hbar)
+            assert got == is_quantum_covariance(CovarianceMatrix(sigma), hbar)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_capacity_criterion_builds_no_ellipsoid(monkeypatch):
+    # The criterion reads the factor of (2 Sigma)^-1; covariance_ellipsoid, which builds the
+    # body from the same factor, is the control.
+    built = []
+    from_factor, post_init = Ellipsoid._from_factor.__func__, Ellipsoid.__post_init__
+    monkeypatch.setattr(Ellipsoid, "_from_factor", classmethod(lambda cls, f: built.append(f) or from_factor(cls, f)))
+    monkeypatch.setattr(Ellipsoid, "__post_init__", lambda self: built.append(self) or post_init(self))
+    sigma = random_quantum_covariance(2, seed=4, slack=0.2).sigma
+    for s in (sigma, CovarianceMatrix(sigma), 0.3 * sigma, np.diag([1.0, -1.0])):
+        capacity_criterion(s)
+    assert built == []
+    covariance_ellipsoid(sigma)
+    assert len(built) == 1
 
 
 def _conditioned_covariance(n, log_cond, hbar, rng):
@@ -457,6 +502,16 @@ class TestHardyCheck:
         assert verdict.classification == "hermite_subcritical"
         assert verdict.eigenvalues == pytest.approx([1.0])
 
+    def test_pair_is_built_on_first_read(self, linalg_calls):
+        calls = linalg_calls("inv")
+        verdict = hardy_check(HardyInput(np.diag([0.5, 2.0]), np.diag([0.5, 1.0])))
+        assert verdict.classification == "hermite_subcritical" and calls["inv"] == 0
+        first = verdict.pair
+        assert calls["inv"] == 2
+        second = verdict.pair
+        assert calls["inv"] == 2
+        assert second is first and all(x is y for x, y in zip(first, second))
+
     def test_violates(self):
         inp = HardyInput(0.1 * np.eye(1), 0.1 * np.eye(1))
         assert hardy_check(inp, hbar=1.0).classification == "violates"
@@ -556,6 +611,18 @@ class TestRandomQuantumCovariance:
 @pytest.mark.parametrize("call, error, message", [
     (lambda: random_quantum_covariance(0, 0), DimensionError, "need n >= 1 modes, got n=0"),
     (lambda: random_quantum_covariance(1, 0, slack=-0.5), ValueError, "slack must be nonnegative, got -0.5"),
-], ids=["no-modes", "negative-slack"])
+    # hbar and tol are checked before the blocks are factored, as in is_quantum_covariance.
+    (lambda: heisenberg_eigen_check(-np.eye(2), np.eye(2), hbar=-1.0), ValueError,
+     "hbar must be positive and finite, got -1.0"),
+    (lambda: heisenberg_eigen_check(-np.eye(2), np.eye(2), tol=-1), ValueError,
+     "tol must be finite and non-negative, got -1"),
+    (lambda: hardy_check(HardyInput(-np.eye(2), np.eye(2)), hbar=-1.0), ValueError,
+     "hbar must be positive and finite, got -1.0"),
+    (lambda: hardy_check(HardyInput(-np.eye(2), np.eye(2)), tol=-1), ValueError,
+     "tol must be finite and non-negative, got -1"),
+    (lambda: is_quantum_covariance(-np.eye(2), hbar=-1.0), ValueError, "hbar must be positive and finite, got -1.0"),
+    (lambda: theorem2_check(np.ones((3, 3)), hbar=-1.0), ValueError, "hbar must be positive and finite, got -1.0"),
+], ids=["no-modes", "negative-slack", "heisenberg-hbar-first", "heisenberg-tol-first", "hardy-hbar-first",
+        "hardy-tol-first", "validity-hbar-first", "theorem2-hbar-first"])
 def test_input_checks(call, error, message):
     assert_raises_exactly(call, error, message)
