@@ -8,8 +8,9 @@ All bodies are origin-centered (body = -body by construction):
 
 Operations are pure functions over these immutable values, which compare by identity. An
 ellipsoid carries a factor F of its matrix, and a derived one is built from a factor, not
-checked again: F^-T / hbar for a polar, L^-T F for a linear image (``scale`` is one), C^-T
-for (d M)^-1 with d M = C C^T (``_inverse_factor``). Errors are of order cond(F) eps, so
+checked again: L^-T F for a linear image (``scale`` is one), else F^-T / c (``_inverse_transpose``), with
+c = hbar for a polar, 1 for (d M)^-1 with d M = F F^T (``_inverse_factor``) and sqrt(2) for the x/p
+pair of blocks A = C C^T, B = G G^T (``_induced_pair``). Errors are of order cond(F) eps, so
 ``linear_image`` decides up to its cond(L) <= 1e12 guard. A polytope carries the least
 and greatest of its row maxima, which ``polar_dual`` scales with the array (rounding is
 monotone) for the polar's finiteness and nonzero-row checks: no rank test. A square array
@@ -42,7 +43,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from math import comb, frexp, isfinite
+from math import comb, frexp, isfinite, sqrt
 from typing import Iterator, Union
 
 import numpy as np
@@ -347,14 +348,19 @@ def support(body: ConvexBody, u) -> float | np.ndarray:
     return gauge(polar_dual(body), u)
 
 
+def _inverse_transpose(f: np.ndarray, c: float) -> np.ndarray:
+    """F^-T / c for an invertible F: a factor of (F F^T)^-1 / c^2, or for c = 1 the dual basis of F's rows."""
+    return np.linalg.inv(f).T / c
+
+
 def _inverse_factor(m: np.ndarray, d: float) -> np.ndarray:
     """C^-T for d M = C C^T, M SPD: a factor of (d M)^-1, the one place that factors and inverts it."""
-    return np.linalg.inv(_spd_cholesky(d * m, "ellipsoid matrix")).T
+    return _inverse_transpose(_spd_cholesky(d * m, "ellipsoid matrix"), 1.0)
 
 
-def _inverse_ellipsoid(m: np.ndarray, d: float) -> Ellipsoid:
-    """The ellipsoid with matrix (d M)^-1 for SPD M, built on ``_inverse_factor``."""
-    return Ellipsoid._from_factor(_inverse_factor(m, d))
+def _induced_pair(c: np.ndarray, g: np.ndarray) -> tuple[Ellipsoid, Ellipsoid]:
+    """{x (2 A)^-1 x <= 1} and {p (2 B)^-1 p <= 1} for A = C C^T, B = G G^T: factors C^-T / sqrt(2), G^-T / sqrt(2)."""
+    return tuple(Ellipsoid._from_factor(_inverse_transpose(f, sqrt(2.0))) for f in (c, g))
 
 
 def polar_dual(body: ConvexBody, hbar: float = 1.0) -> ConvexBody:
@@ -367,7 +373,7 @@ def polar_dual(body: ConvexBody, hbar: float = 1.0) -> ConvexBody:
     """
     _check_hbar(hbar)
     if isinstance(body, Ellipsoid):
-        return Ellipsoid._from_factor(np.linalg.inv(body.factor).T / hbar)
+        return Ellipsoid._from_factor(_inverse_transpose(body.factor, hbar))
     c = float(hbar)
     lo, hi = body.row_range
     inverse = body._inverse if c == 1.0 else None  # the unit polar's array is the body's, bit for bit
@@ -632,6 +638,8 @@ def enclosing_ellipsoid(points, mode: str = "ball") -> Ellipsoid:
     Both fit the points scaled by ``_pow2_scaled``, and the factor is scaled back; where
     its matrix then leaves the normal float range, DegenerateBodyError.
     """
+    if mode not in ("ball", "mvee"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'ball' or 'mvee'")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise DegenerateBodyError("empty point set")
@@ -655,15 +663,13 @@ def _unit_scale_fit(pts: np.ndarray, mode: str) -> Ellipsoid:
     if mode == "ball":
         r = np.max(np.linalg.norm(pts, axis=1))
         return Ellipsoid(np.eye(n) / r**2)
-    if mode != "mvee":
-        raise ValueError(f"unknown mode {mode!r}; expected 'ball' or 'mvee'")
 
     # Kumar-Yildirim core set: the farthest point, then the farthest along a direction
     # orthogonal to the earlier picks, n in all; then along the picks' n dual directions.
     picks = [int(np.argmax(np.einsum("ij,ij->i", pts, pts)))]
     for _ in range(n - 1):
         picks.append(int(np.argmax(np.abs(pts @ np.linalg.svd(pts[picks])[2][-1]))))
-    picks += [int(np.argmax(np.abs(pts @ w))) for w in np.linalg.inv(pts[picks]).T]
+    picks += [int(np.argmax(np.abs(pts @ w))) for w in _inverse_transpose(pts[picks], 1.0)]
     work = np.unique(picks)
     # Whitened by the core set's R the cloud is well conditioned; the fit is affine-invariant.
     white = np.linalg.inv(np.linalg.qr(pts[work], mode="r"))
@@ -673,10 +679,10 @@ def _unit_scale_fit(pts: np.ndarray, mode: str) -> Ellipsoid:
     bound = n * (1.0 + MVEE_VOL_TOL) ** (2.0 / n)
     while True:
         mat = p.T @ (p * u[:, None])
-        g = np.einsum("ij,ij->i", p @ np.linalg.inv(mat), p)
+        g = np.einsum("ij,ij->i", p @ (mat_inv := np.linalg.inv(mat)), p)
         if g.max() <= bound:
             # The working set is solved: certify on all m points, or add the worst violators.
-            g_all = np.einsum("ij,ij->i", pts @ np.linalg.inv(mat), pts)
+            g_all = np.einsum("ij,ij->i", pts @ mat_inv, pts)
             worst = np.flatnonzero(g_all > bound)
             if not worst.size:
                 break

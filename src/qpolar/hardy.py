@@ -29,11 +29,10 @@ from typing import Literal
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, _accepts, _check_hbar, gauge
+from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, _accepts, _check_hbar, _induced_pair, gauge
 from .errors import BoundaryDecayWarning, GridError, HardyInconsistencyWarning
 from .polarity import PairVerdict, is_quantum_pair
-from .quantum import _mode_scales
-from .symplectic import _check_tol, _spd_pair, require_symmetric
+from .symplectic import _check_tol, _mode_scales, _spd_pair, require_symmetric
 
 RELATIVE_FLOOR = 1e-12
 ENVELOPE_C_FACTOR = 10.0
@@ -207,8 +206,7 @@ class HardyVerdict:
     "hermite_subcritical" otherwise (psi is a finite Hermite combination).
     pair is the induced ellipsoid pair (X, P), a polar quantum pair iff the
     classification is not "violates"; lambda_max is r_1, that pair's inclusion scale.
-    The verdict holds the Cholesky factors (C, G) of A and B (``_factors``), and pair is
-    built from them on its first read and kept.
+    It keeps the Cholesky factors (C, G) of A and B (``_factors``); pair is built from them on first read.
     """
 
     eigenvalues: np.ndarray
@@ -218,8 +216,8 @@ class HardyVerdict:
 
     @cached_property
     def pair(self) -> tuple[Ellipsoid, Ellipsoid]:
-        """(X, P): X has the factor C^-T / sqrt(2) of (2 A)^-1 for A = C C^T, and P likewise."""
-        return tuple(Ellipsoid._from_factor(np.linalg.inv(f).T / math.sqrt(2.0)) for f in self._factors)
+        """(X, P) = ``_induced_pair`` of (C, G): the factor of (2 A)^-1 is C^-T / sqrt(2), and P's likewise."""
+        return _induced_pair(*self._factors)
 
     @property
     def is_pair(self) -> bool:

@@ -8,16 +8,15 @@ equivalently the symplectic capacity of the covariance ellipsoid
 separately (is_quantum_covariance, symplectic spectrum, capacity_criterion) and
 must agree; the test suite enforces the triangle.
 
-A ``CovarianceMatrix`` is factored once, when built, and keeps the validity ratio it finds
-at each hbar (``CovarianceMatrix._validity_ratio``, keyed by hbar), which theorem2_check's
-gate reads. capacity_criterion reads the factor of (2 Sigma)^-1 and builds no Ellipsoid.
+A ``CovarianceMatrix`` is factored once, when built, and solves its hbar-free pencil once, on first
+read; hbar enters its validity ratio last (``CovarianceMatrix._validity_ratio``, also theorem2_check's
+gate). capacity_criterion reads the factor of (2 Sigma)^-1 and builds no Ellipsoid.
 
-The position/momentum projections of the covariance ellipsoid form an
-hbar-polar quantum pair whenever Sigma is valid (theorem2_check), which reduces
-to the eigenvalues of Delta(x,x) Delta(p,p) being >= hbar^2/4
-(heisenberg_eigen_check); hardy.hardy_check classifies Gaussian envelope pairs
-by the same eigenvalues: the squared singular values of C^T G for A = C C^T, B = G G^T
-(Cholesky), each block factored once; theorem2_check reads C off Sigma's factor.
+The x/p projections of the covariance ellipsoid (project_xp, built from C = chol(Delta(x,x)) and
+G = chol(Delta(p,p)) as hardy.hardy_check's pair is) form an hbar-polar quantum pair whenever Sigma
+is valid (theorem2_check): the eigenvalues of Delta(x,x) Delta(p,p), the squared singular values of
+C^T G, are >= hbar^2/4 (heisenberg_eigen_check). hardy_check classifies Gaussian envelope pairs by
+the same eigenvalues; each block is factored once, and theorem2_check reads C off Sigma's factor.
 
 Each verdict is the threshold hbar/2 on one dimensionless ratio r (>= 1 iff the
 bound holds), accepted by bodies._accepts: 2 nu_min / hbar for validity,
@@ -30,15 +29,16 @@ then too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, Ellipsoid, _accepts, _check_hbar, _freeze, _inverse_ellipsoid, _inverse_factor
+from .bodies import DEFAULT_TOL, Ellipsoid, _accepts, _check_hbar, _freeze, _induced_pair, _inverse_factor
 from .capacities import _factor_capacity
 from .errors import DimensionError, InvalidCovarianceError, NotPositiveDefiniteError
 from .polarity import PairVerdict
-from .symplectic import (_check_tol, _factor_pencil_eigenvalues, _factor_symplectic_eigenvalues, _spd_cholesky,
-                         _spd_pair, _symplectic_j, random_symplectic, require_symmetric)
+from .symplectic import (_check_tol, _factor_pencil_eigenvalues, _factor_symplectic_eigenvalues, _mode_scales,
+                         _spd_cholesky, _spd_pair, _symplectic_j, random_symplectic, require_symmetric)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +66,6 @@ class CovarianceMatrix:
             c = None
         object.__setattr__(self, "factor", c)
         object.__setattr__(self, "sigma", _freeze(s))
-        object.__setattr__(self, "_ratios", {})  # hbar -> 2 nu_min / hbar
 
     @property
     def n(self) -> int:
@@ -84,17 +83,14 @@ class CovarianceMatrix:
     def dpp(self) -> np.ndarray:
         return self.sigma[self.n:, self.n:]
 
+    @cached_property
+    def _pencil_minimum(self) -> float:
+        """mu = -1 / (2 nu_min), the smallest eigenvalue of C^{-1} (i / 2) J C^{-T}; read only with a factor."""
+        return _factor_pencil_eigenvalues(0.5j * _symplectic_j(self.n), self.factor)[0]
+
     def _validity_ratio(self, hbar: float) -> float:
-        """2 nu_min / hbar = -1 / (smallest eigenvalue of C^{-1} (i hbar / 2) J C^{-T}), 0 without a
-        factor; computed at the first check at this hbar, then read."""
-        if self.factor is None:
-            return 0.0
-        hbar = float(hbar)
-        ratio = self._ratios.get(hbar)
-        if ratio is None:
-            smallest = _factor_pencil_eigenvalues(0.5j * hbar * _symplectic_j(self.n), self.factor)[0]
-            ratio = self._ratios[hbar] = -1.0 / smallest
-        return ratio
+        """2 nu_min / hbar = (-1 / mu) / hbar (``_pencil_minimum``), hbar last; 0 without a factor."""
+        return 0.0 if self.factor is None else -1.0 / self._pencil_minimum / hbar
 
 
 def _as_cov(s) -> CovarianceMatrix:
@@ -105,8 +101,8 @@ def is_quantum_covariance(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> boo
     """True iff Sigma + (i hbar / 2) J is positive semidefinite (within tol).
 
     With Sigma = C C^T (Cholesky, ``CovarianceMatrix.factor``), the Hermitian
-    C^{-1} (i hbar / 2) J C^{-T} has eigenvalues +-hbar / (2 nu_j), so the ratio
-    is 2 nu_min / hbar = -1 / (smallest of them), kept per hbar. Boundary states count as valid,
+    C^{-1} (i / 2) J C^{-T} has eigenvalues +-1 / (2 nu_j), so the ratio is
+    2 nu_min / hbar = (-1 / smallest of them) / hbar, solved once per state. Boundary states count as valid,
     a Sigma that is not positive definite (no Cholesky factor) as invalid (ratio 0).
     Agrees with the Williamson threshold and the capacity criterion on every SPD input.
     """
@@ -131,7 +127,7 @@ def rs_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> list[bool]:
 
 def covariance_ellipsoid(s) -> Ellipsoid:
     """The phase-space region {z : z^T Sigma^{-1} z / 2 <= 1} as an Ellipsoid."""
-    return _inverse_ellipsoid(_as_cov(s).sigma, 2.0)
+    return Ellipsoid._from_factor(_inverse_factor(_as_cov(s).sigma, 2.0))
 
 
 def capacity_criterion(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> bool:
@@ -169,20 +165,19 @@ def project_xp(s) -> tuple[Ellipsoid, Ellipsoid]:
 
     These are the n-dimensional ellipsoids {x : x^T A^{-1} x / 2 <= 1} and
     {p : p^T B^{-1} p / 2 <= 1} with A = Delta(x,x), B = Delta(p,p); the
-    off-diagonal block does not enter.
+    off-diagonal block does not enter. Built from chol(A) and chol(B), as hardy_check's pair is.
     """
     cov = _as_cov(s)
-    return _inverse_ellipsoid(cov.dxx, 2.0), _inverse_ellipsoid(cov.dpp, 2.0)
+    return _induced_pair(*_spd_pair(cov.dxx, cov.dpp))
 
 
 def theorem2_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> PairVerdict:
     """Quantum-pair verdict on the (X, P) projections of a valid covariance matrix.
 
-    Rejects invalid covariance input, on the validity ratio the CovarianceMatrix keeps; for
-    every valid quantum covariance matrix the verdict is a pair (lambda_max >= 1), hence the product
-    capacity of X x P is at least 4 * hbar. lambda_max is the inclusion scale of
-    ``project_xp``'s pair in closed form, 2 sigma_min(C11^T G) / hbar: C11, the leading
-    n x n block of Sigma's factor, is chol(Delta(x,x)), and G is chol(Delta(p,p)).
+    Rejects invalid covariance input, on the pencil minimum the CovarianceMatrix keeps; for every
+    valid quantum covariance matrix the verdict is a pair (lambda_max >= 1), hence the product capacity
+    of X x P is at least 4 * hbar. lambda_max is the inclusion scale of ``project_xp``'s pair in closed
+    form, 2 sigma_min(C11^T G) / hbar: C11 = chol(Delta(x,x)) leads Sigma's factor, G = chol(Delta(p,p)).
     """
     _check_hbar(hbar)
     cov = _as_cov(s)
@@ -190,14 +185,6 @@ def theorem2_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> PairVerdic
         raise InvalidCovarianceError("input is not a quantum covariance matrix at this hbar")
     lam = float(_mode_scales(cov.factor[: cov.n, : cov.n], _spd_cholesky(cov.dpp, "B"), hbar)[1][0])
     return PairVerdict(is_pair=_accepts(lam, tol), lambda_max=lam, margin=lam - 1.0)
-
-
-def _mode_scales(c: np.ndarray, g: np.ndarray, hbar: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues eig_j of A B = C C^T G G^T, ascending, and their ratios 2 sqrt(eig_j) / hbar:
-    the s_j in eig_j = s_j^2 are the singular values of C^T G (``_spd_pair``). hbar is checked
-    by the caller."""
-    s = np.linalg.svd(c.T @ g, compute_uv=False)[::-1]
-    return s**2, 2.0 * s / hbar
 
 
 def heisenberg_eigen_check(a, b, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> list[bool]:
@@ -210,8 +197,7 @@ def heisenberg_eigen_check(a, b, hbar: float = 1.0, tol: float = DEFAULT_TOL) ->
     """
     _check_hbar(hbar)
     _check_tol(tol)
-    c, g = _spd_pair(require_symmetric(a), require_symmetric(b))
-    return _accepts(_mode_scales(c, g, hbar)[1], tol)
+    return _accepts(_mode_scales(*_spd_pair(require_symmetric(a), require_symmetric(b)), hbar)[1], tol)
 
 
 def random_quantum_covariance(n: int, seed: int, hbar: float = 1.0,

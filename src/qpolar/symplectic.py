@@ -131,6 +131,13 @@ def _spd_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _spd_cholesky(a, "A"), _spd_cholesky(b, "B")
 
 
+def _mode_scales(c: np.ndarray, g: np.ndarray, hbar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues eig_j of A B = C C^T G G^T, ascending, and their ratios 2 sqrt(eig_j) / hbar: the
+    s_j in eig_j = s_j^2 are the singular values of C^T G (``_spd_pair``). hbar is checked by the caller."""
+    s = np.linalg.svd(c.T @ g, compute_uv=False)[::-1]
+    return s**2, 2.0 * s / hbar
+
+
 def _factor_pencil_eigenvalues(m: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Eigenvalues of M v = mu C C^T v for a real invertible factor C, ascending."""
     c_inv = np.linalg.inv(c)

@@ -740,6 +740,13 @@ class TestEnclosingEllipsoid:
         with pytest.raises(DegenerateBodyError):
             enclosing_ellipsoid([[1.0, 0.0], [2.0, 0.0]], "ball")
 
+    @pytest.mark.parametrize("points", [[[1.0, 0.0], [2.0, 0.0]], np.zeros((3, 2)), np.empty((0, 2)),
+                                        [[1.0, 0.0], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]],
+                             ids=["rank-one", "zeros", "empty", "nan", "inf"])
+    def test_unknown_mode_is_refused_before_the_points_are_read(self, points):
+        assert_raises_exactly(lambda: enclosing_ellipsoid(points, "bogus"), ValueError,
+                              "unknown mode 'bogus'; expected 'ball' or 'mvee'")
+
     @pytest.mark.parametrize("mode", ["ball", "mvee"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, mode, bad):
@@ -837,6 +844,19 @@ class TestMveeGuarantee:
         first = enclosing_ellipsoid(pts, "mvee").matrix
         assert enclosing_ellipsoid(pts, "mvee").matrix.tobytes() == first.tobytes()
         assert enclosing_ellipsoid(pts.copy(), "mvee").matrix.tobytes() == first.tobytes()
+
+    def test_each_moment_matrix_is_inverted_once(self, linalg_calls, monkeypatch):
+        # One inverse per ascent step, which a certification pass over all m points reads
+        # too, and three more: the core set's dual basis, the whitening and the final
+        # factor. Inverting the moment matrix again for the pass would add one per pass.
+        pts = np.random.default_rng(1).standard_normal((3000, 3)) * [1.0, 4.0, 0.3]
+        rows, einsum = [], np.einsum
+        monkeypatch.setattr(np, "einsum", lambda spec, x, *rest: rows.append(len(x)) or einsum(spec, x, *rest))
+        calls = linalg_calls("inv")
+        enclosing_ellipsoid(pts, "mvee")
+        # Gauges over all m points: the farthest point first, then one per certification pass.
+        passes, steps = rows.count(len(pts)) - 1, len(rows) - rows.count(len(pts))
+        assert passes >= 2 and calls["inv"] == 3 + steps, (passes, steps, calls)
 
     def test_step_cap(self, monkeypatch):
         # Work without timing: a 1e5-point disk fits within 40 ascent steps (the plain

@@ -152,6 +152,11 @@ def test_acceptance_threshold_is_written_once():
     assert _threshold_sites({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == ["bodies._accepts"]
 
 
+def _called(call, name: str) -> bool:
+    """Whether an AST node is a call of ``name``, bare or as an attribute (``np.linalg.name``)."""
+    return isinstance(call, ast.Call) and getattr(call.func, "attr", getattr(call.func, "id", None)) == name
+
+
 def _polytope_inverse_sites(sources: dict[str, str]) -> list[str]:
     """``module.name`` for each top-level function or class that calls ``inv`` on an
     expression reading a polytope's array: ``rows``, ``vertices`` or the validator's ``arr``."""
@@ -159,9 +164,8 @@ def _polytope_inverse_sites(sources: dict[str, str]) -> list[str]:
     for module, source in sources.items():
         for node in ast.parse(source).body:
             for call in ast.walk(node):
-                if (isinstance(call, ast.Call) and getattr(call.func, "attr", getattr(call.func, "id", None)) == "inv"
-                        and any(getattr(n, "id", getattr(n, "attr", None)) in ("rows", "vertices", "arr")
-                                for arg in call.args for n in ast.walk(arg))):
+                if _called(call, "inv") and any(getattr(n, "id", getattr(n, "attr", None)) in ("rows", "vertices", "arr")
+                                                for arg in call.args for n in ast.walk(arg)):
                     sites.add(f"{module}.{node.name}")
     return sorted(sites)
 
@@ -177,6 +181,64 @@ def test_a_polytope_is_inverted_in_one_place():
     # One factorization per square polytope: the validator's inverse certifies the rank
     # and is kept as a V-polytope's gauge, so no verdict inverts a body's array again.
     assert _polytope_inverse_sites({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == ["bodies._square_inverse"]
+
+
+def _inverse_transpose_sites(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each top-level function or class that transposes an inverse,
+    ``inv(...).T``."""
+    return sorted({f"{module}.{node.name}" for module, source in sources.items() for node in ast.parse(source).body
+                   for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "T" and _called(n.value, "inv")})
+
+
+def test_inverse_transpose_check_finds_one():
+    sources = {"a": "import numpy as np\ndef _helper(f, c):\n    return np.linalg.inv(f).T / c\n"
+                    "def polar(body):\n    return np.linalg.inv(body.factor).T\n"
+                    "def other(m):\n    return np.linalg.inv(m) @ m.T\n",
+               "b": "from numpy.linalg import inv\nclass V:\n    def pair(self):\n        return [inv(f).T for f in self.fs]\n"}
+    assert _inverse_transpose_sites(sources) == ["a._helper", "a.polar", "b.V"]
+
+
+def test_an_ellipsoid_factor_is_inverted_in_one_place():
+    # F^-T / c serves the polar (c = hbar), (d M)^-1 (c = 1), the x/p pair of two blocks
+    # (c = sqrt 2) and the MVEE core set's dual basis; no other site writes inv(F).T.
+    assert _inverse_transpose_sites({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == [
+        "bodies._inverse_transpose"]
+
+
+def _call_sites(sources: dict[str, str], name: str) -> list[str]:
+    """``module.name`` for each top-level function or class that calls ``name``."""
+    return sorted({f"{module}.{node.name}" for module, source in sources.items() for node in ast.parse(source).body
+                   if any(_called(n, name) for n in ast.walk(node))})
+
+
+def _imported_modules(source: str) -> set[str]:
+    """The package modules a module imports anywhere: ``from .m import x``, ``from . import m``,
+    ``from qpolar.m import x`` and ``import qpolar.m``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("qpolar").lstrip(".")
+            if node.level or node.module and node.module.split(".")[0] == "qpolar":
+                found.update([module] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.removeprefix("qpolar.") for a in node.names if a.name.startswith("qpolar."))
+    return found
+
+
+def test_call_and_import_checks_find_one():
+    source = ("import numpy as np\nimport qpolar.cloud\nfrom . import bodies\nfrom .quantum import f\n"
+              "from numpy.linalg import svd\nclass K:\n    def s(self, m):\n        from qpolar.io import read\n"
+              "        return svd(m)\ndef e(m):\n    return np.linalg.eigvalsh(m)\n")
+    assert _call_sites({"a": source}, "svd") == ["a.K"]
+    assert _imported_modules(source) == {"cloud", "bodies", "quantum", "io"}
+
+
+def test_the_ab_spectrum_lives_beside_its_factors():
+    # The singular values of C^T G are taken in symplectic, beside _spd_pair; hardy reads them
+    # from there, not through quantum.
+    sources = {name: (PACKAGE / f"{name}.py").read_text() for name in ("quantum", "hardy")}
+    assert _call_sites(sources, "svd") == []
+    assert "quantum" not in _imported_modules(sources["hardy"])
 
 
 def _cli_rule_sites(source: str) -> list[str]:

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import sys
 
 import mpmath
@@ -168,16 +169,31 @@ def test_valid_state_factorization_budget(linalg_calls):
 
 
 def test_validity_is_computed_once_per_hbar(linalg_calls):
-    # is_quantum_covariance keeps its ratio on the CovarianceMatrix and theorem2_check's gate
-    # reads it: one pencil eigvalsh for both. Another hbar is another pencil.
+    # The CovarianceMatrix keeps its hbar-free pencil minimum, which is_quantum_covariance and
+    # theorem2_check's gate read at every hbar: one pencil eigvalsh per state.
     cov = CovarianceMatrix(covariance_with_spectrum(np.array([0.6, 0.9]), np.random.default_rng(5)))
     calls = linalg_calls("eigvalsh")
     assert is_quantum_covariance(cov) and theorem2_check(cov).is_pair
     assert calls["eigvalsh"] == 1
     assert is_quantum_covariance(cov, 1.1) and theorem2_check(cov, 1.1).is_pair
-    assert calls["eigvalsh"] == 2
+    assert calls["eigvalsh"] == 1
     assert is_quantum_covariance(cov) and theorem2_check(cov, 1.1).is_pair
-    assert calls["eigvalsh"] == 2
+    assert calls["eigvalsh"] == 1
+
+
+def test_kept_validity_agrees_with_the_williamson_route(rng):
+    # States with nu_min = hbar0/2 (1 +- 0.05) for each hbar0, each checked at every hbar of the
+    # set: the kept pencil minimum, divided by hbar, decides as nu_min >= hbar/2 does.
+    hbars, verdicts = (1e-3, 0.7, 1.0, 1e3), []
+    for hbar0 in hbars:
+        for n, sign in itertools.product((1, 2, 3), (-1, 1)):
+            nu = 0.5 * hbar0 * np.concatenate([[1.0 + 0.05 * sign], 1.1 + rng.uniform(0.0, 2.0, n - 1)])
+            cov = CovarianceMatrix(covariance_with_spectrum(nu, rng))
+            nu_min = symplectic_eigenvalues(cov.sigma)[0]
+            for hbar in hbars:
+                verdicts.append(is_quantum_covariance(cov, hbar))
+                assert verdicts[-1] == (nu_min >= 0.5 * hbar) == (nu[0] >= 0.5 * hbar)
+    assert set(verdicts) == {True, False}
 
 
 def test_kept_validity_matches_a_fresh_state(rng):
@@ -417,6 +433,16 @@ class TestProjections:
         assert np.allclose(x1.matrix, x2.matrix)
         assert np.allclose(p1.matrix, p2.matrix)
 
+    def test_projections_are_the_hardy_pair(self, rng):
+        # project_xp and HardyVerdict.pair build {x (2 A)^-1 x <= 1}, {p (2 B)^-1 p <= 1} one
+        # way, from chol(A) and chol(B): the same bytes, valid state or not.
+        for n, slack in itertools.product((1, 2, 3, 6), (-0.3, 0.0, 0.5)):
+            nu = 0.5 * np.sort(np.concatenate([[1.0 + slack], 1.0 + rng.uniform(0.0, 3.0, n - 1)]))
+            cov = CovarianceMatrix(covariance_with_spectrum(nu, rng))
+            for mine, hardys in zip(project_xp(cov), hardy_check(HardyInput(cov.dxx, cov.dpp)).pair):
+                assert mine.factor.tobytes() == hardys.factor.tobytes()
+                assert mine.matrix.tobytes() == hardys.matrix.tobytes()
+
 
 class TestProjectionPairCheck:
     def test_minimal_state_equality(self):
@@ -443,6 +469,18 @@ class TestProjectionPairCheck:
             assert verdict.is_pair
             report = product_capacity(*project_xp(cov), hbar=hbar)
             assert report.value >= 4 * hbar * (1 - 1e-9)
+
+    def test_lambda_is_the_inclusion_scale_of_the_projections(self):
+        # theorem2_check's closed form and the pairing of project_xp's bodies, at cond(Sigma)
+        # from 1 to about 1e7: within 10 n eps cond(Sigma).
+        eps = np.finfo(float).eps
+        for seed in range(45):
+            rng = np.random.default_rng([23, seed])
+            n, hbar = 1 + seed % 3, float((1e-3, 0.7, 1.0, 1e3)[seed % 4])
+            cov = CovarianceMatrix(_conditioned_covariance(n, 7.0 * seed / 44, hbar, rng))
+            lam = theorem2_check(cov, hbar).lambda_max
+            got = inclusion_scale(*project_xp(cov), hbar)
+            assert abs(got - lam) <= 10 * n * eps * np.linalg.cond(cov.sigma) * lam, (seed, got, lam)
 
 
 class TestHeisenbergEigenCheck:
