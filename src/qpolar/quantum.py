@@ -4,13 +4,14 @@ A symmetric 2n x 2n matrix Sigma (coordinates x_1..x_n, p_1..p_n) is a quantum
 covariance matrix iff the Hermitian matrix Sigma + (i hbar / 2) J is positive
 semidefinite; equivalently all Williamson eigenvalues of Sigma are >= hbar/2,
 equivalently the symplectic capacity of the covariance ellipsoid
-{z : z^T Sigma^{-1} z / 2 <= 1} is >= pi hbar. The three routes are exposed
-separately (is_quantum_covariance, symplectic spectrum, capacity_criterion) and
-must agree; the test suite enforces the triangle.
+{z : z^T Sigma^{-1} z / 2 <= 1} is >= pi hbar. The library computes two of the three:
+is_quantum_covariance reads the Williamson spectrum, capacity_criterion the capacity of
+the inverse ellipsoid; the test suite adds the Hermitian definition and enforces the triangle.
 
-A ``CovarianceMatrix`` is factored once, when built, and solves its hbar-free pencil once, on first
-read; hbar enters its validity ratio last (``CovarianceMatrix._validity_ratio``, also theorem2_check's
-gate). capacity_criterion reads the factor of (2 Sigma)^-1 and builds no Ellipsoid.
+A ``CovarianceMatrix`` is factored once, when built, and takes its hbar-free Williamson spectrum
+once, on first read (``CovarianceMatrix._spectrum``); hbar enters its validity ratio last
+(``CovarianceMatrix._validity_ratio``, also theorem2_check's gate). capacity_criterion reads the
+factor of (2 Sigma)^-1 and builds no Ellipsoid.
 
 The x/p projections of the covariance ellipsoid (project_xp, built from C = chol(Delta(x,x)) and
 G = chol(Delta(p,p)) as hardy.hardy_check's pair is) form an hbar-polar quantum pair whenever Sigma
@@ -37,8 +38,8 @@ from .bodies import DEFAULT_TOL, Ellipsoid, _accepts, _check_hbar, _freeze, _ind
 from .capacities import _factor_capacity
 from .errors import DimensionError, InvalidCovarianceError, NotPositiveDefiniteError
 from .polarity import PairVerdict
-from .symplectic import (_check_tol, _factor_pencil_eigenvalues, _factor_symplectic_eigenvalues, _mode_scales,
-                         _spd_cholesky, _spd_pair, _symplectic_j, random_symplectic, require_symmetric)
+from .symplectic import (_check_tol, _factor_symplectic_eigenvalues, _mode_scales, _spd_cholesky, _spd_pair,
+                         random_symplectic, require_symmetric)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,13 +85,13 @@ class CovarianceMatrix:
         return self.sigma[self.n:, self.n:]
 
     @cached_property
-    def _pencil_minimum(self) -> float:
-        """mu = -1 / (2 nu_min), the smallest eigenvalue of C^{-1} (i / 2) J C^{-T}; read only with a factor."""
-        return _factor_pencil_eigenvalues(0.5j * _symplectic_j(self.n), self.factor)[0]
+    def _spectrum(self) -> np.ndarray | None:
+        """The Williamson spectrum nu_1 <= ... <= nu_n off ``factor``, frozen; None without a factor."""
+        return None if self.factor is None else _freeze(_factor_symplectic_eigenvalues(self.factor))
 
     def _validity_ratio(self, hbar: float) -> float:
-        """2 nu_min / hbar = (-1 / mu) / hbar (``_pencil_minimum``), hbar last; 0 without a factor."""
-        return 0.0 if self.factor is None else -1.0 / self._pencil_minimum / hbar
+        """2 nu_min / hbar off ``_spectrum``, hbar last; 0 without a factor."""
+        return 0.0 if self.factor is None else 2.0 * self._spectrum[0] / hbar
 
 
 def _as_cov(s) -> CovarianceMatrix:
@@ -100,11 +101,11 @@ def _as_cov(s) -> CovarianceMatrix:
 def is_quantum_covariance(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> bool:
     """True iff Sigma + (i hbar / 2) J is positive semidefinite (within tol).
 
-    With Sigma = C C^T (Cholesky, ``CovarianceMatrix.factor``), the Hermitian
-    C^{-1} (i / 2) J C^{-T} has eigenvalues +-1 / (2 nu_j), so the ratio is
-    2 nu_min / hbar = (-1 / smallest of them) / hbar, solved once per state. Boundary states count as valid,
+    That holds iff the smallest Williamson eigenvalue nu_min of Sigma is >= hbar / 2, so the
+    ratio is 2 nu_min / hbar, with nu_min read off the spectrum the state keeps
+    (``CovarianceMatrix._spectrum``, taken once per state). Boundary states count as valid,
     a Sigma that is not positive definite (no Cholesky factor) as invalid (ratio 0).
-    Agrees with the Williamson threshold and the capacity criterion on every SPD input.
+    Agrees with the capacity criterion on every SPD input.
     """
     _check_hbar(hbar)
     return _accepts(_as_cov(s)._validity_ratio(hbar), tol)
@@ -143,9 +144,10 @@ def capacity_criterion(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> bool:
 
 def _covariance_verdicts(cov: CovarianceMatrix, hbar: float, tol: float) -> tuple:
     """The bundle `qpolar covariance` and cloud_analyze report: (validity, Robertson-Schrodinger flag
-    per mode, capacity criterion, Williamson spectrum off ``CovarianceMatrix.factor``, None without one)."""
+    per mode, capacity criterion, the Williamson spectrum ``CovarianceMatrix._spectrum`` that validity
+    reads, None without a factor)."""
     return (is_quantum_covariance(cov, hbar, tol), rs_check(cov, hbar, tol), capacity_criterion(cov, hbar, tol),
-            None if cov.factor is None else _factor_symplectic_eigenvalues(cov.factor))
+            cov._spectrum)
 
 
 def section_area(s, j: int) -> float:
@@ -174,7 +176,7 @@ def project_xp(s) -> tuple[Ellipsoid, Ellipsoid]:
 def theorem2_check(s, hbar: float = 1.0, tol: float = DEFAULT_TOL) -> PairVerdict:
     """Quantum-pair verdict on the (X, P) projections of a valid covariance matrix.
 
-    Rejects invalid covariance input, on the pencil minimum the CovarianceMatrix keeps; for every
+    Rejects invalid covariance input, on the nu_min the CovarianceMatrix keeps; for every
     valid quantum covariance matrix the verdict is a pair (lambda_max >= 1), hence the product capacity
     of X x P is at least 4 * hbar. lambda_max is the inclusion scale of ``project_xp``'s pair in closed
     form, 2 sigma_min(C11^T G) / hbar: C11 = chol(Delta(x,x)) leads Sigma's factor, G = chol(Delta(p,p)).

@@ -138,12 +138,6 @@ def _mode_scales(c: np.ndarray, g: np.ndarray, hbar: float) -> tuple[np.ndarray,
     return s**2, 2.0 * s / hbar
 
 
-def _factor_pencil_eigenvalues(m: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Eigenvalues of M v = mu C C^T v for a real invertible factor C, ascending."""
-    c_inv = np.linalg.inv(c)
-    return np.linalg.eigvalsh(c_inv @ m @ c_inv.T)
-
-
 def block_diagonalize(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Simultaneous congruence of two SPD matrices to a common diagonal.
 

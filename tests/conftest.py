@@ -5,11 +5,12 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.linalg import eigh
 from scipy.optimize import linprog
 
 from qpolar.bodies import Ellipsoid, HPolytope, VPolytope
 from qpolar.errors import DimensionError
-from qpolar.symplectic import random_symplectic
+from qpolar.symplectic import random_symplectic, standard_symplectic_matrix
 
 # Property tests draw the same examples on every run.
 settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
@@ -62,6 +63,13 @@ def covariance_with_spectrum(nu, rng):
     m = random_symplectic(len(nu), rng)
     sigma = m @ np.diag(np.concatenate([nu, nu])) @ m.T
     return 0.5 * (sigma + sigma.T)
+
+
+def hermitian_validity_ratio(sigma, hbar):
+    """2 nu_min / hbar from the definition Sigma + (i hbar / 2) J >= 0, by LAPACK's generalized
+    Hermitian solver: the smallest eigenvalue of (i hbar / 2) J v = mu Sigma v is -hbar / (2 nu_min)."""
+    j = standard_symplectic_matrix(sigma.shape[0] // 2)
+    return float(-1.0 / eigh(0.5j * hbar * j, sigma, eigvals_only=True)[0])
 
 
 def support_oracle(body, u):

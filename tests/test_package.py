@@ -230,6 +230,7 @@ def test_call_and_import_checks_find_one():
               "from numpy.linalg import svd\nclass K:\n    def s(self, m):\n        from qpolar.io import read\n"
               "        return svd(m)\ndef e(m):\n    return np.linalg.eigvalsh(m)\n")
     assert _call_sites({"a": source}, "svd") == ["a.K"]
+    assert _call_sites({"a": source}, "eigvalsh") == ["a.e"]
     assert _imported_modules(source) == {"cloud", "bodies", "quantum", "io"}
 
 
@@ -239,6 +240,12 @@ def test_the_ab_spectrum_lives_beside_its_factors():
     sources = {name: (PACKAGE / f"{name}.py").read_text() for name in ("quantum", "hardy")}
     assert _call_sites(sources, "svd") == []
     assert "quantum" not in _imported_modules(sources["hardy"])
+
+
+def test_no_hermitian_eigensolver_in_the_library():
+    # Validity reads nu_min off the Williamson spectrum's SVD; the Hermitian pencil is the
+    # reference in tests (conftest.hermitian_validity_ratio), not a route of the library.
+    assert _call_sites({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}, "eigvalsh") == []
 
 
 def _cli_rule_sites(source: str) -> list[str]:

@@ -21,6 +21,7 @@ from qpolar.hardy import HardyInput, hardy_check
 from qpolar.polarity import is_quantum_pair
 from qpolar.quantum import (
     CovarianceMatrix,
+    _covariance_verdicts,
     capacity_criterion,
     covariance_ellipsoid,
     heisenberg_eigen_check,
@@ -30,9 +31,9 @@ from qpolar.quantum import (
     rs_check,
     theorem2_check,
 )
-from qpolar.symplectic import block_diagonalize, random_symplectic, symplectic_eigenvalues
+from qpolar.symplectic import block_diagonalize, random_symplectic, standard_symplectic_matrix, symplectic_eigenvalues
 
-from conftest import assert_raises_exactly, covariance_with_spectrum, random_spd
+from conftest import assert_raises_exactly, covariance_with_spectrum, hermitian_validity_ratio, random_spd
 
 
 def mixed_covariance_samples(count, rng, max_n=3):
@@ -101,12 +102,14 @@ class TestIsQuantumCovariance:
         assert is_quantum_covariance(np.eye(2))
 
     def test_equivalence_triangle(self, rng):
+        # The library's two routes against the Hermitian definition, the reference in tests.
         for sigma in mixed_covariance_samples(500, rng):
             hbar = 1.0
             sigpos = is_quantum_covariance(sigma, hbar)
             spect = bool(symplectic_eigenvalues(sigma)[0] >= 0.5 * hbar * (1 - 1e-9))
             cap = capacity_criterion(sigma, hbar)
-            assert sigpos == spect == cap
+            herm = _accepts(hermitian_validity_ratio(sigma, hbar), DEFAULT_TOL)
+            assert sigpos == spect == cap == herm
 
     def test_hbar_dependence(self):
         s = np.diag([0.4, 0.4])
@@ -165,31 +168,36 @@ def test_valid_state_factorization_budget(linalg_calls):
     assert hardy_check(HardyInput(cov.dxx, cov.dpp)).classification == "hermite_subcritical"
     assert all(heisenberg_eigen_check(cov.dxx, cov.dpp))
     block_diagonalize(cov.dxx, cov.dpp)
-    assert calls["cholesky"] <= 10 and calls["inv"] <= 2 and calls["solve"] <= 1, calls
+    assert calls["cholesky"] <= 10 and calls["inv"] <= 1 and calls["solve"] <= 1, calls
 
 
 def test_validity_is_computed_once_per_hbar(linalg_calls):
-    # The CovarianceMatrix keeps its hbar-free pencil minimum, which is_quantum_covariance and
-    # theorem2_check's gate read at every hbar: one pencil eigvalsh per state.
+    # The CovarianceMatrix keeps its hbar-free Williamson spectrum, which is_quantum_covariance,
+    # theorem2_check's gate and _covariance_verdicts read at every hbar: one SVD per state.
+    # theorem2_check (lambda) and the capacity criterion each take one SVD of their own per call.
     cov = CovarianceMatrix(covariance_with_spectrum(np.array([0.6, 0.9]), np.random.default_rng(5)))
-    calls = linalg_calls("eigvalsh")
-    assert is_quantum_covariance(cov) and theorem2_check(cov).is_pair
-    assert calls["eigvalsh"] == 1
-    assert is_quantum_covariance(cov, 1.1) and theorem2_check(cov, 1.1).is_pair
-    assert calls["eigvalsh"] == 1
-    assert is_quantum_covariance(cov) and theorem2_check(cov, 1.1).is_pair
-    assert calls["eigvalsh"] == 1
+    calls = linalg_calls("svd")
+    assert is_quantum_covariance(cov) and is_quantum_covariance(cov, 1.1)
+    assert calls["svd"] == 1
+    assert theorem2_check(cov).is_pair and theorem2_check(cov, 1.1).is_pair
+    assert calls["svd"] == 3
+    for hbar in (1.0, 1.1):
+        assert _covariance_verdicts(cov, hbar, DEFAULT_TOL)[3] is cov._spectrum
+    assert calls["svd"] == 5
 
 
 def test_kept_validity_agrees_with_the_williamson_route(rng):
     # States with nu_min = hbar0/2 (1 +- 0.05) for each hbar0, each checked at every hbar of the
-    # set: the kept pencil minimum, divided by hbar, decides as nu_min >= hbar/2 does.
+    # set: the kept spectrum, divided by hbar, decides as nu_min >= hbar/2 does. The kept
+    # spectrum is symplectic_eigenvalues', byte for byte.
     hbars, verdicts = (1e-3, 0.7, 1.0, 1e3), []
     for hbar0 in hbars:
         for n, sign in itertools.product((1, 2, 3), (-1, 1)):
             nu = 0.5 * hbar0 * np.concatenate([[1.0 + 0.05 * sign], 1.1 + rng.uniform(0.0, 2.0, n - 1)])
             cov = CovarianceMatrix(covariance_with_spectrum(nu, rng))
-            nu_min = symplectic_eigenvalues(cov.sigma)[0]
+            spectrum = symplectic_eigenvalues(cov.sigma)
+            assert cov._spectrum.tobytes() == spectrum.tobytes()
+            nu_min = spectrum[0]
             for hbar in hbars:
                 verdicts.append(is_quantum_covariance(cov, hbar))
                 assert verdicts[-1] == (nu_min >= 0.5 * hbar) == (nu[0] >= 0.5 * hbar)
@@ -264,6 +272,38 @@ def test_projection_scales_match_a_60_digit_oracle():
     assert 1e7 < max(conds) < 1e9
 
 
+def _squeezed_covariance(n, r, rng):
+    """Sigma = 0.65 S S^T for S = U diag(e^(r a), e^(-r a)) with a in [0.5, 1] per mode and U
+    orthogonal symplectic: every Williamson eigenvalue is 0.65, and cond(Sigma) = e^(4 r max a)."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    a = rng.uniform(0.5, 1.0, n)
+    s = np.block([[q.real, -q.imag], [q.imag, q.real]]) * np.exp(r * np.concatenate([a, -a]))
+    sigma = 0.65 * s @ s.T
+    return 0.5 * (sigma + sigma.T)
+
+
+def test_validity_ratio_matches_a_60_digit_williamson_oracle():
+    # 2 nu_min / hbar off the kept spectrum lies within 3 eps cond(Sigma) of nu_min computed in
+    # 60 digits from the same float Sigma, as the singular values of C^T J C for C = chol(Sigma).
+    states = [(_squeezed_covariance(1 + i % 3, r, np.random.default_rng([29, r, i])), 1.0)
+              for r in (0, 2, 4, 6, 8) for i in range(10)]
+    for seed in range(40):
+        rng = np.random.default_rng([31, seed])
+        hbar = 10.0 ** rng.uniform(-3.0, 3.0)
+        states.append((_conditioned_covariance(1 + seed % 3, 7.5 * seed / 39, hbar, rng), hbar))
+    conds = []
+    for sigma, hbar in states:
+        cov = CovarianceMatrix(sigma)
+        conds.append(np.linalg.cond(cov.sigma))
+        with mpmath.workdps(60):
+            c = mpmath.cholesky(mpmath.matrix(cov.sigma.tolist()))
+            k = c.T * mpmath.matrix(standard_symplectic_matrix(cov.n).tolist()) * c
+            exact = 2 * mpmath.sqrt(min(mpmath.eigsy(k.T * k, eigvals_only=True))) / hbar
+            err = float(abs(float(cov._validity_ratio(hbar)) - exact) / exact)
+        assert err <= 3 * np.finfo(float).eps * conds[-1]
+    assert max(conds[:50]) > 1e12 and 1e7 < max(conds[50:]) < 1e9
+
+
 def test_hardy_check_does_not_validate_its_input_again(monkeypatch):
     # HardyInput symmetrizes its blocks once; hardy_check reads them as they are.
     seen = []
@@ -310,7 +350,8 @@ class TestToleranceBand:
         nu = 0.5 * hbar * np.concatenate([[1 + sign * k * DEFAULT_TOL], 1 + np.array(spread[: n - 1])])
         sigma = covariance_with_spectrum(nu, np.random.default_rng(seed))
         williamson = _accepts(2 * symplectic_eigenvalues(sigma)[0] / hbar, DEFAULT_TOL)
-        assert is_quantum_covariance(sigma, hbar) == capacity_criterion(sigma, hbar) == williamson == (sign > 0)
+        herm = _accepts(hermitian_validity_ratio(sigma, hbar), DEFAULT_TOL)
+        assert is_quantum_covariance(sigma, hbar) == capacity_criterion(sigma, hbar) == williamson == herm == (sign > 0)
 
     def test_rs_relative_violation_at_small_hbar(self):
         # One mode at hbar = 1e-3 with det = (hbar^2 / 4)(1 - 1e-4), correlated.

@@ -11,8 +11,6 @@ from qpolar.bodies import Ellipsoid
 from qpolar.hardy import HardyInput, hardy_check
 from qpolar.quantum import CovarianceMatrix, heisenberg_eigen_check
 from qpolar.symplectic import (
-    _factor_pencil_eigenvalues,
-    _spd_cholesky,
     block_diagonalize,
     is_symplectic,
     random_symplectic,
@@ -22,7 +20,7 @@ from qpolar.symplectic import (
     symplectic_form,
 )
 
-from conftest import assert_raises_exactly, covariance_with_spectrum, random_spd
+from conftest import assert_raises_exactly, covariance_with_spectrum, hermitian_validity_ratio, random_spd
 
 
 class TestStandardForm:
@@ -259,22 +257,19 @@ class TestBlockDiagonalize:
                 check(np.eye(2), np.eye(3))
 
 
-def _pencil_eigenvalues(m, s):
-    """Eigenvalues of M v = mu S v (M Hermitian, S SPD), ascending: those of C^{-1} M C^{-H}
-    for S = C C^T, the Cholesky reduction LAPACK's generalized solver makes."""
-    return _factor_pencil_eigenvalues(m, _spd_cholesky(s))
-
-
 class TestPencilEigenvalues:
-    """The Cholesky reduction agrees with LAPACK's generalized Hermitian solver."""
+    """LAPACK's generalized Hermitian solver is the reference for the spectra the library takes by
+    an SVD: eig(A B) off C^T G, and the validity ratio off the Williamson spectrum."""
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_real_spd_pencils(self, n, rng):
+        # The eigenvalues of A B are those of the real SPD pencil (B A B) v = mu B v: no inverse.
         for cond in (1.0, 1e2, 1e4):
             for _ in range(10):
                 a, b = random_spd(n, rng, cond), random_spd(n, rng, cond)
-                ref = eigh(a, b, eigvals_only=True)
-                assert np.max(np.abs(_pencil_eigenvalues(a, b) - ref)) <= 1e-12 * np.max(np.abs(ref))
+                ref = eigh(b @ a @ b, b, eigvals_only=True)
+                got = hardy_check(HardyInput(a, b)).eigenvalues
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("ratio", np.logspace(-3, np.log10(5e17), 12))
     def test_covariance_pencil(self, ratio, rng):
@@ -282,14 +277,17 @@ class TestPencilEigenvalues:
         for n in (1, 2, 3):
             for hbar in (1e-3, 1.0, 1e3):
                 nu = hbar * ratio * np.exp(rng.uniform(0.0, 1.0, size=n))
-                m = 0.5j * hbar * standard_symplectic_matrix(n)
                 sigma = covariance_with_spectrum(nu, rng)
-                ref = eigh(m, sigma, eigvals_only=True)
-                assert np.allclose(_pencil_eigenvalues(m, sigma), ref, rtol=1e-13, atol=0.0)
+                ref = hermitian_validity_ratio(sigma, hbar)
+                assert CovarianceMatrix(sigma)._validity_ratio(hbar) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_not_positive_definite_raises(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            _pencil_eigenvalues(np.eye(2), np.diag([1.0, -1.0]))
+        # Without positive definiteness the reference has no pencil, and the state keeps no
+        # spectrum: its validity ratio is 0.
+        with pytest.raises(np.linalg.LinAlgError):
+            hermitian_validity_ratio(np.diag([1.0, -1.0]), 1.0)
+        cov = CovarianceMatrix(np.diag([1.0, -1.0]))
+        assert cov._spectrum is None and cov._validity_ratio(1.0) == 0.0
 
 
 @pytest.mark.parametrize("call, error, message", [
