@@ -6,11 +6,13 @@ from .bodies import (
     ConvexBody,
     Ellipsoid,
     HPolytope,
+    PairVerdict,
     VPolytope,
     contains,
     enclosing_ellipsoid,
     gauge,
     inclusion_scale,
+    is_quantum_pair,
     linear_image,
     polar_dual,
     scale,
@@ -53,7 +55,6 @@ from .hardy import (
     hbar_fourier_1d,
     minkowski_envelope_experiment,
 )
-from .polarity import PairVerdict, is_quantum_pair
 from .quantum import (
     CovarianceMatrix,
     capacity_criterion,

@@ -7,15 +7,15 @@ All bodies are origin-centered (body = -body by construction):
 * ``VPolytope(vertices=V)``    is conv{+-v_j} over the listed vertices.
 
 Operations are pure functions over these immutable values, which compare by identity. An
-ellipsoid carries a factor F of its matrix, and a derived one is built from a factor, not
-checked again: L^-T F for a linear image (``scale`` is one), else F^-T / c (``_inverse_transpose``), with
-c = hbar for a polar, 1 for (d M)^-1 with d M = F F^T (``_inverse_factor``) and sqrt(2) for the x/p
-pair of blocks A = C C^T, B = G G^T (``_induced_pair``). Errors are of order cond(F) eps, so
-``linear_image`` decides up to its cond(L) <= 1e12 guard. A polytope carries the least
-and greatest of its row maxima, which ``polar_dual`` scales with the array (rounding is
-monotone) for the polar's finiteness and nonzero-row checks: no rank test. A square array
-is certified by its inverse (``_square_inverse``), which the polytope keeps and its unit
-polar, the same array, shares: a V-polytope's gauge reads it.
+ellipsoid carries a factor F of its matrix, and a derived one is built from a factor, checked only
+for a matrix in the normal float range (``Ellipsoid._from_factor``): L^-T F for a linear image
+(``scale`` is one), else F^-T / c (``_inverse_transpose``), with c = hbar for a polar, 1 for (d M)^-1
+with d M = F F^T (``_inverse_factor``) and sqrt(2) for the x/p pair of blocks A = C C^T, B = G G^T
+(``_induced_pair``). Errors are of order cond(F) eps, so ``linear_image`` decides up to its
+cond(L) <= 1e12 guard. A polytope carries the least and greatest of its row maxima, which
+``polar_dual`` scales with the array (rounding is monotone) for the polar's finiteness and
+nonzero-row checks: no rank test. A square array is certified by its inverse (``_square_inverse``),
+which the polytope keeps and its unit polar, the same array, shares: a V-polytope's gauge reads it.
 One rule brings data into range before a solver, a product or a norm: ``_pow2_scaled``
 scales an array exactly by powers of two to max |entry| in [0.5, 1), over the whole array,
 per row or per column, and keeps the exponents. A range like 1 to 1e-310 within one row or
@@ -33,9 +33,11 @@ checked (they can overflow). The support function is the gauge of the unit polar
 the 2^n sign vectors s; Qhull runs only for more rows, and no enumeration starts whose
 vertex count bound exceeds ``VERTEX_BUDGET``.
 
-Containment, the quantum-pair verdict and the product capacity all read one inclusion
-scale, ``inclusion_scale``: 1 / (hbar sigma) for the one symmetric pairing sigma of
-``_polar_pairing``, accepted by ``_accepts``, the one rule of every verdict.
+The hbar-polar dual of X is X^hbar = {p : p . x <= hbar for all x in X} (``polar_dual``), and
+(X, P) is a quantum pair when X^hbar is contained in P, a relation symmetric in X and P.
+Containment, the quantum-pair verdict (``is_quantum_pair``) and the product capacity all read
+one inclusion scale, ``inclusion_scale``: 1 / (hbar sigma) for the one symmetric pairing sigma
+of ``_polar_pairing``, accepted by ``_accepts``, the one rule of every verdict.
 """
 
 from __future__ import annotations
@@ -172,8 +174,13 @@ class Ellipsoid:
     @classmethod
     def _from_factor(cls, f: np.ndarray) -> "Ellipsoid":
         """The ellipsoid with matrix F F^T for an invertible F, not checked again; F is an
-        array the caller has just computed, frozen in place."""
-        return _unchecked(cls, factor=_freeze(f), matrix=_freeze(f @ f.T))
+        array the caller has just computed, frozen in place. DegenerateBodyError where the
+        matrix leaves the normal float range (a diagonal entry inf, NaN or below 2^-1022)."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf in F gives inf * 0 = NaN
+            m = f @ f.T
+        if not (2.0**-1022 <= (d := m.diagonal()).min() and d.max() < np.inf):
+            raise DegenerateBodyError("the derived ellipsoid has a matrix outside the float range")
+        return _unchecked(cls, factor=_freeze(f), matrix=_freeze(m))
 
     @property
     def dim(self) -> int:
@@ -625,6 +632,35 @@ def contains(outer: ConvexBody, inner: ConvexBody, tol: float = DEFAULT_TOL) -> 
     return _accepts(inclusion_scale(outer, polar_dual(inner)), tol)
 
 
+@dataclass(frozen=True)
+class PairVerdict:
+    """Result of a quantum-pair check.
+
+    ``margin`` is lambda_max - 1: the dimensionless slack of the inclusion
+    lambda * P^hbar inside X (nonnegative iff the pair holds). lambda_max is
+    always exact, so ``exact`` is always True; a pair that cannot be decided
+    exactly raises ``UndecidedError`` instead.
+    """
+
+    is_pair: bool
+    lambda_max: float
+    margin: float
+    exact: bool = True
+
+
+def is_quantum_pair(x: ConvexBody, p: ConvexBody, hbar: float = 1.0,
+                    tol: float = DEFAULT_TOL) -> PairVerdict:
+    """Decide whether (X, P) is an hbar-polar quantum pair (X^hbar inside P).
+
+    Decided through the inclusion scale, so the verdict, the scale, and the
+    product-capacity value are mutually consistent by construction; the
+    boundary lambda_max = 1 (dual touching) counts as a pair. Raises
+    ``UndecidedError`` where ``inclusion_scale`` does.
+    """
+    lam = inclusion_scale(x, p, hbar)
+    return PairVerdict(is_pair=_accepts(lam, tol), lambda_max=lam, margin=lam - 1.0)
+
+
 def enclosing_ellipsoid(points, mode: str = "ball") -> Ellipsoid:
     """Origin-centered ellipsoid enclosing every point of a centered sample.
 
@@ -636,7 +672,7 @@ def enclosing_ellipsoid(points, mode: str = "ball") -> Ellipsoid:
     to add the worst violators.
 
     Both fit the points scaled by ``_pow2_scaled``, and the factor is scaled back; where
-    its matrix then leaves the normal float range, DegenerateBodyError.
+    its matrix then leaves the normal float range, DegenerateBodyError (``Ellipsoid._from_factor``).
     """
     if mode not in ("ball", "mvee"):
         raise ValueError(f"unknown mode {mode!r}; expected 'ball' or 'mvee'")
@@ -647,11 +683,7 @@ def enclosing_ellipsoid(points, mode: str = "ball") -> Ellipsoid:
         raise ValueError("points must be finite")
     pts, e = _pow2_scaled(pts, top=top)
     with np.errstate(over="ignore"):
-        fit = Ellipsoid._from_factor(_pow2_scaled(_unit_scale_fit(pts, mode).factor, e=e)[0])
-    if not (np.finfo(float).tiny <= fit.matrix.diagonal().min() and fit.matrix.diagonal().max() < np.inf):
-        raise DegenerateBodyError(f"the enclosing ellipsoid of points of magnitude 2^{e} "
-                                  "has a matrix outside the float range")
-    return fit
+        return Ellipsoid._from_factor(_pow2_scaled(_unit_scale_fit(pts, mode).factor, e=e)[0])
 
 
 def _unit_scale_fit(pts: np.ndarray, mode: str) -> Ellipsoid:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, _accepts, _check_pair_dims, support
+from .bodies import (DEFAULT_TOL, ConvexBody, Ellipsoid, PairVerdict, _accepts, _check_pair_dims,
+                     is_quantum_pair, support)
 from .errors import DimensionError
-from .polarity import PairVerdict, is_quantum_pair
 from .symplectic import _factor_symplectic_eigenvalues
 
 

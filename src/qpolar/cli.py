@@ -18,12 +18,11 @@ import click
 import numpy as np
 
 from . import __version__, io as qio
-from .bodies import DEFAULT_TOL, Ellipsoid, _check_hbar, polar_dual
+from .bodies import DEFAULT_TOL, Ellipsoid, _check_hbar, is_quantum_pair, polar_dual
 from .capacities import ellipsoid_capacity, product_capacity
 from .cloud import FIT_MODES, cloud_analyze, cloud_generate_disk, disk_demo
 from .errors import QPolarError
 from .hardy import HardyInput, _check_widths, hardy_check
-from .polarity import is_quantum_pair
 from .quantum import _covariance_verdicts, covariance_ellipsoid, section_area, theorem2_check
 from .sections import emit_section_plot
 from .symplectic import _check_tol

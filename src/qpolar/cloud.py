@@ -7,10 +7,10 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, ConvexBody, HPolytope, _check_hbar, enclosing_ellipsoid, gauge
+from .bodies import (DEFAULT_TOL, ConvexBody, HPolytope, PairVerdict, _check_hbar, enclosing_ellipsoid, gauge,
+                     is_quantum_pair)
 from .capacities import CapacityReport, _capacity_of
 from .errors import DegenerateBodyError, DimensionError
-from .polarity import PairVerdict, is_quantum_pair
 from .quantum import CovarianceMatrix, _covariance_verdicts
 
 FIT_MODES = ("ball", "mvee", "interval-box")

@@ -29,9 +29,9 @@ from typing import Literal
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, ConvexBody, Ellipsoid, _accepts, _check_hbar, _induced_pair, gauge
+from .bodies import (DEFAULT_TOL, ConvexBody, Ellipsoid, PairVerdict, _accepts, _check_hbar, _induced_pair, gauge,
+                     is_quantum_pair)
 from .errors import BoundaryDecayWarning, GridError, HardyInconsistencyWarning
-from .polarity import PairVerdict, is_quantum_pair
 from .symplectic import _check_tol, _mode_scales, _spd_pair, require_symmetric
 
 RELATIVE_FLOOR = 1e-12
@@ -146,9 +146,12 @@ def _envelope_fit(samples, grid, hbar: float, x_exponent, p_exponent) -> tuple[b
 
 
 def _check_widths(sigma_x: float, sigma_p: float) -> None:
-    """The one envelope-width check: ValueError unless both widths are positive (NaN fails)."""
+    """The one envelope-width check: ValueError unless both widths are positive (NaN fails) and
+    in [2^-511, 2^512), where their squares are normal floats."""
     if not (sigma_x > 0 and sigma_p > 0):
         raise ValueError(f"envelope widths must be positive, got {sigma_x}, {sigma_p}")
+    if not (2.0**-511 <= sigma_x < 2.0**512 and 2.0**-511 <= sigma_p < 2.0**512):
+        raise ValueError(f"envelope widths must lie in [2^-511, 2^512), got {sigma_x}, {sigma_p}")
 
 
 def hardy_envelope_verify(samples, grid, sigma_x: float, sigma_p: float,

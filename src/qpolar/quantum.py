@@ -34,10 +34,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, Ellipsoid, _accepts, _check_hbar, _freeze, _induced_pair, _inverse_factor
+from .bodies import DEFAULT_TOL, Ellipsoid, PairVerdict, _accepts, _check_hbar, _freeze, _induced_pair, _inverse_factor
 from .capacities import _factor_capacity
 from .errors import DimensionError, InvalidCovarianceError, NotPositiveDefiniteError
-from .polarity import PairVerdict
 from .symplectic import (_check_tol, _factor_symplectic_eigenvalues, _mode_scales, _spd_cholesky, _spd_pair,
                          random_symplectic, require_symmetric)
 

@@ -9,11 +9,11 @@ import time
 import numpy as np
 import pytest
 
-from qpolar.bodies import Ellipsoid, HPolytope, VPolytope, contains, linear_image, polar_dual, scale
+from qpolar.bodies import (Ellipsoid, HPolytope, VPolytope, contains, is_quantum_pair, linear_image, polar_dual,
+                           scale)
 from qpolar.capacities import ellipsoid_capacity, product_capacity
 from qpolar.cloud import disk_demo
 from qpolar.hardy import HardyInput, hardy_check, hardy_envelope_verify
-from qpolar.polarity import is_quantum_pair
 from qpolar.quantum import (
     capacity_criterion,
     heisenberg_eigen_check,

@@ -21,6 +21,7 @@ from qpolar.bodies import (
     gauge,
     hpolytope_vertices,
     inclusion_scale,
+    is_quantum_pair,
     linear_image,
     polar_dual,
     scale,
@@ -37,7 +38,6 @@ from qpolar.errors import (
     UndecidedError,
 )
 from qpolar.hardy import HardyInput, hardy_check
-from qpolar.polarity import is_quantum_pair
 from qpolar.quantum import covariance_ellipsoid, project_xp, random_quantum_covariance, theorem2_check
 from qpolar.sections import section_polygon
 
@@ -774,6 +774,19 @@ class TestEnclosingEllipsoid:
         pts = rng.standard_normal((300, 3)) * scale
         with pytest.raises(DegenerateBodyError, match="outside the float range"):
             enclosing_ellipsoid(pts, mode)
+
+
+@pytest.mark.parametrize("derive", [polar_dual, scale])
+@pytest.mark.parametrize("c", [1e-300, 1e300, 1e-150, 1e150])
+def test_derived_ellipsoid_outside_the_float_range_is_refused(derive, c):
+    # The unit ball's polar at hbar = c and its scale by c are the ball of radius c, with
+    # matrix I / c^2, built from a factor and checked as a derived polytope's row maxima
+    # are. At c = 1e+-300 the matrix, 1e-+600, is 0 or inf and refused; at 1e+-150 it builds.
+    if abs(np.log10(c)) > 200:
+        with pytest.raises(DegenerateBodyError, match="^the derived ellipsoid has a matrix outside the float range$"):
+            derive(Ellipsoid.ball(2), c)
+    else:
+        assert derive(Ellipsoid.ball(2), c).matrix.diagonal() == pytest.approx([c**-2] * 2, rel=1e-15)
 
 
 def cube_corners(n):

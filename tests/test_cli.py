@@ -56,6 +56,14 @@ class TestPolar:
         assert result.exit_code == 0
         assert json.loads(out.read_text())["type"] == "ellipsoid"
 
+    @pytest.mark.parametrize("hbar", ["1e-300", "1e300"])
+    def test_dual_outside_the_float_range_exits_one(self, runner, tmp_path, disk_x, hbar):
+        # The dual's matrix, 4 I / hbar^2, would be written as Infinity or as all zeros.
+        out = tmp_path / "dual.json"
+        result = runner.invoke(cli, ["polar", "--body", disk_x, "--hbar", hbar, "-o", str(out)])
+        assert result.exit_code == 1 and result.stdout == "" and not out.exists()
+        assert "Error: the derived ellipsoid has a matrix outside the float range" in result.output
+
 
 class TestPairCheck:
     def test_pass_exit_zero(self, runner, disk_x, disk_p):
@@ -254,6 +262,16 @@ class TestHardy:
         result = runner.invoke(cli, ["hardy", "--sigma-x", sx, "--sigma-p", sp])
         assert result.exit_code == 1 and result.stdout == ""
         assert f"Error: envelope widths must be positive, got {float(sx)}, {float(sp)}" in result.output
+
+    @pytest.mark.parametrize("args", [["--sigma-x", "1e200", "--sigma-p", "1"],
+                                      ["--sigma-x", "1e-200", "--sigma-p", "1e-200", "--hbar", "1e-300"]])
+    def test_widths_whose_squares_are_not_normal_floats_exit_one(self, runner, args):
+        # Unchecked, 1e200 squared raises OverflowError (a traceback) and 1e-200 squared makes
+        # A = 0, "not positive definite".
+        result = runner.invoke(cli, ["hardy", *args])
+        assert result.exit_code == 1 and result.stdout == "" and isinstance(result.exception, SystemExit)
+        want = f"Error: envelope widths must lie in [2^-511, 2^512), got {float(args[1])}, {float(args[3])}"
+        assert want in result.output
 
     @pytest.mark.parametrize("n, scale", [(1, 0.3), (1, 1.7), (3, 0.5), (3, 2.0)])
     def test_pair_is_the_induced_pair(self, runner, tmp_path, rng, n, scale):

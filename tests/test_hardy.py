@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpolar.bodies import DEFAULT_TOL, HPolytope, VPolytope
+from qpolar.bodies import DEFAULT_TOL, HPolytope, VPolytope, is_quantum_pair
 from qpolar.errors import BoundaryDecayWarning, GridError, HardyInconsistencyWarning
 from qpolar.hardy import (
     ENVELOPE_C_FACTOR,
     RELATIVE_FLOOR,
     HardyInput,
+    _check_widths,
     _checked_samples,
     _envelope_fit,
     _transform_magnitudes,
@@ -19,7 +20,6 @@ from qpolar.hardy import (
     hbar_fourier_1d,
     minkowski_envelope_experiment,
 )
-from qpolar.polarity import is_quantum_pair
 
 from conftest import HARDY_RATIOS, assert_raises_exactly, hardy_pair
 
@@ -154,6 +154,14 @@ class TestHardyEnvelope:
         for sx, sp in ((-1.0, 0.5), (1.0, 0.0), (np.nan, 0.5), (1.0, np.nan)):
             with pytest.raises(ValueError, match="^envelope widths must be positive"):
                 hardy_envelope_verify(self.psi, self.x, sx, sp)
+
+    @pytest.mark.parametrize("sx, sp", [(1e200, 1.0), (1.0, 2.0**512), (1e-200, 1e-200),
+                                        (1.0, np.nextafter(2.0**-511, 0))])
+    def test_rejects_widths_whose_squares_are_not_normal_floats(self, sx, sp):
+        # 1e200 squared overflows (sigma**2 raises OverflowError) and 1e-200 squared is 0.
+        with pytest.raises(ValueError, match=r"^envelope widths must lie in \[2\^-511, 2\^512\), got "):
+            hardy_envelope_verify(self.psi, self.x, sx, sp)
+        _check_widths(2.0**-511, np.nextafter(2.0**512, 0))  # the edges, whose squares are normal
 
     def test_zero_function_passes_without_alarm(self):
         # psi = 0 meets every envelope; the uncertainty bound says nothing about it.

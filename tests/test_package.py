@@ -206,9 +206,16 @@ def test_an_ellipsoid_factor_is_inverted_in_one_place():
 
 
 def _call_sites(sources: dict[str, str], name: str) -> list[str]:
-    """``module.name`` for each top-level function or class that calls ``name``."""
-    return sorted({f"{module}.{node.name}" for module, source in sources.items() for node in ast.parse(source).body
-                   if any(_called(n, name) for n in ast.walk(node))})
+    """``module.function`` or ``module.Class.method`` for each top-level function or method
+    that calls ``name``; ``module.Class`` or ``module`` for other class or module-level code."""
+    sites = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = [node.name] if isinstance(node, ast.ClassDef) else []
+            for member in node.body if owner else [node]:
+                if any(_called(n, name) for n in ast.walk(member)):
+                    sites.add(".".join([module, *owner, *([member.name] if hasattr(member, "name") else [])]))
+    return sorted(sites)
 
 
 def _imported_modules(source: str) -> set[str]:
@@ -229,8 +236,9 @@ def test_call_and_import_checks_find_one():
     source = ("import numpy as np\nimport qpolar.cloud\nfrom . import bodies\nfrom .quantum import f\n"
               "from numpy.linalg import svd\nclass K:\n    def s(self, m):\n        from qpolar.io import read\n"
               "        return svd(m)\ndef e(m):\n    return np.linalg.eigvalsh(m)\n")
-    assert _call_sites({"a": source}, "svd") == ["a.K"]
+    assert _call_sites({"a": source}, "svd") == ["a.K.s"]
     assert _call_sites({"a": source}, "eigvalsh") == ["a.e"]
+    assert _call_sites({"b": "from numpy.linalg import svd\nclass C:\n    S = svd(1)\nT = svd(2)\n"}, "svd") == ["b", "b.C"]
     assert _imported_modules(source) == {"cloud", "bodies", "quantum", "io"}
 
 
@@ -240,6 +248,22 @@ def test_the_ab_spectrum_lives_beside_its_factors():
     sources = {name: (PACKAGE / f"{name}.py").read_text() for name in ("quantum", "hardy")}
     assert _call_sites(sources, "svd") == []
     assert "quantum" not in _imported_modules(sources["hardy"])
+
+
+def test_derived_bodies_are_built_by_the_range_checked_constructors():
+    # _unchecked skips the validators; its only callers check the float range of what they
+    # build (an ellipsoid's matrix, a polytope's row maxima), so every derived body does.
+    assert _call_sites({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}, "_unchecked") == [
+        "bodies.Ellipsoid._from_factor", "bodies._scaled_polytope"]
+
+
+def test_the_pair_verdict_lives_beside_the_inclusion_scale():
+    # PairVerdict and is_quantum_pair are defined once, in bodies, and no module imports the
+    # polarity module they were folded from.
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    defined = _defined_names(sources)
+    assert [m for m in sorted(defined) if {"PairVerdict", "is_quantum_pair"} & defined[m]] == ["bodies"]
+    assert [m for m, source in sources.items() if "polarity" in _imported_modules(source)] == []
 
 
 def test_no_hermitian_eigensolver_in_the_library():

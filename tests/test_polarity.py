@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpolar.bodies import (DEFAULT_TOL, Ellipsoid, HPolytope, VPolytope, contains, gauge, inclusion_scale, linear_image,
-                           polar_dual, scale, support)
+from qpolar.bodies import (DEFAULT_TOL, Ellipsoid, HPolytope, VPolytope, contains, gauge, inclusion_scale,
+                           is_quantum_pair, linear_image, polar_dual, scale, support)
 from qpolar.capacities import product_capacity
 from qpolar.errors import DimensionError
-from qpolar.polarity import is_quantum_pair
 
 from conftest import random_body, random_ellipsoid, random_hpolytope, random_vpolytope, support_oracle
 

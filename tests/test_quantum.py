@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qpolar
-from qpolar.bodies import DEFAULT_TOL, Ellipsoid, _accepts, inclusion_scale
+from qpolar.bodies import DEFAULT_TOL, Ellipsoid, _accepts, inclusion_scale, is_quantum_pair
 from qpolar.capacities import ellipsoid_capacity, product_capacity
 from qpolar.errors import (
     DimensionError,
@@ -18,7 +18,6 @@ from qpolar.errors import (
     NotSymmetricError,
 )
 from qpolar.hardy import HardyInput, hardy_check
-from qpolar.polarity import is_quantum_pair
 from qpolar.quantum import (
     CovarianceMatrix,
     _covariance_verdicts,
